@@ -1,16 +1,16 @@
 // Core-simulator speed benchmark (-bench-core): times the pinned
 // hot-path scenarios of bench_test.go on the current build and writes
-// BENCH_core_speed.json comparing each against the tick-era baseline —
-// the numbers measured just before the event-driven core refactor
-// (skip-to-next-event wake-ups, de-virtualized inner path, pooled
-// per-scenario allocations; see docs/PERFORMANCE.md).
+// BENCH_core_speed.json comparing each against its baseline — the same
+// scenarios timed at the baseline commit, the last one before the
+// functional store and the verification shadow moved from hash maps to
+// page tables (see docs/PERFORMANCE.md).
 //
 // With -check <file> it instead re-times the gated scenarios and exits
 // non-zero if any regresses more than 2x over the committed
-// afterNsPerOp — the CI backstop that keeps the speedup from silently
-// eroding. Only the long-stream scenario is gated: at ~10ms/run its
-// min-of-N timing is stable on shared CI runners, where the sub-ms
-// scenarios are not.
+// afterNsPerOp — the CI backstop that keeps the speedups from silently
+// eroding. Only the long-stream scenarios are gated, one timing-only and
+// one verified: at several ms/run their min-of-N timing is stable on
+// shared CI runners, where the sub-ms scenarios are not.
 package main
 
 import (
@@ -24,21 +24,26 @@ import (
 	"rdramstream"
 )
 
-// coreCase is one pinned scenario plus its pre-refactor baseline.
+// coreCase is one pinned scenario plus its baseline.
 type coreCase struct {
 	name     string
 	desc     string
 	sc       rdramstream.Scenario
-	beforeNs int64 // min wall ns/run on the tick-era core
-	beforeAl int64 // heap allocations/run on the tick-era core
+	beforeNs int64 // min wall ns/run at baselineCommit
+	beforeAl int64 // heap allocations/run at baselineCommit
 	gate     bool  // include in the -check CI regression gate
 }
 
-// coreCases pins the scenarios and their baselines. The before numbers
-// were measured at commit 8da18f5 — the last commit with the tick-era
-// core (per-iteration planning slices, map-backed device pages seeded
-// even under SkipVerify, interface dispatch in the inner loop) — on the
-// same benchmark definitions (min of 7 runs, allocs via MemStats).
+// baselineCommit is where the before numbers of coreCases were measured:
+// the parent of the page-table functional store, with map-backed device
+// pages and a map-backed seed/verify shadow.
+const baselineCommit = "f7f3178"
+
+// coreCases pins the scenarios and their baselines, measured at
+// baselineCommit on the same benchmark definitions: the min over two
+// -bench-core -bench-iters 35 invocations, one just before and one just
+// after the run that wrote the committed file (the host's speed drifts
+// over minutes), allocs via MemStats after a pool-warming run.
 func coreCases() []coreCase {
 	return []coreCase{
 		{
@@ -49,7 +54,7 @@ func coreCases() []coreCase {
 				Mode: rdramstream.SMC, FIFODepth: 128,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 918_000, beforeAl: 8_353,
+			beforeNs: 227_522, beforeAl: 22,
 		},
 		{
 			name: "NaturalOrderDaxpy1024",
@@ -59,7 +64,7 @@ func coreCases() []coreCase {
 				Mode:      rdramstream.NaturalOrder,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 540_000, beforeAl: 1_658,
+			beforeNs: 348_308, beforeAl: 33,
 		},
 		{
 			name: "SMCLongVector",
@@ -69,7 +74,18 @@ func coreCases() []coreCase {
 				Mode: rdramstream.SMC, FIFODepth: 128,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 73_000_000, beforeAl: 723_267,
+			beforeNs: 15_362_761, beforeAl: 24,
+			gate: true,
+		},
+		{
+			name: "SMCLongVectorVerified",
+			desc: "daxpy n=65536 PI/smc fifo=128 staggered, verified",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
+				Mode: rdramstream.SMC, FIFODepth: 128,
+				Placement: rdramstream.Staggered,
+			},
+			beforeNs: 59_365_577, beforeAl: 126,
 			gate: true,
 		},
 	}
@@ -137,14 +153,15 @@ func runCoreBench(iters int, outPath string) {
 		iters = 1
 	}
 	rep := coreReport{
-		BaselineCommit: "8da18f5",
+		BaselineCommit: baselineCommit,
 		Iterations:     iters,
-		Note: "before = tick-era core at the baseline commit; after = current " +
-			"build with the event-driven core (skip-to-next-event wake-ups, " +
-			"de-virtualized inner path, pooled per-scenario allocations). " +
-			"ns/op is the min wall time over the timed iterations; allocs/op " +
-			"is the steady-state MemStats.Mallocs delta per run after a " +
-			"pool-warming iteration. See docs/PERFORMANCE.md.",
+		Note: "before = the baseline commit, with map-backed device pages and " +
+			"a map-backed seed/verify shadow; after = current build with the " +
+			"page-table functional store and shadow image. Only verified runs " +
+			"reach the functional store; the SkipVerify rows pin that the " +
+			"timing path did not move. ns/op is the min wall time over the " +
+			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
+			"delta per run after a pool-warming iteration. See docs/PERFORMANCE.md.",
 	}
 	for _, c := range coreCases() {
 		timeCore(c.sc, 1) // warm-up
@@ -211,6 +228,6 @@ func checkCoreBench(path string, iters int) {
 			c.name, e.AfterNsPerOp, ns, ratio, status)
 	}
 	if failed {
-		fatalf("bench-core check: gated scenario regressed >2x vs %s", path)
+		fatalf("bench-core check: a gated scenario regressed >2x vs %s", path)
 	}
 }

@@ -21,7 +21,7 @@
 // daxpy/SMC/PI scenario with telemetry off and on and writes a JSON
 // comparison (the repo's BENCH_telemetry.json is produced this way).
 // The -bench-core mode times the pinned hot-path scenarios against the
-// pre-refactor baselines and writes BENCH_core_speed.json; -check
+// baselines and writes BENCH_core_speed.json; -check
 // re-times the gated scenarios against a committed copy and fails on a
 // >2x regression (the CI backstop).
 package main
@@ -58,7 +58,7 @@ func main() {
 	bench := flag.Bool("bench", false, "measure telemetry overhead instead of profiling")
 	benchOut := flag.String("bench-out", "BENCH_telemetry.json", "output file for -bench")
 	benchIters := flag.Int("bench-iters", 7, "timed iterations per configuration for -bench")
-	benchCore := flag.Bool("bench-core", false, "measure core simulator speed against the pinned pre-refactor baselines")
+	benchCore := flag.Bool("bench-core", false, "measure core simulator speed against the pinned baselines")
 	benchCoreOut := flag.String("bench-core-out", "BENCH_core_speed.json", "output file for -bench-core")
 	checkCore := flag.String("check", "", "re-time the gated scenarios against this committed BENCH_core_speed.json and fail on a >2x regression")
 	offOverhead := flag.Float64("off-overhead-pct", 0, "record this externally measured telemetry-off-vs-uninstrumented overhead percentage in the -bench output")

@@ -72,9 +72,14 @@ type Device struct {
 	nextRefresh int64
 	refreshBank int
 
-	pages   map[int][]uint64 // sparse functional storage, keyed by page id
-	pool    *PagePool        // optional recycler behind pageSlot
-	noStore bool             // timing-only mode: skip the functional store
+	// The functional store. pageTable maps a page id
+	// (bank*PagesPerBank + row) to 1 + its index in pages, 0 meaning the
+	// page was never touched; it is nil until the first functional touch,
+	// so a timing-only device allocates nothing.
+	pageTable []int32
+	pages     []storedPage // touched pages, in first-touch order
+	pool      *PagePool    // optional recycler behind pageSlot
+	noStore   bool         // timing-only mode: skip the functional store
 
 	// Derived constants hoisted from the configuration at construction so
 	// the per-access path does no geometry arithmetic: packetsPerPage and
@@ -112,7 +117,6 @@ func NewDevice(cfg Config) *Device {
 	d := &Device{
 		cfg:            cfg,
 		banks:          make([]bankState, cfg.Geometry.Banks),
-		pages:          make(map[int][]uint64),
 		lastAct:        make([]int64, cfg.Geometry.Devices()),
 		anyAct:         make([]bool, cfg.Geometry.Devices()),
 		pendingRetire:  make([]bool, cfg.Geometry.Devices()),
@@ -580,60 +584,95 @@ func (d *Device) NextEventAt(now int64) int64 {
 	return next
 }
 
+// storedPage is one touched page of the functional store.
+type storedPage struct {
+	id    int32 // bank*PagesPerBank + row
+	words []uint64
+}
+
 // pageSlot returns the storage backing (bank,row), allocating it on first
 // touch so that untouched memory costs nothing. With a PagePool attached
-// the backing comes from the pool instead of the heap.
+// the page table and the page backing come from the pool instead of the
+// heap.
 func (d *Device) pageSlot(bank, row int) []uint64 {
 	id := bank*d.cfg.Geometry.PagesPerBank + row
-	p, ok := d.pages[id]
-	if !ok {
-		if d.pool != nil {
-			p = d.pool.get(d.cfg.Geometry.PageWords)
-		} else {
-			p = make([]uint64, d.cfg.Geometry.PageWords)
-		}
-		d.pages[id] = p
+	if d.pageTable == nil {
+		d.pageTable, d.pages = d.pool.store(d.cfg.Geometry.Pages())
 	}
+	if i := d.pageTable[id]; i != 0 {
+		return d.pages[i-1].words
+	}
+	p := d.pool.get(d.cfg.Geometry.PageWords)
+	d.pages = append(d.pages, storedPage{id: int32(id), words: p})
+	d.pageTable[id] = int32(len(d.pages))
 	return p
 }
 
 // SetTimingOnly disables the functional store: accesses move no data
-// (reads return zeros, PokeWord is a no-op) and page slots are never
-// allocated. Data values never influence the timing model — scheduling is
-// purely address-driven — so a timing-only run is cycle-identical to a
-// functional one; the harness enables this for SkipVerify runs, where the
-// memory image is never inspected.
+// (reads return zeros, PokeWord is a no-op) and neither the page table nor
+// any page slot is ever allocated. Data values never influence the timing
+// model — scheduling is purely address-driven — so a timing-only run is
+// cycle-identical to a functional one; the harness enables this for
+// SkipVerify runs, where the memory image is never inspected.
 func (d *Device) SetTimingOnly(on bool) { d.noStore = on }
 
-// UsePagePool routes this device's page-slot allocations through pool.
-// It must be attached before the first access; the pool is not safe for
-// concurrent use, so share one only between devices driven by the same
-// goroutine (the sweep harness keeps one per worker).
+// UsePagePool routes this device's page-table and page-slot allocations
+// through pool. It must be attached before the first access; the pool is
+// not safe for concurrent use, so share one only between devices driven by
+// the same goroutine (the sweep harness keeps one per worker).
 func (d *Device) UsePagePool(pool *PagePool) { d.pool = pool }
 
-// ReleasePages returns every touched page to the attached pool and clears
-// the functional store. The device must not be used afterwards; the sweep
-// harness calls this once a scenario's verification is done.
+// ReleasePages returns every touched page and the page table to the
+// attached pool, resetting only the table entries that were set, and
+// clears the functional store. The device must not be used afterwards;
+// the sweep harness calls this once a scenario's verification is done.
 func (d *Device) ReleasePages() {
 	if d.pool == nil {
 		return
 	}
 	for _, p := range d.pages {
-		d.pool.put(p)
+		d.pageTable[p.id] = 0
+		d.pool.put(p.words)
 	}
-	clear(d.pages)
+	if d.pageTable != nil {
+		d.pool.table, d.pool.list = d.pageTable, d.pages[:0]
+		d.pageTable, d.pages = nil, nil
+	}
 }
 
-// PagePool recycles page-slot backing arrays across simulations, the
-// largest per-scenario allocation a sweep repeats. Pages are zeroed on
-// reuse, because the functional store promises zero-filled memory on first
-// touch. Not safe for concurrent use.
+// PagePool recycles the functional store across simulations: the page
+// table and the page-slot backing arrays, the largest per-scenario
+// allocations a sweep repeats. Pages are zeroed on reuse, because the
+// functional store promises zero-filled memory on first touch; a table
+// comes back all zero because ReleasePages resets the entries it set. A
+// nil *PagePool allocates from the heap. Not safe for concurrent use.
 type PagePool struct {
-	free [][]uint64
+	free  [][]uint64
+	table []int32      // a released, all-zero page table
+	list  []storedPage // a released touched-page list, kept for its capacity
+}
+
+// store returns an all-zero page table of n entries and an empty
+// touched-page list. The pool hands each out at most once, so two live
+// devices never share them.
+func (p *PagePool) store(n int) ([]int32, []storedPage) {
+	if p == nil {
+		return make([]int32, n), nil
+	}
+	t, l := p.table, p.list
+	p.table, p.list = nil, nil
+	if len(t) != n {
+		// A geometry change mid-sweep strands the old size; drop it.
+		t = make([]int32, n)
+	}
+	return t, l
 }
 
 // get returns a zeroed page of exactly words words.
 func (p *PagePool) get(words int) []uint64 {
+	if p == nil {
+		return make([]uint64, words)
+	}
 	for len(p.free) > 0 {
 		pg := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]

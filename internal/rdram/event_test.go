@@ -91,6 +91,17 @@ func TestPagePoolZeroesReusedPages(t *testing.T) {
 	if len(pool.free) != 2 {
 		t.Fatalf("pool holds %d pages after release, want 2", len(pool.free))
 	}
+	// The page table goes back to the pool with only its touched entries
+	// reset: it must be all zero again.
+	if len(pool.table) != cfg.Geometry.Pages() {
+		t.Fatalf("pool holds a %d-entry page table, want %d", len(pool.table), cfg.Geometry.Pages())
+	}
+	for id, e := range pool.table {
+		if e != 0 {
+			t.Fatalf("released page table entry %d = %d, want 0", id, e)
+		}
+	}
+	table := &pool.table[0]
 
 	// A second scenario reusing the pool must see zero-filled memory, the
 	// functional store's first-touch promise.
@@ -101,6 +112,9 @@ func TestPagePoolZeroesReusedPages(t *testing.T) {
 	}
 	if len(pool.free) != 1 {
 		t.Errorf("pool holds %d pages after one reuse, want 1", len(pool.free))
+	}
+	if &d2.pageTable[0] != table || pool.table != nil {
+		t.Errorf("second device did not take over the pooled page table")
 	}
 }
 
@@ -153,7 +167,7 @@ func TestTimingOnlyCycleIdentical(t *testing.T) {
 	if got := full.PeekWord(1, 4, 0, 0); got != 3 {
 		t.Errorf("functional PeekWord = %d, want 3", got)
 	}
-	if len(bare.pages) != 0 {
-		t.Errorf("timing-only device allocated %d pages", len(bare.pages))
+	if bare.pageTable != nil || len(bare.pages) != 0 {
+		t.Errorf("timing-only device allocated a page table (%d entries) and %d pages", len(bare.pageTable), len(bare.pages))
 	}
 }

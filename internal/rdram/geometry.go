@@ -42,6 +42,11 @@ func DefaultGeometry() Geometry {
 	}
 }
 
+// MaxPages bounds Banks*PagesPerBank: the functional store indexes pages
+// through a dense table of that many entries (16 MiB at the limit, 256
+// KiB for the default part). It is 64 default chips' worth of pages.
+const MaxPages = 1 << 22
+
 // Validate reports whether the geometry is usable.
 func (g Geometry) Validate() error {
 	switch {
@@ -51,6 +56,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("rdram: PageWords must be a positive multiple of %d, got %d", WordsPerPacket, g.PageWords)
 	case g.PagesPerBank <= 0:
 		return fmt.Errorf("rdram: PagesPerBank must be positive, got %d", g.PagesPerBank)
+	case g.PagesPerBank > MaxPages/g.Banks:
+		return fmt.Errorf("rdram: %d banks of %d pages exceed the %d-page limit", g.Banks, g.PagesPerBank, MaxPages)
 	case g.DoubleBank && g.Banks%2 != 0:
 		return fmt.Errorf("rdram: DoubleBank requires an even bank count, got %d", g.Banks)
 	case g.DevicesOnChannel < 0:
@@ -76,6 +83,10 @@ func (g Geometry) BanksPerDevice() int { return g.Banks / g.Devices() }
 
 // deviceOf returns the chip that owns bank b.
 func (g Geometry) deviceOf(b int) int { return b / g.BanksPerDevice() }
+
+// Pages returns the number of pages on the channel: the size of the
+// device's functional-store page table.
+func (g Geometry) Pages() int { return g.Banks * g.PagesPerBank }
 
 // CapacityWords is the total number of 64-bit words the device stores.
 func (g Geometry) CapacityWords() int {

@@ -80,6 +80,11 @@ func TestGeometryValidate(t *testing.T) {
 		{Banks: 8, PageWords: 3, PagesPerBank: 1},
 		{Banks: 8, PageWords: 128, PagesPerBank: 0},
 		{Banks: 7, PageWords: 128, PagesPerBank: 1, DoubleBank: true},
+		{Banks: 8, PageWords: 128, PagesPerBank: MaxPages/8 + 1},
+		{Banks: MaxPages + 1, PageWords: 128, PagesPerBank: 1},
+	}
+	if g := (Geometry{Banks: 8, PageWords: 128, PagesPerBank: MaxPages / 8}); g.Validate() != nil {
+		t.Errorf("geometry at the page limit rejected: %v", g.Validate())
 	}
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {

@@ -1,0 +1,296 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"rdramstream/internal/addrmap"
+	"rdramstream/internal/rdram"
+	"rdramstream/internal/stream"
+)
+
+// TestVerifyFailureNamesLowestAddress corrupts device words between a
+// controller run and verify: the check must fail, name the lowest
+// corrupted address whatever order the corruption happened in, and
+// produce the same message on every repetition.
+func TestVerifyFailureNamesLowestAddress(t *testing.T) {
+	sc := Scenario{
+		KernelName: "daxpy", N: 2048, Scheme: addrmap.PI, Mode: SMC,
+		FIFODepth: 64, Placement: stream.Staggered, Seed: 5,
+	}.withDefaults()
+	k, err := BuildKernel(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := k.Streams[0], k.Streams[1]
+	lo, hi := x.Addr(1500), y.Addr(3) // y lies above x in the layout
+	if lo >= hi {
+		t.Fatalf("layout changed: x[1500]=%d is not below y[3]=%d", lo, hi)
+	}
+	var scr scratch // reused across repetitions, like a sweep's pooled scratch
+	var msgs []string
+	for rep := 0; rep < 3; rep++ {
+		dev := rdram.NewDevice(sc.Device)
+		m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
+		seed(dev, m, k, sc.Seed, scr.rng(), &scr.image)
+		if _, err := runController(dev, k, sc); err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		for _, addr := range []int64{hi, lo} { // the higher address first
+			loc := m.Map(addr)
+			v := dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
+			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v^1)
+			if addr == lo {
+				// x is read-only, so its golden value is what the run
+				// left on the device.
+				want = fmt.Sprintf("sim: functional verification failed: address %d: device %#x, golden %#x", lo, v^1, v)
+			}
+		}
+		err := verify(dev, m, k, &scr.image)
+		if err == nil {
+			t.Fatal("verify passed over a corrupted device")
+		}
+		if err.Error() != want {
+			t.Fatalf("rep %d: error %q, want %q", rep, err, want)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	for i, msg := range msgs {
+		if msg != msgs[0] {
+			t.Errorf("rep %d message %q differs from rep 0 %q", i, msg, msgs[0])
+		}
+	}
+	// Uncorrupted, the same scenario verifies through the public path.
+	if out, err := Run(sc); err != nil || !out.Verified {
+		t.Fatalf("clean run: verified=%v err=%v", out.Verified, err)
+	}
+}
+
+// refSeed and refVerify are the map-backed seed and verify the shadow
+// image replaced, kept as the reference the property test compares
+// against. refVerify reports the lowest mismatched address, the order the
+// shadow image guarantees.
+func refSeed(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64) (map[int64]uint64, *rand.Rand) {
+	rng := rand.New(rand.NewSource(s + 1))
+	shadow := make(map[int64]uint64)
+	for _, st := range k.Streams {
+		for i := 0; i < st.Length; i++ {
+			addr := st.Addr(i)
+			if _, done := shadow[addr]; done {
+				continue
+			}
+			v := math.Float64bits(float64(rng.Intn(1024)) / 8)
+			loc := m.Map(addr)
+			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v)
+			shadow[addr] = v
+		}
+	}
+	return shadow, rng
+}
+
+func refVerify(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, shadow map[int64]uint64) error {
+	k.Replay(
+		func(addr int64) uint64 { return shadow[addr] },
+		func(addr int64, v uint64) { shadow[addr] = v },
+	)
+	addrs := make([]int64, 0, len(shadow))
+	for addr := range shadow {
+		addrs = append(addrs, addr)
+	}
+	slices.Sort(addrs)
+	for _, addr := range addrs {
+		loc := m.Map(addr)
+		if got, want := dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word), shadow[addr]; got != want {
+			return fmt.Errorf("sim: functional verification failed: address %d: device %#x, golden %#x", addr, got, want)
+		}
+	}
+	return nil
+}
+
+// randomAliasingKernel builds a caller-made kernel whose streams alias or
+// partly overlap: a few vectors at random (sometimes overlapping, sometimes
+// far apart) bases, streams offset into them with strides 1–8, and write
+// streams that sometimes read-modify-write a read stream's exact elements,
+// as daxpy's y does.
+func randomAliasingKernel(r *rand.Rand) *stream.Kernel {
+	n := 1 + r.Intn(400)
+	vecs := make([]int64, 1+r.Intn(3))
+	for i := range vecs {
+		if r.Intn(4) == 0 {
+			vecs[i] = r.Int63n(1 << 20)
+		} else {
+			vecs[i] = r.Int63n(4096)
+		}
+	}
+	newStream := func(mode stream.Mode) stream.Stream {
+		return stream.Stream{
+			Base:   vecs[r.Intn(len(vecs))] + r.Int63n(16),
+			Stride: 1 + r.Int63n(8),
+			Length: n,
+			Mode:   mode,
+		}
+	}
+	nr, nw := 1+r.Intn(3), 1+r.Intn(2)
+	k := &stream.Kernel{Name: "aliasing"}
+	for i := 0; i < nr; i++ {
+		s := newStream(stream.Read)
+		s.Name = fmt.Sprintf("r%d", i)
+		k.Streams = append(k.Streams, s)
+	}
+	for i := 0; i < nw; i++ {
+		s := newStream(stream.Write)
+		if r.Intn(3) == 0 {
+			s = k.Streams[r.Intn(nr)] // read-modify-write
+			s.Mode = stream.Write
+		}
+		s.Name = fmt.Sprintf("w%d", i)
+		k.Streams = append(k.Streams, s)
+	}
+	out := make([]float64, nw)
+	k.Compute = func(i int, in []float64) []float64 {
+		for w := range out {
+			out[w] = in[0] + 2*in[len(in)-1] + float64(w+i%4)
+		}
+		return out
+	}
+	return k
+}
+
+// replayOnDevice executes k functionally against the device itself,
+// standing in for a controller run with a known final image.
+func replayOnDevice(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) {
+	k.Replay(
+		func(addr int64) uint64 {
+			loc := m.Map(addr)
+			return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
+		},
+		func(addr int64, v uint64) {
+			loc := m.Map(addr)
+			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v)
+		},
+	)
+}
+
+// imageWords counts the words present in the shadow image: seed draws
+// exactly once per present word.
+func imageWords(img *shadow) int {
+	n := 0
+	for _, p := range img.pages[:img.used] {
+		for _, set := range p.present {
+			n += bits.OnesCount64(set)
+		}
+	}
+	return n
+}
+
+// TestSeedVerifyMatchesMapReference checks the shadow image against the
+// map-backed reference over random aliasing kernels: the same device
+// image, the same number of rng draws, and the same verdict — including
+// the failure message when device words are corrupted after the run.
+func TestSeedVerifyMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	cfg := rdram.DefaultConfig()
+	var scr scratch // one image reused across cases, as in a sweep
+	failures := 0
+	for c := 0; c < 300; c++ {
+		k := randomAliasingKernel(r)
+		scheme := addrmap.Scheme(r.Intn(2))
+		m := addrmap.MustNew(scheme, cfg.Geometry, 4)
+		s := r.Int63n(1000)
+
+		got, ref := rdram.NewDevice(cfg), rdram.NewDevice(cfg)
+		rng := scr.rng()
+		seed(got, m, k, s, rng, &scr.image)
+		shadowRef, rngRef := refSeed(ref, m, k, s)
+
+		// Same draw count: the generators are at the same position, and
+		// the image holds one word per draw.
+		if a, b := rng.Int63(), rngRef.Int63(); a != b {
+			t.Fatalf("case %d: generators diverged after seeding (%d vs %d)", c, a, b)
+		}
+		if n := imageWords(&scr.image); n != len(shadowRef) {
+			t.Fatalf("case %d: image holds %d words, reference %d", c, n, len(shadowRef))
+		}
+		assertSameImage(t, c, got, ref, m, k)
+
+		replayOnDevice(got, m, k)
+		replayOnDevice(ref, m, k)
+		for j := r.Intn(3); j > 0; j-- { // corrupt 0–2 words, on both devices
+			st := k.Streams[r.Intn(len(k.Streams))]
+			loc := m.Map(st.Addr(r.Intn(st.Length)))
+			for _, d := range []*rdram.Device{got, ref} {
+				d.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, d.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)+1)
+			}
+		}
+		errGot := verify(got, m, k, &scr.image)
+		errRef := refVerify(ref, m, k, shadowRef)
+		if fmt.Sprint(errGot) != fmt.Sprint(errRef) {
+			t.Fatalf("case %d: verdict %v, reference %v", c, errGot, errRef)
+		}
+		if errGot != nil {
+			failures++
+		}
+		assertSameImage(t, c, got, ref, m, k)
+	}
+	if failures == 0 || failures == 300 {
+		t.Errorf("%d of 300 cases failed verification; want a mix", failures)
+	}
+}
+
+// assertSameImage compares the two devices at every stream address and
+// its neighbours.
+func assertSameImage(t *testing.T, c int, a, b *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) {
+	t.Helper()
+	for _, st := range k.Streams {
+		for i := 0; i < st.Length; i++ {
+			for _, addr := range []int64{st.Addr(i) - 1, st.Addr(i), st.Addr(i) + 1} {
+				if addr < 0 {
+					continue
+				}
+				loc := m.Map(addr)
+				va := a.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
+				vb := b.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
+				if va != vb {
+					t.Fatalf("case %d: address %d holds %#x, reference %#x", c, addr, va, vb)
+				}
+			}
+		}
+	}
+}
+
+// TestShadowResetEmptiesImage reuses one image across kernels of very
+// different spans: nothing from an earlier kernel may leak into a later
+// one's presence bits or table.
+func TestShadowResetEmptiesImage(t *testing.T) {
+	var img shadow
+	wide := &stream.Kernel{Streams: []stream.Stream{
+		{Base: 0, Stride: 1, Length: 10},
+		{Base: 1 << 20, Stride: 3, Length: 2000, Mode: stream.Write},
+	}}
+	narrow := &stream.Kernel{Streams: []stream.Stream{{Base: 5000, Stride: 2, Length: 100}}}
+	empty := &stream.Kernel{Streams: []stream.Stream{{Base: 7, Stride: 1}}}
+	for _, k := range []*stream.Kernel{wide, narrow, wide, empty, narrow} {
+		img.reset(k)
+		if n := imageWords(&img); n != 0 {
+			t.Fatalf("reset image holds %d words", n)
+		}
+		if i := slices.IndexFunc(img.table, func(e int32) bool { return e != 0 }); i >= 0 {
+			t.Fatalf("reset table entry %d is %d", i, img.table[i])
+		}
+		if k == empty && len(img.table) != 0 {
+			t.Fatalf("empty kernel's table has %d entries", len(img.table))
+		}
+		for _, st := range k.Streams {
+			for i := 0; i < st.Length; i++ {
+				addr := st.Addr(i)
+				w := addr & shadowMask
+				img.page(addr).present[w>>6] |= 1 << (w & 63)
+			}
+		}
+	}
+}

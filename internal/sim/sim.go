@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -417,28 +416,13 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	// the timing model (scheduling is purely address-driven, and the seed
 	// rng is private to seed), so a SkipVerify run skips the seed pass too
 	// and is still cycle-identical to a verified run.
-	var shadow map[int64]uint64
 	if sc.SkipVerify {
 		dev.SetTimingOnly(true)
 	} else {
-		shadow = seed(dev, mapper, k, sc.Seed, scr)
+		seed(dev, mapper, k, sc.Seed, scr.rng(), &scr.image)
 	}
 
-	name, err := sc.controllerName()
-	if err != nil {
-		return Outcome{}, err
-	}
-	ctl, ok := engine.Lookup(name)
-	if !ok {
-		return Outcome{}, fmt.Errorf("%w %q (have %v)", ErrUnknownController, name, engine.Names())
-	}
-	res, err := ctl.Run(dev, k, engine.Options{
-		Scheme: sc.Scheme, LineWords: sc.LineWords, FIFODepth: sc.FIFODepth,
-		Policy: int(sc.Policy), SpeculateActivate: sc.SpeculateActivate,
-		WriteAllocate: sc.WriteAllocate, Cache: sc.Cache,
-		Telemetry:     sc.Telemetry,
-		WatchdogLimit: sc.WatchdogLimit,
-	})
+	res, err := runController(dev, k, sc)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -446,12 +430,32 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	sc.Telemetry.Finalize(out.Cycles)
 
 	if !sc.SkipVerify {
-		if err := verify(dev, mapper, k, shadow); err != nil {
-			return out, fmt.Errorf("sim: functional verification failed: %w", err)
+		if err := verify(dev, mapper, k, &scr.image); err != nil {
+			return out, err
 		}
 		out.Verified = true
 	}
 	return out, nil
+}
+
+// runController drives kernel k over dev through the scenario's
+// registered controller.
+func runController(dev *rdram.Device, k *stream.Kernel, sc Scenario) (engine.Result, error) {
+	name, err := sc.controllerName()
+	if err != nil {
+		return engine.Result{}, err
+	}
+	ctl, ok := engine.Lookup(name)
+	if !ok {
+		return engine.Result{}, fmt.Errorf("%w %q (have %v)", ErrUnknownController, name, engine.Names())
+	}
+	return ctl.Run(dev, k, engine.Options{
+		Scheme: sc.Scheme, LineWords: sc.LineWords, FIFODepth: sc.FIFODepth,
+		Policy: int(sc.Policy), SpeculateActivate: sc.SpeculateActivate,
+		WriteAllocate: sc.WriteAllocate, Cache: sc.Cache,
+		Telemetry:     sc.Telemetry,
+		WatchdogLimit: sc.WatchdogLimit,
+	})
 }
 
 // RunAll executes scenarios on a bounded worker pool (workers <= 0 uses
@@ -482,62 +486,22 @@ func RunAllCtx(ctx context.Context, scs []Scenario, workers int) ([]Outcome, err
 }
 
 // scratch is the per-run allocation set a sweep recycles: the device's
-// page-slot backing and the seed/verify shadow image. RunKernel checks one
-// out per run and returns it when the run (including verification) is done;
-// sync.Pool keeps reuse per-worker-safe at any sweep width.
+// page table and page slots, the seed generator, and the seed/verify
+// shadow image. RunKernel checks one out per run and returns it when the
+// run (including verification) is done; sync.Pool keeps reuse
+// per-worker-safe at any sweep width.
 type scratch struct {
-	pages  rdram.PagePool
-	shadow map[int64]uint64
+	pages rdram.PagePool
+	image shadow
+	gen   *rand.Rand
+}
+
+// rng returns the scratch's seed generator; seed reseeds it every run.
+func (scr *scratch) rng() *rand.Rand {
+	if scr.gen == nil {
+		scr.gen = rand.New(rand.NewSource(0))
+	}
+	return scr.gen
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// seed fills every stream element with a deterministic value derived from
-// Seed, through the mapper, and returns the shadow image. The draw order —
-// one rng draw per previously unseen address, in stream then element order
-// — is part of the pinned golden results and must never change.
-func seed(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64, scr *scratch) map[int64]uint64 {
-	rng := rand.New(rand.NewSource(s + 1))
-	n := 0
-	for _, st := range k.Streams {
-		n += st.Length
-	}
-	shadow := scr.shadow
-	if shadow == nil {
-		shadow = make(map[int64]uint64, n)
-		scr.shadow = shadow
-	} else {
-		clear(shadow)
-	}
-	for _, st := range k.Streams {
-		for i := 0; i < st.Length; i++ {
-			addr := st.Addr(i)
-			if _, done := shadow[addr]; done {
-				continue
-			}
-			// Keep magnitudes small so float arithmetic is exact and the
-			// comparison is bit-precise.
-			v := math.Float64bits(float64(rng.Intn(1024)) / 8)
-			loc := m.Map(addr)
-			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v)
-			shadow[addr] = v
-		}
-	}
-	return shadow
-}
-
-// verify replays the kernel over the shadow and compares every touched
-// address with the device contents.
-func verify(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, shadow map[int64]uint64) error {
-	k.Replay(
-		func(addr int64) uint64 { return shadow[addr] },
-		func(addr int64, v uint64) { shadow[addr] = v },
-	)
-	for addr, want := range shadow {
-		loc := m.Map(addr)
-		if got := dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word); got != want {
-			return fmt.Errorf("address %d: device %#x, golden %#x", addr, got, want)
-		}
-	}
-	return nil
-}

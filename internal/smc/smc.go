@@ -3,6 +3,7 @@ package smc
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 
@@ -136,8 +137,8 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	// zero and only ever appended to, so no zeroing is needed; every
 	// element passes through its FIFO exactly once, so first use sizes the
 	// backing exactly.
-	scr := scratchPool.Get().(*runScratch)
-	defer scratchPool.Put(scr)
+	scr := getScratch()
+	defer putScratch(scr)
 	words := scr.words[:0]
 	var groups []group
 	for i, st := range k.Streams {
@@ -199,7 +200,7 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 // runScratch is the recyclable per-run state: packet-group slabs (one per
 // stream plus the shared word-offset slab) and the FIFO structs with their
 // grown bookkeeping arrays. A sweep's scenarios check one out per run via
-// scratchPool; everything is reset by slicing to length zero, never by
+// getScratch; everything is reset by slicing to length zero, never by
 // clearing, so reuse costs nothing.
 type runScratch struct {
 	reads  []*readFIFO
@@ -208,7 +209,37 @@ type runScratch struct {
 	words  []uint8
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+// idleScratch holds the runScratch sets no run has checked out. It is a
+// plain free list rather than a sync.Pool because a pool drops whatever
+// it holds across two garbage collections, and a sweep that interleaves
+// SMC scenarios with other controllers idles the SMC's scratch long
+// enough for that to happen: every miss re-allocated multi-megabyte FIFO
+// arrays and plan slabs. The list keeps at most GOMAXPROCS sets, one per
+// run that can be in flight at once.
+var idleScratch struct {
+	mu   sync.Mutex
+	sets []*runScratch // guarded by mu
+}
+
+func getScratch() *runScratch {
+	idleScratch.mu.Lock()
+	defer idleScratch.mu.Unlock()
+	n := len(idleScratch.sets)
+	if n == 0 {
+		return new(runScratch)
+	}
+	scr := idleScratch.sets[n-1]
+	idleScratch.sets = idleScratch.sets[:n-1]
+	return scr
+}
+
+func putScratch(scr *runScratch) {
+	idleScratch.mu.Lock()
+	defer idleScratch.mu.Unlock()
+	if len(idleScratch.sets) < runtime.GOMAXPROCS(0) {
+		idleScratch.sets = append(idleScratch.sets, scr)
+	}
+}
 
 type sim struct {
 	dev    *rdram.Device
