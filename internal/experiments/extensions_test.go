@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -127,8 +128,18 @@ func TestCrispEfficiency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
+	// Pinned cell for cell: the §6 comparison must not move when the
+	// workload issue path changes.
+	want := [][]string{
+		{"sequential", "CLI", "87.7", "87.7", "0.50"},
+		{"sequential", "PI", "87.4", "87.4", "0.98"},
+		{"random", "CLI", "58.5", "83.5", "0.50"},
+		{"random", "PI", "46.9", "55.7", "0.50"},
+		{"hot-pages", "CLI", "58.6", "83.2", "0.50"},
+		{"hot-pages", "PI", "78.9", "85.4", "0.95"},
+	}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Errorf("rows = %q\nwant   %q", tab.Rows, want)
 	}
 	for _, row := range tab.Rows {
 		one, eight := cell(t, row[2]), cell(t, row[3])

@@ -364,39 +364,11 @@ func Run(sc Scenario) (Outcome, error) {
 // scheme (use stream.Layout to place them).
 func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	sc = sc.withDefaults()
-	// Fault wiring happens before the device is built: storms need refresh
-	// armed (the constructor only schedules refresh when the interval is
-	// positive), and an inactive config attaches nothing at all, so
-	// severity 0 is bit-identical to a fault-free run.
-	var inj *fault.Injector
-	if f := sc.Fault; f != nil && f.Active() {
-		if err := f.Validate(); err != nil {
-			return Outcome{}, err
-		}
-		if f.RefreshBase > 0 && sc.Device.RefreshInterval == 0 {
-			sc.Device.RefreshInterval = f.RefreshBase
-		}
-		var err error
-		if inj, err = fault.New(*f, sc.Device.Geometry.Banks); err != nil {
-			return Outcome{}, err
-		}
-	}
-	if err := sc.Device.Validate(); err != nil {
+	dev, scr, err := newDevice(sc)
+	if err != nil {
 		return Outcome{}, err
 	}
-	dev := rdram.NewDevice(sc.Device)
-	scr := scratchPool.Get().(*scratch)
-	dev.UsePagePool(&scr.pages)
-	defer func() {
-		dev.ReleasePages()
-		scratchPool.Put(scr)
-	}()
-	if inj != nil {
-		dev.Faults = inj
-	}
-	if sc.Trace != nil {
-		dev.Trace = sc.Trace
-	}
+	defer scr.release(dev)
 	mapper, err := addrmap.New(sc.Scheme, sc.Device.Geometry, sc.LineWords)
 	if err != nil {
 		return Outcome{}, err
@@ -485,10 +457,46 @@ func RunAllCtx(ctx context.Context, scs []Scenario, workers int) ([]Outcome, err
 	return outs, nil
 }
 
+// newDevice builds the scenario's device and checks out the run's
+// scratch; the caller returns it with scr.release(dev) when the run
+// (including verification) is done. Kernel and trace runs share this
+// one setup: fault wiring, device validation and construction, page
+// pooling, the fault injector and the trace hook.
+func newDevice(sc Scenario) (*rdram.Device, *scratch, error) {
+	// Fault wiring happens before the device is built: storms need refresh
+	// armed (the constructor only schedules refresh when the interval is
+	// positive), and an inactive config attaches nothing at all, so
+	// severity 0 is bit-identical to a fault-free run.
+	var inj *fault.Injector
+	if f := sc.Fault; f != nil && f.Active() {
+		if err := f.Validate(); err != nil {
+			return nil, nil, err
+		}
+		if f.RefreshBase > 0 && sc.Device.RefreshInterval == 0 {
+			sc.Device.RefreshInterval = f.RefreshBase
+		}
+		var err error
+		if inj, err = fault.New(*f, sc.Device.Geometry.Banks); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := sc.Device.Validate(); err != nil {
+		return nil, nil, err
+	}
+	dev := rdram.NewDevice(sc.Device)
+	scr := scratchPool.Get().(*scratch)
+	dev.UsePagePool(&scr.pages)
+	if inj != nil {
+		dev.Faults = inj
+	}
+	dev.Trace = sc.Trace
+	return dev, scr, nil
+}
+
 // scratch is the per-run allocation set a sweep recycles: the device's
 // page table and page slots, the seed generator, and the seed/verify
-// shadow image. RunKernel checks one out per run and returns it when the
-// run (including verification) is done; sync.Pool keeps reuse
+// shadow image. newDevice checks one out per run and release returns
+// it; sync.Pool keeps reuse
 // per-worker-safe at any sweep width.
 type scratch struct {
 	pages rdram.PagePool
@@ -502,6 +510,12 @@ func (scr *scratch) rng() *rand.Rand {
 		scr.gen = rand.New(rand.NewSource(0))
 	}
 	return scr.gen
+}
+
+// release returns dev's pages and the scratch itself to their pools.
+func (scr *scratch) release(dev *rdram.Device) {
+	dev.ReleasePages()
+	scratchPool.Put(scr)
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -1,19 +1,15 @@
 package sim
 
-import (
-	"rdramstream/internal/fault"
-	"rdramstream/internal/rdram"
-	"rdramstream/internal/workload"
-)
+import "rdramstream/internal/workload"
 
 // runTrace executes a trace scenario: the Workload spec is materialized
 // (generator programs expand here, deterministically) and replayed
 // through workload.ReplayTrace under the scenario's scheme, line size,
 // and controller — "natural-order" replays in trace order, "smc"
-// reorders row-hits-first over a FIFODepth-deep window. Fault wiring,
-// device construction, page pooling, and telemetry attachment mirror
-// RunKernel exactly, so trace rows slot into sweeps, caching, and the
-// fabric with no special cases above this function.
+// reorders row-hits-first over a FIFODepth-deep window. The device
+// comes from newDevice, the setup RunKernel uses too, so trace rows slot
+// into sweeps, caching, and the fabric with no special cases above this
+// function.
 func runTrace(sc Scenario) (Outcome, error) {
 	if err := sc.Validate(); err != nil {
 		return Outcome{}, err
@@ -22,37 +18,14 @@ func runTrace(sc Scenario) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	var inj *fault.Injector
-	if f := sc.Fault; f != nil && f.Active() {
-		if err := f.Validate(); err != nil {
-			return Outcome{}, err
-		}
-		if f.RefreshBase > 0 && sc.Device.RefreshInterval == 0 {
-			sc.Device.RefreshInterval = f.RefreshBase
-		}
-		if inj, err = fault.New(*f, sc.Device.Geometry.Banks); err != nil {
-			return Outcome{}, err
-		}
-	}
-	if err := sc.Device.Validate(); err != nil {
+	dev, scr, err := newDevice(sc)
+	if err != nil {
 		return Outcome{}, err
 	}
-	dev := rdram.NewDevice(sc.Device)
-	scr := scratchPool.Get().(*scratch)
-	dev.UsePagePool(&scr.pages)
-	defer func() {
-		dev.ReleasePages()
-		scratchPool.Put(scr)
-	}()
+	defer scr.release(dev)
 	// A trace carries addresses, not data: the replay is timing-only by
 	// construction, like a SkipVerify kernel run.
 	dev.SetTimingOnly(true)
-	if inj != nil {
-		dev.Faults = inj
-	}
-	if sc.Trace != nil {
-		dev.Trace = sc.Trace
-	}
 	name, err := sc.controllerName()
 	if err != nil {
 		return Outcome{}, err

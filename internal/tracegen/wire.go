@@ -138,7 +138,9 @@ func (d *Decoder) ReadAccesses(want int) ([]workload.TraceAccess, error) {
 	if want <= 0 || want > MaxAccesses {
 		return nil, fmt.Errorf("tracegen: header declares %d accesses, want (0, %d]", want, MaxAccesses)
 	}
-	out := make([]workload.TraceAccess, 0, want)
+	// The header is untrusted: size the slice by the lines that arrive,
+	// not by the count it declares.
+	out := make([]workload.TraceAccess, 0, min(want, 1<<14))
 	for len(out) < want {
 		b, line, ok, err := d.next()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,25 +47,30 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// wireHeader declares two accesses; badBodies build on it.
+const wireHeader = `{"format":"rdtrace/v1","accesses":2}`
+
+// badBodies are malformed trace bodies and the error text each must
+// produce. They also seed FuzzDecode.
+var badBodies = []struct {
+	name, body, wantErr string
+}{
+	{"empty body", "", "empty trace body"},
+	{"bad header json", "{", "line 1"},
+	{"unknown header field", `{"format":"rdtrace/v1","accesses":1,"zap":1}` + "\n" + `{"op":"R","addr":0}`, "zap"},
+	{"wrong format", `{"format":"rdtrace/v9","accesses":1}` + "\n" + `{"op":"R","addr":0}`, "unknown trace format"},
+	{"zero accesses", `{"format":"rdtrace/v1","accesses":0}`, "declares 0"},
+	{"too many accesses", `{"format":"rdtrace/v1","accesses":99999999}`, "declares 99999999"},
+	{"truncated", wireHeader + "\n" + `{"op":"R","addr":0}`, "truncated"},
+	{"bad access json", wireHeader + "\n" + `{"op":"R","addr":0}` + "\nnope", "line 3"},
+	{"unknown op", wireHeader + "\n" + `{"op":"Q","addr":0}`, `unknown op "Q"`},
+	{"negative addr", wireHeader + "\n" + `{"op":"R","addr":-4}`, "negative address"},
+	{"trailing token on line", wireHeader + "\n" + `{"op":"R","addr":0} {"x":1}`, "trailing data"},
+	{"trailing garbage after count", wireHeader + "\n" + `{"op":"R","addr":0}` + "\n" + `{"op":"R","addr":4}` + "\n" + `{"op":"R","addr":8}`, "trailing garbage"},
+}
+
 func TestWireErrors(t *testing.T) {
-	hdr := `{"format":"rdtrace/v1","accesses":2}`
-	cases := []struct {
-		name, body, wantErr string
-	}{
-		{"empty body", "", "empty trace body"},
-		{"bad header json", "{", "line 1"},
-		{"unknown header field", `{"format":"rdtrace/v1","accesses":1,"zap":1}` + "\n" + `{"op":"R","addr":0}`, "zap"},
-		{"wrong format", `{"format":"rdtrace/v9","accesses":1}` + "\n" + `{"op":"R","addr":0}`, "unknown trace format"},
-		{"zero accesses", `{"format":"rdtrace/v1","accesses":0}`, "declares 0"},
-		{"too many accesses", `{"format":"rdtrace/v1","accesses":99999999}`, "declares 99999999"},
-		{"truncated", hdr + "\n" + `{"op":"R","addr":0}`, "truncated"},
-		{"bad access json", hdr + "\n" + `{"op":"R","addr":0}` + "\nnope", "line 3"},
-		{"unknown op", hdr + "\n" + `{"op":"Q","addr":0}`, `unknown op "Q"`},
-		{"negative addr", hdr + "\n" + `{"op":"R","addr":-4}`, "negative address"},
-		{"trailing token on line", hdr + "\n" + `{"op":"R","addr":0} {"x":1}`, "trailing data"},
-		{"trailing garbage after count", hdr + "\n" + `{"op":"R","addr":0}` + "\n" + `{"op":"R","addr":4}` + "\n" + `{"op":"R","addr":8}`, "trailing garbage"},
-	}
-	for _, c := range cases {
+	for _, c := range badBodies {
 		_, _, err := Decode(strings.NewReader(c.body))
 		if err == nil {
 			t.Errorf("%s: decoded without error", c.name)
@@ -76,17 +82,77 @@ func TestWireErrors(t *testing.T) {
 	}
 }
 
-// Errors must carry the offending line number so a multi-megabyte POST
-// is debuggable.
-func TestWireErrorsNameTheLine(t *testing.T) {
-	body := `{"format":"rdtrace/v1","accesses":3}
+// lineFourBody fails on its fourth line.
+const lineFourBody = `{"format":"rdtrace/v1","accesses":3}
 {"op":"R","addr":0}
 {"op":"R","addr":4}
 {"op":"X","addr":8}`
-	_, _, err := Decode(strings.NewReader(body))
+
+// Errors must carry the offending line number so a multi-megabyte POST
+// is debuggable.
+func TestWireErrorsNameTheLine(t *testing.T) {
+	_, _, err := Decode(strings.NewReader(lineFourBody))
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Errorf("error %v does not name line 4", err)
 	}
+}
+
+// A header may declare up to MaxAccesses, but the decoder must size its
+// buffers by the body that actually arrives: a 63-byte body declaring
+// 4Mi accesses must not allocate for 4Mi.
+func TestDecodeTruncatedHeaderAllocatesLittle(t *testing.T) {
+	body := `{"format":"rdtrace/v1","accesses":4194304}` + "\n" + `{"op":"R","addr":0}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(strings.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("error %v does not report truncation", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding a %d-byte body allocated %d bytes, want < 1 MiB", len(body), alloc)
+	}
+}
+
+// FuzzDecode drives the rdtrace/v1 decoder — the body of POST
+// /v1/trace — with arbitrary input. It must never panic; anything it
+// accepts has exactly the declared count of non-negative addresses and
+// survives an Encode/Decode round trip unchanged.
+func FuzzDecode(f *testing.F) {
+	var good bytes.Buffer
+	if err := Encode(&good, "seed", []workload.TraceAccess{{Addr: 0}, {Addr: 16, Write: true}, {Addr: 1 << 40}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.String())
+	f.Add(lineFourBody)
+	for _, c := range badBodies {
+		f.Add(c.body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		h, accs, err := Decode(strings.NewReader(body))
+		if err != nil {
+			return
+		}
+		if len(accs) != h.Accesses {
+			t.Fatalf("decoded %d accesses, header declares %d", len(accs), h.Accesses)
+		}
+		for i, a := range accs {
+			if a.Addr < 0 {
+				t.Fatalf("access %d has negative address %d", i, a.Addr)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, h.Name, accs); err != nil {
+			t.Fatal(err)
+		}
+		_, again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("re-decoding the encoded trace: %v", err)
+		}
+		if !reflect.DeepEqual(again, accs) {
+			t.Fatalf("round trip = %+v, want %+v", again, accs)
+		}
+	})
 }
 
 func TestSpecFromArg(t *testing.T) {

@@ -9,6 +9,18 @@ import (
 	"rdramstream/internal/telemetry"
 )
 
+// TraceAccess is one request of an externally supplied address trace.
+// The json tags pin its spelling inside scenario JSON (tracegen.Spec
+// carries a []TraceAccess on the wire).
+//
+// rdlint:wire — trace accesses ride inside scenario JSON.
+type TraceAccess struct {
+	// Addr is the 64-bit-word address.
+	Addr int64 `json:"addr"`
+	// Write marks a store; the zero value is a load.
+	Write bool `json:"write,omitempty"`
+}
+
 // TraceOptions configures ReplayTrace.
 type TraceOptions struct {
 	Scheme    addrmap.Scheme
@@ -33,11 +45,10 @@ type TraceOptions struct {
 
 // ReplayTrace services a word-level access trace and returns the
 // engine-level result the sim layer wraps into an Outcome. Consecutive
-// same-line accesses coalesce into one cacheline transaction exactly as
-// Replay does (a one-line buffer), so with Reorder off the device-level
-// schedule — and therefore every cycle count — is identical to Replay's.
-// UsefulWords counts the demanded trace words; TransferredWords counts
-// whole cachelines moved.
+// same-line accesses coalesce into one cacheline transaction through a
+// one-line buffer; with Reorder off the transactions issue in trace
+// order, pipelined to the outstanding window. UsefulWords counts the
+// demanded trace words; TransferredWords counts whole cachelines moved.
 func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engine.Result, error) {
 	if len(accs) == 0 {
 		return engine.Result{}, fmt.Errorf("workload: empty trace")
@@ -165,9 +176,9 @@ type txn struct {
 	write bool
 }
 
-// traceIssuer carries the per-transaction replay state so the inner
+// traceIssuer carries the per-transaction issue state so the inner
 // loop is a named method the allocation lint can police, instead of a
-// closure.
+// closure. Trace replay and the generated workloads of Run share it.
 type traceIssuer struct {
 	dev       *rdram.Device
 	mapper    *addrmap.Mapper

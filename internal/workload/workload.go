@@ -122,28 +122,19 @@ func Run(dev *rdram.Device, cfg Config) (Result, error) {
 		}
 	}
 
-	packets := cfg.LineWords / rdram.WordsPerPacket
-	autoPre := cfg.Scheme == addrmap.CLI
-	window := engine.NewWindow(outstanding)
+	ti := &traceIssuer{
+		dev:       dev,
+		mapper:    mapper,
+		window:    engine.NewWindow(outstanding),
+		lineWords: cfg.LineWords,
+		packets:   cfg.LineWords / rdram.WordsPerPacket,
+		autoPre:   cfg.Scheme == addrmap.CLI,
+	}
 	for i := 0; i < cfg.Requests; i++ {
 		line := nextLine(i)
-		write := rng.Float64() >= cfg.ReadFraction
-		at := window.Admit(0)
-		base := line * int64(cfg.LineWords)
-		var complete int64
-		for p := 0; p < packets; p++ {
-			loc := mapper.Map(base + int64(p*rdram.WordsPerPacket))
-			res, err := engine.Issue(dev, at, rdram.Request{
-				Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-				Write:         write,
-				AutoPrecharge: autoPre && p == packets-1,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			complete = res.DataEnd
+		if err := ti.issue(txn{line: line, write: rng.Float64() >= cfg.ReadFraction}); err != nil {
+			return Result{}, err
 		}
-		window.Complete(complete)
 	}
 
 	st := dev.Stats()
