@@ -227,10 +227,10 @@ func BenchmarkRefreshAblation(b *testing.B) {
 
 // BenchmarkRun measures one full simulation per kernel × controller at
 // n=1024, plus long-stream (64K-element) variants at the scale a
-// downstream sweep would run: timing-only per controller, and one
-// verified SMC run that also seeds the device and checks its final image
-// (the functional store and shadow image). These are the hot-path numbers
-// pinned in BENCH_core_speed.json (docs/PERFORMANCE.md).
+// downstream sweep would run: timing-only and verified per controller,
+// where a verified run also seeds the device and checks its final image
+// (the functional store and the word images). These are the hot-path
+// numbers pinned in BENCH_core_speed.json (docs/PERFORMANCE.md).
 func BenchmarkRun(b *testing.B) {
 	controllers := []struct {
 		name string
@@ -254,12 +254,9 @@ func BenchmarkRun(b *testing.B) {
 			FIFODepth: 128, Placement: rdramstream.Staggered, SkipVerify: true,
 		}
 		b.Run("long/daxpy/"+c.name, func(b *testing.B) { benchScenario(b, sc) })
+		sc.SkipVerify = false
+		b.Run("long/daxpy/"+c.name+"/verified", func(b *testing.B) { benchScenario(b, sc) })
 	}
-	verified := rdramstream.Scenario{
-		KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI, Mode: rdramstream.SMC,
-		FIFODepth: 128, Placement: rdramstream.Staggered,
-	}
-	b.Run("long/daxpy/smc/verified", func(b *testing.B) { benchScenario(b, verified) })
 }
 
 func benchScenario(b *testing.B, sc rdramstream.Scenario) {

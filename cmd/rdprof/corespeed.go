@@ -1,16 +1,16 @@
 // Core-simulator speed benchmark (-bench-core): times the pinned
 // hot-path scenarios of bench_test.go on the current build and writes
 // BENCH_core_speed.json comparing each against its baseline — the same
-// scenarios timed at the baseline commit, the last one before the
-// functional store and the verification shadow moved from hash maps to
-// page tables (see docs/PERFORMANCE.md).
+// scenario timed at the row's baseline commit, the last one before the
+// change the row pins (see docs/PERFORMANCE.md).
 //
 // With -check <file> it instead re-times the gated scenarios and exits
 // non-zero if any regresses more than 2x over the committed
 // afterNsPerOp — the CI backstop that keeps the speedups from silently
-// eroding. Only the long-stream scenarios are gated, one timing-only and
-// one verified: at several ms/run their min-of-N timing is stable on
-// shared CI runners, where the sub-ms scenarios are not.
+// eroding. Only the long-stream scenarios are gated, timing-only and
+// verified for each of the SMC and natural order: at several ms/run
+// their min-of-N timing is stable on shared CI runners, where the sub-ms
+// scenarios are not.
 package main
 
 import (
@@ -29,21 +29,28 @@ type coreCase struct {
 	name     string
 	desc     string
 	sc       rdramstream.Scenario
-	beforeNs int64 // min wall ns/run at baselineCommit
-	beforeAl int64 // heap allocations/run at baselineCommit
-	gate     bool  // include in the -check CI regression gate
+	baseline string // commit the before numbers were measured at
+	beforeNs int64  // min wall ns/run at baseline
+	beforeAl int64  // heap allocations/run at baseline
+	gate     bool   // include in the -check CI regression gate
 }
 
-// baselineCommit is where the before numbers of coreCases were measured:
-// the parent of the page-table functional store, with map-backed device
-// pages and a map-backed seed/verify shadow.
-const baselineCommit = "f7f3178"
+// The baseline commits of coreCases.
+const (
+	// mapStoreCommit is the parent of the page-table functional store,
+	// with map-backed device pages and a map-backed seed/verify shadow.
+	mapStoreCommit = "f7f3178"
+	// mapCaptureCommit is the parent of the paged store-value image, with
+	// natural order capturing its store values in hash maps, even on
+	// timing-only devices.
+	mapCaptureCommit = "951388d"
+)
 
-// coreCases pins the scenarios and their baselines, measured at
-// baselineCommit on the same benchmark definitions: the min over two
-// -bench-core -bench-iters 35 invocations, one just before and one just
-// after the run that wrote the committed file (the host's speed drifts
-// over minutes), allocs via MemStats after a pool-warming run.
+// coreCases pins the scenarios and their baselines, measured at each
+// row's baseline commit on the same benchmark definitions: the min over
+// two -bench-core -bench-iters 35 invocations, one just before and one
+// just after the run that wrote the committed file (the host's speed
+// drifts over minutes), allocs via MemStats after a pool-warming run.
 func coreCases() []coreCase {
 	return []coreCase{
 		{
@@ -54,7 +61,7 @@ func coreCases() []coreCase {
 				Mode: rdramstream.SMC, FIFODepth: 128,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 227_522, beforeAl: 22,
+			baseline: mapStoreCommit, beforeNs: 227_522, beforeAl: 22,
 		},
 		{
 			name: "NaturalOrderDaxpy1024",
@@ -64,7 +71,7 @@ func coreCases() []coreCase {
 				Mode:      rdramstream.NaturalOrder,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 348_308, beforeAl: 33,
+			baseline: mapStoreCommit, beforeNs: 348_308, beforeAl: 33,
 		},
 		{
 			name: "SMCLongVector",
@@ -74,7 +81,7 @@ func coreCases() []coreCase {
 				Mode: rdramstream.SMC, FIFODepth: 128,
 				Placement: rdramstream.Staggered, SkipVerify: true,
 			},
-			beforeNs: 15_362_761, beforeAl: 24,
+			baseline: mapStoreCommit, beforeNs: 15_362_761, beforeAl: 24,
 			gate: true,
 		},
 		{
@@ -85,7 +92,29 @@ func coreCases() []coreCase {
 				Mode: rdramstream.SMC, FIFODepth: 128,
 				Placement: rdramstream.Staggered,
 			},
-			beforeNs: 59_365_577, beforeAl: 126,
+			baseline: mapStoreCommit, beforeNs: 59_365_577, beforeAl: 126,
+			gate: true,
+		},
+		{
+			name: "NaturalOrderLongVector",
+			desc: "daxpy n=65536 PI/natural staggered",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
+				Mode:      rdramstream.NaturalOrder,
+				Placement: rdramstream.Staggered, SkipVerify: true,
+			},
+			baseline: mapCaptureCommit, beforeNs: 18_388_903, beforeAl: 536,
+			gate: true,
+		},
+		{
+			name: "NaturalOrderLongVectorVerified",
+			desc: "daxpy n=65536 PI/natural staggered, verified",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
+				Mode:      rdramstream.NaturalOrder,
+				Placement: rdramstream.Staggered,
+			},
+			baseline: mapCaptureCommit, beforeNs: 29_503_748, beforeAl: 537,
 			gate: true,
 		},
 	}
@@ -95,6 +124,7 @@ func coreCases() []coreCase {
 type coreEntry struct {
 	Name              string  `json:"name"`
 	Scenario          string  `json:"scenario"`
+	BaselineCommit    string  `json:"baselineCommit"`
 	BeforeNsPerOp     int64   `json:"beforeNsPerOp"`
 	BeforeAllocsPerOp int64   `json:"beforeAllocsPerOp"`
 	AfterNsPerOp      int64   `json:"afterNsPerOp"`
@@ -105,10 +135,9 @@ type coreEntry struct {
 
 // coreReport is the BENCH_core_speed.json schema.
 type coreReport struct {
-	BaselineCommit string      `json:"baselineCommit"`
-	Iterations     int         `json:"iterations"`
-	Scenarios      []coreEntry `json:"scenarios"`
-	Note           string      `json:"note"`
+	Iterations int         `json:"iterations"`
+	Scenarios  []coreEntry `json:"scenarios"`
+	Note       string      `json:"note"`
 }
 
 // timeCore returns the minimum wall time over iters runs — the
@@ -153,13 +182,13 @@ func runCoreBench(iters int, outPath string) {
 		iters = 1
 	}
 	rep := coreReport{
-		BaselineCommit: baselineCommit,
-		Iterations:     iters,
-		Note: "before = the baseline commit, with map-backed device pages and " +
-			"a map-backed seed/verify shadow; after = current build with the " +
-			"page-table functional store and shadow image. Only verified runs " +
-			"reach the functional store; the SkipVerify rows pin that the " +
-			"timing path did not move. ns/op is the min wall time over the " +
+		Iterations: iters,
+		Note: "before = the row's baseline commit: " + mapStoreCommit + " has " +
+			"map-backed device pages and a map-backed seed/verify shadow; " +
+			mapCaptureCommit + " has natural order capturing store values in hash " +
+			"maps, timing-only runs included. after = current build, with the " +
+			"page-table functional store and one paged word image for " +
+			"seed/verify and store capture. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
 			"delta per run after a pool-warming iteration. See docs/PERFORMANCE.md.",
 	}
@@ -168,7 +197,7 @@ func runCoreBench(iters int, outPath string) {
 		ns := timeCore(c.sc, iters)
 		al := allocsCore(c.sc)
 		rep.Scenarios = append(rep.Scenarios, coreEntry{
-			Name: c.name, Scenario: c.desc,
+			Name: c.name, Scenario: c.desc, BaselineCommit: c.baseline,
 			BeforeNsPerOp: c.beforeNs, BeforeAllocsPerOp: c.beforeAl,
 			AfterNsPerOp: ns, AfterAllocsPerOp: al,
 			Speedup:        float64(c.beforeNs) / float64(ns),
@@ -183,7 +212,7 @@ func runCoreBench(iters int, outPath string) {
 		fatalf("%v", err)
 	}
 	for _, e := range rep.Scenarios {
-		fmt.Printf("%-24s before %9d ns %7d allocs, after %9d ns %5d allocs (%.1fx)\n",
+		fmt.Printf("%-30s before %9d ns %7d allocs, after %9d ns %5d allocs (%.1fx)\n",
 			e.Name, e.BeforeNsPerOp, e.BeforeAllocsPerOp, e.AfterNsPerOp, e.AfterAllocsPerOp, e.Speedup)
 	}
 	fmt.Printf("-> %s\n", outPath)
@@ -224,7 +253,7 @@ func checkCoreBench(path string, iters int) {
 				failed = true
 			}
 		}
-		fmt.Printf("%-24s committed %9d ns, now %9d ns (%.2fx) [%s]\n",
+		fmt.Printf("%-30s committed %9d ns, now %9d ns (%.2fx) [%s]\n",
 			c.name, e.AfterNsPerOp, ns, ratio, status)
 	}
 	if failed {

@@ -7,38 +7,37 @@ import (
 	"rdramstream/internal/telemetry"
 )
 
-// Peek reads one word from device storage through the mapper without
-// advancing time — the functional read every controller uses to merge
-// unmodified words into line- or packet-granularity writes.
-func Peek(dev *rdram.Device, m *addrmap.Mapper, addr int64) uint64 {
+// peek reads one word from device storage through the mapper without
+// advancing time: StoreValues' read of a word the kernel has not stored.
+func peek(dev *rdram.Device, m *addrmap.Mapper, addr int64) uint64 {
 	loc := m.Map(addr)
 	return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
 }
 
-// StoreValues functionally executes the kernel over a shadow of device
-// memory and returns every word it stores — the data a timing controller
-// transmits on its write transactions. Reads hit the shadow first so
-// loop-carried values are seen; unwritten addresses read current device
-// contents.
-func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[int64]uint64 {
-	// At most iterations × write-streams distinct words are stored; sizing
-	// the maps up front avoids rehash churn on long streams.
-	n := k.Iterations() * (len(k.Streams) - k.ReadStreams())
-	shadow := make(map[int64]uint64, n)
-	vals := make(map[int64]uint64, n)
+// StoreValues functionally executes the kernel and returns an image of
+// every word it stores — the data a timing controller transmits on its
+// write transactions. Loads read the image first, so loop-carried values
+// are seen; unstored addresses read current device contents. A
+// timing-only device stores no data, so there it returns an empty image
+// without replaying the kernel: timing never depends on data values. The
+// caller releases the image when its run returns.
+func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) *Image {
+	img := imagePool.Get().(*Image)
+	if dev.TimingOnly() {
+		img.Reset(nil)
+		return img
+	}
+	img.Reset(k)
 	k.Replay(
 		func(addr int64) uint64 {
-			if v, ok := shadow[addr]; ok {
+			if v, ok := img.Get(addr); ok {
 				return v
 			}
-			return Peek(dev, m, addr)
+			return peek(dev, m, addr)
 		},
-		func(addr int64, v uint64) {
-			shadow[addr] = v
-			vals[addr] = v
-		},
+		img.Set,
 	)
-	return vals
+	return img
 }
 
 // Attach wires a telemetry collector to the device and declares the

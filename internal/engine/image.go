@@ -1,0 +1,141 @@
+package engine
+
+import (
+	"math/bits"
+	"sync"
+
+	"rdramstream/internal/stream"
+)
+
+// An Image pages the word address space in units of imagePageWords words:
+// page number addr>>imageShift, word addr&imageMask within it.
+const (
+	imageShift     = 10
+	imagePageWords = 1 << imageShift
+	imageMask      = imagePageWords - 1
+)
+
+// imagePage holds one page of words plus a presence bit per word: a word
+// is part of the image only once Set has set its bit.
+type imagePage struct {
+	words   [imagePageWords]uint64
+	present [imagePageWords / 64]uint64
+}
+
+// Image is a sparse word image over the page span of a kernel's streams:
+// the golden memory the harness seeds and verifies against, and the store
+// values StoreValues captures for the timing controllers. A dense table
+// covers the span: table[addr>>imageShift - base] is 1 + the index of the
+// page in pages, 0 meaning untouched. An Image is reused run after run:
+// Reset keeps the table's backing and the pages for the next kernel.
+type Image struct {
+	base  int64        // page number of table[0]
+	table []int32      // one entry per page of the kernel's span
+	pages []*imagePage // pages[:used] are in the image, the rest spare
+	used  int
+}
+
+// Reset empties the image and sizes its table to the page span of k's
+// streams; a nil k leaves the span empty, so every word reads absent.
+func (img *Image) Reset(k *stream.Kernel) {
+	// Entries past len(table) are always zero: clearing the live prefix
+	// before reslicing keeps that true whichever way the span changes.
+	clear(img.table)
+	img.used = 0
+
+	var lo, hi int64
+	empty := true
+	if k != nil {
+		for _, st := range k.Streams {
+			if st.Length <= 0 {
+				continue
+			}
+			a, b := st.Addr(0), st.Addr(st.Length-1)
+			if empty {
+				lo, hi, empty = a, a, false
+			}
+			lo, hi = min(lo, a, b), max(hi, a, b)
+		}
+	}
+	n := 0
+	if !empty {
+		img.base = lo >> imageShift
+		n = int(hi>>imageShift-img.base) + 1
+	}
+	if cap(img.table) < n {
+		img.table = make([]int32, n)
+	}
+	img.table = img.table[:n]
+}
+
+// Get returns the word at addr and whether it is in the image. Addresses
+// outside the span report absent: cacheline and packet writes reach words
+// past a stream's ends.
+// rdlint:hotpath
+func (img *Image) Get(addr int64) (uint64, bool) {
+	slot := uint64(addr>>imageShift - img.base)
+	if slot >= uint64(len(img.table)) {
+		return 0, false
+	}
+	i := img.table[slot]
+	if i == 0 {
+		return 0, false
+	}
+	p := img.pages[i-1]
+	w := addr & imageMask
+	if p.present[w>>6]&(1<<(w&63)) == 0 {
+		return 0, false
+	}
+	return p.words[w], true
+}
+
+// Set adds addr to the image with value v. addr must lie in the span
+// Reset sized.
+func (img *Image) Set(addr int64, v uint64) {
+	slot := addr>>imageShift - img.base
+	i := img.table[slot]
+	if i == 0 {
+		if img.used == len(img.pages) {
+			img.pages = append(img.pages, new(imagePage))
+		}
+		// Only presence needs clearing on reuse: a word is never read
+		// before Set marks it present and writes it.
+		clear(img.pages[img.used].present[:])
+		img.used++
+		i = int32(img.used)
+		img.table[slot] = i
+	}
+	p := img.pages[i-1]
+	w := addr & imageMask
+	p.words[w] = v
+	p.present[w>>6] |= 1 << (w & 63)
+}
+
+// Range calls f on every word in the image in ascending address order,
+// stopping early when f returns false.
+func (img *Image) Range(f func(addr int64, v uint64) bool) {
+	for slot, i := range img.table {
+		if i == 0 {
+			continue
+		}
+		p := img.pages[i-1]
+		base := (img.base + int64(slot)) << imageShift
+		for wi, set := range p.present {
+			for set != 0 {
+				w := wi*64 + bits.TrailingZeros64(set)
+				set &= set - 1
+				if !f(base+int64(w), p.words[w]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// imagePool recycles StoreValues images across runs, so a sweep pays for
+// a store image's pages once per worker rather than once per scenario.
+var imagePool = sync.Pool{New: func() any { return new(Image) }}
+
+// Release returns an image obtained from StoreValues to the pool. The
+// image must not be used afterwards.
+func (img *Image) Release() { imagePool.Put(img) }

@@ -145,9 +145,10 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	// previous iteration's operands, not on an absent request stream.
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallDependency)
 
-	// Phase 1: functional execution over a shadow of device memory,
-	// recording every store value.
+	// Phase 1: functional execution, recording every store value in an
+	// image (empty on a timing-only device, which stores no data).
 	storeVals := engine.StoreValues(dev, mapper, k)
+	defer storeVals.Release()
 
 	// Phase 2: timed replay of the cacheline transactions in natural
 	// order.
@@ -201,7 +202,7 @@ type streamState struct {
 	dirty     bool    // write-allocate: line has been stored to
 }
 
-func (s *sim) run(k *stream.Kernel, storeVals map[int64]uint64) error {
+func (s *sim) run(k *stream.Kernel, storeVals *engine.Image) error {
 	autoPre := s.cfg.closedPage()
 	nr := k.ReadStreams()
 	states := make([]streamState, len(k.Streams))
@@ -320,8 +321,10 @@ func (s *sim) fetchLine(line, at int64, autoPre bool, dst []int64) ([]int64, err
 
 // writeLine transmits a full cacheline of store data. Words the kernel
 // never stores keep their prior memory contents (read-merge, free of
-// charge, as in the paper's line-granularity store model).
-func (s *sim) writeLine(line, at int64, autoPre bool, storeVals map[int64]uint64) error {
+// charge, as in the paper's line-granularity store model), read at the
+// packet's device location.
+// rdlint:hotpath
+func (s *sim) writeLine(line, at int64, autoPre bool, storeVals *engine.Image) error {
 	at = s.window.Admit(at)
 	packets := s.cfg.LineWords / rdram.WordsPerPacket
 	base := line * int64(s.cfg.LineWords)
@@ -331,10 +334,10 @@ func (s *sim) writeLine(line, at int64, autoPre bool, storeVals map[int64]uint64
 		loc := s.mapper.Map(addr)
 		var data [rdram.WordsPerPacket]uint64
 		for w := 0; w < rdram.WordsPerPacket; w++ {
-			if v, ok := storeVals[addr+int64(w)]; ok {
+			if v, ok := storeVals.Get(addr + int64(w)); ok {
 				data[w] = v
 			} else {
-				data[w] = engine.Peek(s.dev, s.mapper, addr+int64(w))
+				data[w] = s.dev.PeekWord(loc.Bank, loc.Row, loc.Col, w)
 			}
 		}
 		res, err := engine.Issue(s.dev, at, rdram.Request{

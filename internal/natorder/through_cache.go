@@ -2,6 +2,7 @@ package natorder
 
 import (
 	"rdramstream/internal/cache"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -12,7 +13,7 @@ import (
 // evictions of dirty lines write them back, and the computation ends with
 // a dirty-line sweep. This models the natural-order configuration with the
 // effects the paper's ideal-cache bounds exclude.
-func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals map[int64]uint64) error {
+func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals *engine.Image) error {
 	autoPre := s.cfg.closedPage()
 	nr := k.ReadStreams()
 	lw := int64(s.cfg.LineWords)

@@ -44,6 +44,7 @@ type bankState struct {
 	lastAct    int64 // start of the most recent ACT (for t_RC / t_RAS)
 	preDone    int64 // cycle at which the last precharge completes (t_RP)
 	everActed  bool
+	chip       int // the chip on the channel holding this bank
 }
 
 // Device is a single Direct RDRAM chip: a set of banks with per-bank sense
@@ -82,11 +83,10 @@ type Device struct {
 	noStore   bool         // timing-only mode: skip the functional store
 
 	// Derived constants hoisted from the configuration at construction so
-	// the per-access path does no geometry arithmetic: packetsPerPage and
-	// the banks-per-chip divisor used to be recomputed on every checkAddr
-	// and every t_RR lookup.
+	// the per-access path does no geometry arithmetic: packetsPerPage for
+	// checkAddr, and each bank's chip index (bankState.chip) for the
+	// per-chip t_RR and write-retire state.
 	packetsPerPage int
-	banksPerDev    int
 
 	stats Stats
 
@@ -121,7 +121,9 @@ func NewDevice(cfg Config) *Device {
 		anyAct:         make([]bool, cfg.Geometry.Devices()),
 		pendingRetire:  make([]bool, cfg.Geometry.Devices()),
 		packetsPerPage: cfg.Geometry.PageWords / WordsPerPacket,
-		banksPerDev:    cfg.Geometry.BanksPerDevice(),
+	}
+	for b := range d.banks {
+		d.banks[b].chip = b / cfg.Geometry.BanksPerDevice()
 	}
 	if cfg.RefreshInterval > 0 {
 		d.nextRefresh = cfg.RefreshInterval
@@ -206,7 +208,7 @@ func (d *Device) activateAt(b, row int, at int64) int64 {
 			at = max(at, pre+int64(t.TRP))
 		}
 	}
-	dev := b / d.banksPerDev
+	dev := bk.chip
 	ta := max(at, d.rowBusFree)
 	ta = max(ta, bk.preDone)
 	if d.anyAct[dev] {
@@ -274,7 +276,7 @@ func (d *Device) AccessReadyAt(bank, row int, at int64) int64 {
 	} else {
 		ready = max(ready, bk.preDone)
 	}
-	if dev := bank / d.banksPerDev; d.anyAct[dev] {
+	if dev := bk.chip; d.anyAct[dev] {
 		ready = max(ready, d.lastAct[dev]+int64(t.TRR))
 	}
 	if bk.everActed {
@@ -413,7 +415,7 @@ func (d *Device) Attempt(at int64, req Request) (Result, bool) {
 	// t_RDLY into t_RW, which we enforce on the DATA bus below — so the RET
 	// is emitted for the trace and counted, but does not consume an extra
 	// critical-path column-bus slot.
-	reqDev := req.Bank / d.banksPerDev
+	reqDev := bk.chip
 	if !req.Write && d.pendingRetire[reqDev] {
 		d.pendingRetire[reqDev] = false
 		d.stats.Retires++
@@ -615,6 +617,10 @@ func (d *Device) pageSlot(bank, row int) []uint64 {
 // cycle-identical to a functional one; the harness enables this for
 // SkipVerify runs, where the memory image is never inspected.
 func (d *Device) SetTimingOnly(on bool) { d.noStore = on }
+
+// TimingOnly reports whether the functional store is disabled (see
+// SetTimingOnly).
+func (d *Device) TimingOnly() bool { return d.noStore }
 
 // UsePagePool routes this device's page-table and page-slot allocations
 // through pool. It must be attached before the first access; the pool is

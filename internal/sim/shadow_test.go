@@ -3,12 +3,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -176,15 +176,11 @@ func replayOnDevice(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) {
 	)
 }
 
-// imageWords counts the words present in the shadow image: seed draws
-// exactly once per present word.
-func imageWords(img *shadow) int {
+// imageWords counts the words present in img: seed draws exactly once
+// per present word.
+func imageWords(img *engine.Image) int {
 	n := 0
-	for _, p := range img.pages[:img.used] {
-		for _, set := range p.present {
-			n += bits.OnesCount64(set)
-		}
-	}
+	img.Range(func(int64, uint64) bool { n++; return true })
 	return n
 }
 
@@ -265,31 +261,33 @@ func assertSameImage(t *testing.T, c int, a, b *rdram.Device, m *addrmap.Mapper,
 
 // TestShadowResetEmptiesImage reuses one image across kernels of very
 // different spans: nothing from an earlier kernel may leak into a later
-// one's presence bits or table.
+// one, at any address either kernel touches.
 func TestShadowResetEmptiesImage(t *testing.T) {
-	var img shadow
+	var img engine.Image
 	wide := &stream.Kernel{Streams: []stream.Stream{
 		{Base: 0, Stride: 1, Length: 10},
 		{Base: 1 << 20, Stride: 3, Length: 2000, Mode: stream.Write},
 	}}
 	narrow := &stream.Kernel{Streams: []stream.Stream{{Base: 5000, Stride: 2, Length: 100}}}
 	empty := &stream.Kernel{Streams: []stream.Stream{{Base: 7, Stride: 1}}}
-	for _, k := range []*stream.Kernel{wide, narrow, wide, empty, narrow} {
-		img.reset(k)
+	kernels := []*stream.Kernel{wide, narrow, wide, empty, narrow}
+	for _, k := range kernels {
+		img.Reset(k)
 		if n := imageWords(&img); n != 0 {
 			t.Fatalf("reset image holds %d words", n)
 		}
-		if i := slices.IndexFunc(img.table, func(e int32) bool { return e != 0 }); i >= 0 {
-			t.Fatalf("reset table entry %d is %d", i, img.table[i])
-		}
-		if k == empty && len(img.table) != 0 {
-			t.Fatalf("empty kernel's table has %d entries", len(img.table))
+		for _, other := range kernels {
+			for _, st := range other.Streams {
+				for i := 0; i < st.Length; i++ {
+					if v, ok := img.Get(st.Addr(i)); ok {
+						t.Fatalf("reset image holds %#x at address %d", v, st.Addr(i))
+					}
+				}
+			}
 		}
 		for _, st := range k.Streams {
 			for i := 0; i < st.Length; i++ {
-				addr := st.Addr(i)
-				w := addr & shadowMask
-				img.page(addr).present[w>>6] |= 1 << (w & 63)
+				img.Set(st.Addr(i), uint64(i))
 			}
 		}
 	}

@@ -495,12 +495,11 @@ func newDevice(sc Scenario) (*rdram.Device, *scratch, error) {
 
 // scratch is the per-run allocation set a sweep recycles: the device's
 // page table and page slots, the seed generator, and the seed/verify
-// shadow image. newDevice checks one out per run and release returns
-// it; sync.Pool keeps reuse
-// per-worker-safe at any sweep width.
+// golden image. newDevice checks one out per run and release returns it;
+// sync.Pool keeps reuse per-worker-safe at any sweep width.
 type scratch struct {
 	pages rdram.PagePool
-	image shadow
+	image engine.Image
 	gen   *rand.Rand
 }
 

@@ -574,9 +574,8 @@ func (s *sim) issue(i int) bool {
 		// edges or non-unit strides). A fully covered packet — the common
 		// unit-stride case — needs no read-merge at all.
 		if g.n() < rdram.WordsPerPacket {
-			base := s.mapper.Unmap(addrmap.Loc{Bank: g.loc.Bank, Row: g.loc.Row, Col: g.loc.Col})
 			for w := 0; w < rdram.WordsPerPacket; w++ {
-				req.Data[w] = engine.Peek(s.dev, s.mapper, base+int64(w))
+				req.Data[w] = s.dev.PeekWord(g.loc.Bank, g.loc.Row, g.loc.Col, w)
 			}
 		}
 		for j, w := range g.words {

@@ -46,6 +46,7 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 	// Phase 1: functional execution, recording every store value so the
 	// device image is exact and callers can verify the computation.
 	storeVals := engine.StoreValues(dev, mapper, k)
+	defer storeVals.Release()
 
 	// Phase 2: timed replay at line granularity in program order, each
 	// stream filtered through its own one-line buffer, transactions
@@ -73,10 +74,10 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 			}
 			if write {
 				for w := 0; w < rdram.WordsPerPacket; w++ {
-					if v, ok := storeVals[addr+int64(w)]; ok {
+					if v, ok := storeVals.Get(addr + int64(w)); ok {
 						req.Data[w] = v
 					} else {
-						req.Data[w] = engine.Peek(dev, mapper, addr+int64(w))
+						req.Data[w] = dev.PeekWord(loc.Bank, loc.Row, loc.Col, w)
 					}
 				}
 			}
