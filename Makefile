@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-core bench-telemetry profile figures examples cover fuzz serve clean
+.PHONY: all build test vet lint bench bench-core profile figures examples cover fuzz serve clean
 
 all: vet lint test build
 
@@ -31,10 +31,6 @@ bench: bench-core
 bench-core:
 	$(GO) run ./cmd/rdprof -bench-core -bench-core-out BENCH_core_speed.json
 
-# Telemetry-off vs telemetry-on timing comparison (see docs/OBSERVABILITY.md).
-bench-telemetry:
-	$(GO) run ./cmd/rdprof -bench -bench-out BENCH_telemetry.json
-
 # Full telemetry bundle (metrics.json, timeseries.csv, events.jsonl,
 # trace.json) for the canonical daxpy/SMC/PI scenario, under profile/.
 profile:
@@ -61,12 +57,15 @@ cover:
 serve:
 	$(GO) run ./cmd/rdserved -addr :8347 -cache-dir out/rdcache
 
-# Short fuzz passes over the address mapper, the device protocol and
-# the rdtrace/v1 decoder.
+# Short fuzz passes over the address mapper, the device protocol, the
+# scenario validator, the rdtrace/v1 decoder and the lint allowlist
+# parser: the five targets CI fuzzes.
 fuzz:
 	$(GO) test -fuzz=FuzzMapUnmap -fuzztime=10s ./internal/addrmap/
 	$(GO) test -fuzz=FuzzDeviceDo -fuzztime=10s ./internal/rdram/
+	$(GO) test -fuzz=FuzzScenarioValidate -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/tracegen/
+	$(GO) test -fuzz=FuzzParseAllow -fuzztime=10s ./internal/lint/
 
 clean:
 	rm -rf out

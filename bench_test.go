@@ -81,8 +81,7 @@ func BenchmarkFigure7AllPanels(b *testing.B) {
 }
 
 // BenchmarkFigure7Serial regenerates the sixteen-panel grid on one worker
-// — the baseline for the parallel-sweep speedup (BENCH_parallel_sweep.json
-// compares this against BenchmarkFigure7Parallel4).
+// — the baseline BenchmarkFigure7Parallel4's speedup is read against.
 func BenchmarkFigure7Serial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure7Parallel(1); err != nil {
@@ -327,53 +326,70 @@ func BenchmarkSMCLongVector(b *testing.B) {
 
 // --- telemetry overhead benchmarks ---
 
-// benchTelemetryScenario is the canonical daxpy/SMC/PI/fifo-128 scenario
-// the telemetry overhead numbers (BENCH_telemetry.json) are quoted for.
-func benchTelemetryScenario() rdramstream.Scenario {
-	return rdramstream.Scenario{
+// telemetryScenarios are the scenarios the telemetry overhead is quoted
+// for, all staggered and timing-only: the canonical daxpy/SMC/PI/fifo-128
+// run plus the scenarios of BenchmarkSMCCopy1024 and
+// BenchmarkNaturalOrderDaxpy1024.
+var telemetryScenarios = []struct {
+	name string
+	sc   rdramstream.Scenario
+}{
+	{"DaxpySMCPI", rdramstream.Scenario{
 		KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
 		Mode: rdramstream.SMC, FIFODepth: 128,
 		Placement: rdramstream.Staggered, SkipVerify: true,
+	}},
+	{"CopySMCCLI", rdramstream.Scenario{
+		KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
+		Mode: rdramstream.SMC, FIFODepth: 128,
+		Placement: rdramstream.Staggered, SkipVerify: true,
+	}},
+	{"DaxpyNaturalPI", rdramstream.Scenario{
+		KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
+		Mode:      rdramstream.NaturalOrder,
+		Placement: rdramstream.Staggered, SkipVerify: true,
+	}},
+}
+
+// benchTelemetry times every telemetry scenario as a sub-benchmark,
+// attaching the collector newTel builds (nil: none) to each run.
+func benchTelemetry(b *testing.B, newTel func() *rdramstream.Telemetry) {
+	for _, tc := range telemetryScenarios {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc := tc.sc
+				if newTel != nil {
+					sc.Telemetry = newTel()
+				}
+				if _, err := rdramstream.Simulate(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkTelemetryOffDaxpySMCPI runs with no collector attached — the
+// BenchmarkTelemetryOff runs with no collector attached — the
 // nil-guarded path every uninstrumented simulation takes. Compare against
 // the pre-telemetry baseline to measure the cost of the guards themselves.
-func BenchmarkTelemetryOffDaxpySMCPI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := rdramstream.Simulate(benchTelemetryScenario()); err != nil {
-			b.Fatal(err)
-		}
-	}
+func BenchmarkTelemetryOff(b *testing.B) { benchTelemetry(b, nil) }
+
+// BenchmarkTelemetryOn attaches a counters-only collector (series,
+// histograms, stall attribution; no event capture).
+func BenchmarkTelemetryOn(b *testing.B) {
+	benchTelemetry(b, func() *rdramstream.Telemetry {
+		return rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256})
+	})
 }
 
-// BenchmarkTelemetryOnDaxpySMCPI attaches a counters-only collector
-// (series, histograms, stall attribution; no event capture).
-func BenchmarkTelemetryOnDaxpySMCPI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc := benchTelemetryScenario()
-		sc.Telemetry = rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256})
-		if _, err := rdramstream.Simulate(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTelemetryCaptureDaxpySMCPI additionally captures the event
-// stream that feeds the JSONL and Chrome-trace exports — the most
-// expensive telemetry configuration.
-func BenchmarkTelemetryCaptureDaxpySMCPI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc := benchTelemetryScenario()
-		sc.Telemetry = rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256, CaptureEvents: true})
-		if _, err := rdramstream.Simulate(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
+// BenchmarkTelemetryCapture additionally captures the event stream that
+// feeds the JSONL and Chrome-trace exports — the most expensive
+// telemetry configuration.
+func BenchmarkTelemetryCapture(b *testing.B) {
+	benchTelemetry(b, func() *rdramstream.Telemetry {
+		return rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256, CaptureEvents: true})
+	})
 }
 
 // BenchmarkPriorFPMSystem regenerates the §3 fast-page-mode system table.

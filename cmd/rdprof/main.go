@@ -13,21 +13,16 @@
 //
 //	rdprof -kernel daxpy -n 1024 -mode smc -scheme pi -fifo 128 -out profile
 //	rdprof -kernel hydro -mode natural -scheme cli -window 128
-//	rdprof -bench -bench-out BENCH_telemetry.json
 //	rdprof -bench-core -bench-core-out BENCH_core_speed.json
 //	rdprof -check BENCH_core_speed.json
 //
-// The -bench mode measures telemetry overhead instead: it times the
-// daxpy/SMC/PI scenario with telemetry off and on and writes a JSON
-// comparison (the repo's BENCH_telemetry.json is produced this way).
 // The -bench-core mode times the pinned hot-path scenarios against the
-// baselines and writes BENCH_core_speed.json; -check
-// re-times the gated scenarios against a committed copy and fails on a
-// >2x regression (the CI backstop).
+// baselines and writes BENCH_core_speed.json; -check re-times the gated
+// scenarios against a committed copy and fails on a >2x regression (the
+// CI backstop).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +30,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"rdramstream"
 	"rdramstream/internal/version"
@@ -55,13 +49,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "data pattern seed")
 	window := flag.Int64("window", 256, "time-series window in cycles")
 	outDir := flag.String("out", "profile", "output directory for the telemetry bundle")
-	bench := flag.Bool("bench", false, "measure telemetry overhead instead of profiling")
-	benchOut := flag.String("bench-out", "BENCH_telemetry.json", "output file for -bench")
-	benchIters := flag.Int("bench-iters", 7, "timed iterations per configuration for -bench")
+	benchIters := flag.Int("bench-iters", 7, "timed iterations per scenario for -bench-core and -check")
 	benchCore := flag.Bool("bench-core", false, "measure core simulator speed against the pinned baselines")
 	benchCoreOut := flag.String("bench-core-out", "BENCH_core_speed.json", "output file for -bench-core")
 	checkCore := flag.String("check", "", "re-time the gated scenarios against this committed BENCH_core_speed.json and fail on a >2x regression")
-	offOverhead := flag.Float64("off-overhead-pct", 0, "record this externally measured telemetry-off-vs-uninstrumented overhead percentage in the -bench output")
 	showVersion := flag.Bool("version", false, "print the version stamp and exit")
 	flag.Parse()
 
@@ -117,10 +108,6 @@ func main() {
 	}
 	if *benchCore {
 		runCoreBench(*benchIters, *benchCoreOut)
-		return
-	}
-	if *bench {
-		runBench(sc, *benchIters, *benchOut, *offOverhead)
 		return
 	}
 
@@ -207,111 +194,6 @@ func printSummary(sc rdramstream.Scenario, out rdramstream.Outcome, col *rdramst
 	}
 	if rep.EventsTruncated {
 		fmt.Println("note: event capture hit its buffer limit; trace.json/events.jsonl are truncated")
-	}
-}
-
-// benchEntry is one off-vs-on timing comparison for a scenario.
-type benchEntry struct {
-	Name       string  `json:"name"`
-	OffNsPerOp int64   `json:"telemetryOffNsPerOp"`
-	OnNsPerOp  int64   `json:"telemetryOnNsPerOp"`
-	OverheadPc float64 `json:"telemetryOnOverheadPercent"`
-}
-
-// benchReport is the BENCH_telemetry.json schema. The headline entry is
-// the canonical daxpy/SMC/PI scenario; ExistingBenchmarks covers the
-// scenarios of the repo's long-standing bench_test.go simulations.
-type benchReport struct {
-	Scenario   string  `json:"scenario"`
-	Iterations int     `json:"iterations"`
-	OffNsPerOp int64   `json:"telemetryOffNsPerOp"`
-	OnNsPerOp  int64   `json:"telemetryOnNsPerOp"`
-	OverheadPc float64 `json:"telemetryOnOverheadPercent"`
-
-	ExistingBenchmarks []benchEntry `json:"existingBenchmarks"`
-
-	// OffOverheadPc is the measured cost of the telemetry-off (nil
-	// collector) path relative to a build without the instrumentation at
-	// all. It is a cross-commit A/B measurement, so it cannot be produced
-	// by this binary alone; pass it in with -off-overhead-pct (see
-	// docs/OBSERVABILITY.md for the measurement recipe).
-	OffOverheadPc float64 `json:"telemetryOffOverheadPercent,omitempty"`
-
-	// TelemetryOffNote documents what "off" means: the identical code path
-	// as an uninstrumented build plus one nil check per probe site.
-	TelemetryOffNote string `json:"telemetryOffNote"`
-}
-
-// timeScenario returns the minimum wall time over iters runs — the
-// least-noise estimator for a deterministic simulation.
-func timeScenario(sc rdramstream.Scenario, iters int, withTelemetry bool) int64 {
-	best := int64(0)
-	for i := 0; i < iters; i++ {
-		sc := sc
-		sc.SkipVerify = true
-		if withTelemetry {
-			sc.Telemetry = rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256})
-		}
-		start := time.Now()
-		if _, err := rdramstream.Simulate(sc); err != nil {
-			fatalf("bench: %v", err)
-		}
-		d := time.Since(start).Nanoseconds()
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-// runBench times the canonical scenario plus the bench_test.go simulation
-// scenarios, each with telemetry off and on, and writes the comparison.
-func runBench(sc rdramstream.Scenario, iters int, outPath string, offOverheadPc float64) {
-	if iters < 1 {
-		iters = 1
-	}
-	measure := func(name string, s rdramstream.Scenario) benchEntry {
-		timeScenario(s, 1, false) // warm-up
-		off := timeScenario(s, iters, false)
-		on := timeScenario(s, iters, true)
-		return benchEntry{
-			Name: name, OffNsPerOp: off, OnNsPerOp: on,
-			OverheadPc: 100 * (float64(on) - float64(off)) / float64(off),
-		}
-	}
-	head := measure(fmt.Sprintf("%s n=%d %v/%v fifo=%d", sc.KernelName, sc.N, sc.Scheme, sc.Mode, sc.FIFODepth), sc)
-	rep := benchReport{
-		Scenario:   head.Name,
-		Iterations: iters,
-		OffNsPerOp: head.OffNsPerOp,
-		OnNsPerOp:  head.OnNsPerOp,
-		OverheadPc: head.OverheadPc,
-		ExistingBenchmarks: []benchEntry{
-			measure("SMCCopy1024", rdramstream.Scenario{
-				KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
-				Mode: rdramstream.SMC, FIFODepth: 128, Placement: rdramstream.Staggered,
-			}),
-			measure("NaturalOrderDaxpy1024", rdramstream.Scenario{
-				KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
-				Mode: rdramstream.NaturalOrder, Placement: rdramstream.Staggered,
-			}),
-		},
-		OffOverheadPc: offOverheadPc,
-		TelemetryOffNote: "telemetry off runs the identical code path as an uninstrumented " +
-			"build plus one nil check per probe site; see docs/OBSERVABILITY.md for the " +
-			"measured off-vs-baseline comparison on the existing benchmarks",
-	}
-	if err := writeFile(outPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("telemetry off %d ns/run, on %d ns/run (%.2f%% overhead) -> %s\n",
-		rep.OffNsPerOp, rep.OnNsPerOp, rep.OverheadPc, outPath)
-	for _, e := range rep.ExistingBenchmarks {
-		fmt.Printf("  %-24s off %d ns, on %d ns (%.2f%%)\n", e.Name, e.OffNsPerOp, e.OnNsPerOp, e.OverheadPc)
 	}
 }
 

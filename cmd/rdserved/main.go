@@ -27,8 +27,8 @@
 //	GET  /v1/requests/{id} one request trace (per-stage spans)
 //	GET  /debug/requests   recent traces (?format=json|jsonl|chrome)
 //	GET  /healthz          liveness + version stamp
-//	GET  /metrics          Prometheus text exposition; ?format=json for
-//	                       the cache/queue/worker/stall JSON snapshot
+//	GET  /metrics          Prometheus text exposition (cache, queue,
+//	                       worker, stall and fabric series)
 //	GET  /debug/pprof/     runtime profiles (only with -pprof)
 //
 // Shutdown: SIGINT/SIGTERM stops accepting connections, drains the job

@@ -10,20 +10,16 @@
 //	sweep -var length -kernel copy -mode smc       # vector-length sweep
 //	sweep -faults 42,1,2,4,8 -kernel daxpy         # fault-degradation sweep
 //	sweep -parallel 1                              # force a serial run
-//	sweep -bench-out BENCH_parallel_sweep.json     # time serial vs parallel
 //	sweep -server http://localhost:8347            # offload to a running rdserved
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
 
 	"rdramstream"
 	"rdramstream/internal/experiments"
@@ -43,7 +39,6 @@ func main() {
 	faults := flag.String("faults", "", `fault-degradation sweep "seed,severity[,severity...]": every controller and scheme under deterministic fault injection (overrides -var)`)
 	traceGen := flag.String("trace-gen", "", "sweep a generated trace instead of a kernel: a program spec (e.g. \"llm-kvcache:n=16384\") or @file for an NDJSON trace")
 	traceSeed := flag.Int64("trace-seed", 1, "trace generator seed (with -trace-gen)")
-	benchOut := flag.String("bench-out", "", "time the sweep serial vs parallel and write a JSON report to this file")
 	server := flag.String("server", "", "offload scenario execution to a running rdserved at this base URL (e.g. http://localhost:8347); repeated sweeps hit its result cache")
 	showVersion := flag.Bool("version", false, "print the version stamp and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -55,6 +50,11 @@ func main() {
 		return
 	}
 
+	ctrl, err := parseMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		os.Exit(1)
+	}
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
@@ -69,16 +69,12 @@ func main() {
 
 	base := rdramstream.Scenario{
 		KernelName: *kernel,
+		Mode:       ctrl,
 		N:          *n,
 		FIFODepth:  *fifo,
 		Placement:  rdramstream.Staggered,
 		SkipVerify: true,
 		Device:     rdramstream.DefaultDevice(),
-	}
-	if strings.EqualFold(*mode, "natural") {
-		base.Mode = rdramstream.NaturalOrder
-	} else {
-		base.Mode = rdramstream.SMC
 	}
 	if *traceGen != "" {
 		switch strings.ToLower(*variable) {
@@ -144,30 +140,28 @@ func main() {
 		os.Exit(1)
 	}
 
-	run := runner(*server)
-	render := func(workers int) (string, time.Duration) {
-		start := time.Now()
-		outs, err := run(scs, workers)
-		elapsed := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-			os.Exit(1)
-		}
-		var b strings.Builder
-		b.WriteString("variable,value,scheme,percent_peak,mbps,cycles\n")
-		for i, out := range outs {
-			fmt.Fprintf(&b, "%s,%d,%v,%.2f,%.2f,%d\n",
-				*variable, values[i], scs[i].Scheme, out.PercentPeak, out.EffectiveMBps, out.Cycles)
-		}
-		return b.String(), elapsed
+	outs, err := runner(*server)(scs, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(1)
 	}
+	fmt.Println("variable,value,scheme,percent_peak,mbps,cycles")
+	for i, out := range outs {
+		fmt.Printf("%s,%d,%v,%.2f,%.2f,%d\n",
+			*variable, values[i], scs[i].Scheme, out.PercentPeak, out.EffectiveMBps, out.Cycles)
+	}
+}
 
-	if *benchOut != "" {
-		benchmark(*benchOut, render)
-		return
+// parseMode maps a -mode value to its controller, accepting rdsim's
+// spellings case-insensitively and rejecting anything else.
+func parseMode(s string) (rdramstream.Controller, error) {
+	switch strings.ToLower(s) {
+	case "smc":
+		return rdramstream.SMC, nil
+	case "natural", "natural-order", "cache":
+		return rdramstream.NaturalOrder, nil
 	}
-	csv, _ := render(*parallel)
-	fmt.Print(csv)
+	return 0, fmt.Errorf("unknown mode %q (want smc or natural)", s)
 }
 
 // runner picks the execution strategy for a scenario list: in-process on
@@ -228,55 +222,4 @@ func faultSweep(spec, kernel string, n, workers int, server string) {
 			p.Severity, p.Controller, p.SchemeName, p.PercentPeak, p.PercentOfClean,
 			p.Cycles, p.Rejections, p.JitterCycles, p.Refreshes, p.Verified)
 	}
-}
-
-// benchmark times the sweep with one worker and with four, checks the two
-// CSVs are byte-identical, and writes a JSON report. On a single-core
-// machine the speedup is honestly ~1x; the report records the core count
-// so readers can tell.
-func benchmark(path string, render func(workers int) (string, time.Duration)) {
-	const workers = 4
-	// Warm once so neither timed run pays one-time costs.
-	render(1)
-	serialCSV, serialTime := render(1)
-	parallelCSV, parallelTime := render(workers)
-	report := struct {
-		Sweep        string  `json:"sweep"`
-		Scenarios    int     `json:"scenarios"`
-		Cores        int     `json:"cores"`
-		Workers      int     `json:"workers"`
-		SerialMs     float64 `json:"serial_ms"`
-		ParallelMs   float64 `json:"parallel_ms"`
-		Speedup      float64 `json:"speedup"`
-		IdenticalCSV bool    `json:"identical_csv"`
-		Note         string  `json:"note,omitempty"`
-	}{
-		Sweep:        "sweep",
-		Scenarios:    strings.Count(serialCSV, "\n") - 1,
-		Cores:        runtime.NumCPU(),
-		Workers:      workers,
-		SerialMs:     float64(serialTime.Microseconds()) / 1000,
-		ParallelMs:   float64(parallelTime.Microseconds()) / 1000,
-		Speedup:      serialTime.Seconds() / parallelTime.Seconds(),
-		IdenticalCSV: serialCSV == parallelCSV,
-	}
-	if report.Cores < report.Workers {
-		report.Note = fmt.Sprintf("machine has %d core(s); speedup scales with cores up to the worker count", report.Cores)
-	}
-	if !report.IdenticalCSV {
-		fmt.Fprintln(os.Stderr, "sweep: serial and parallel CSVs differ")
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("serial %.1f ms, %d workers %.1f ms, speedup %.2fx (%d cores); wrote %s\n",
-		report.SerialMs, workers, report.ParallelMs, report.Speedup, report.Cores, path)
 }

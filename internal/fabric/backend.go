@@ -33,8 +33,8 @@ func (b *ClientBackend) CachedOutcome(ctx context.Context, key string) (sim.Outc
 }
 
 // ServiceBackend adapts an in-process service.Service to the Backend
-// interface — a worker without the HTTP hop, for tests, the chaos
-// harness, and rdload's fleet mode.
+// interface — a worker without the HTTP hop, for the tests and the chaos
+// harness.
 type ServiceBackend struct {
 	Svc *service.Service
 }

@@ -151,7 +151,7 @@ type WorkerStatus struct {
 
 // Stats is the coordinator's cumulative counter snapshot.
 //
-// rdlint:wire — embedded in rdload's BENCH_service_load.json.
+// rdlint:wire — served by GET /v1/fabric/workers.
 type Stats struct {
 	Workers         int   `json:"workers"`
 	Live            int   `json:"live"`

@@ -23,8 +23,7 @@
 //     latency histograms with label sets, rendered in Prometheus text
 //     exposition format (format=0.0.4).
 //   - CheckExposition (promparse.go): a dependency-free validity checker
-//     for the exposition format — the promtool stand-in used by tests,
-//     CI, and cmd/rdload.
+//     for the exposition format — the promtool stand-in used by tests.
 package obs
 
 import (

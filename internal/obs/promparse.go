@@ -9,8 +9,8 @@ import (
 )
 
 // CheckExposition validates a Prometheus text exposition payload — the
-// promtool-check-metrics stand-in used by the package tests, CI, and
-// cmd/rdload, with no dependency beyond the standard library. It returns
+// promtool-check-metrics stand-in the tests run on live, value-varying
+// expositions, with no dependency beyond the standard library. It returns
 // the number of sample series and the first violation found:
 //
 //   - line grammar: HELP/TYPE comments, samples `name{labels} value [ts]`

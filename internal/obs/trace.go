@@ -40,7 +40,7 @@ const maxSpansPerTrace = 256
 // trace's start so records are compact and self-aligned.
 //
 // rdlint:wire — span records are served by GET /v1/requests/{id} and
-// exported by cmd/rdload; their field names are part of the wire format.
+// GET /debug/requests; their field names are part of the wire format.
 type SpanRecord struct {
 	Stage string `json:"stage"`
 	// StartUS and EndUS are microseconds since the trace started.

@@ -317,14 +317,6 @@ func (c *Client) CachedOutcome(ctx context.Context, key string) (sim.Outcome, bo
 	return out.Outcome, true, nil
 }
 
-// Metrics fetches the server's observability snapshot (the JSON view of
-// GET /metrics; the bare path serves Prometheus text exposition).
-func (c *Client) Metrics(ctx context.Context) (service.Metrics, error) {
-	var m service.Metrics
-	err := c.getJSON(ctx, "/metrics?format=json", &m)
-	return m, err
-}
-
 // MetricsText fetches the Prometheus text exposition of GET /metrics.
 func (c *Client) MetricsText(ctx context.Context) ([]byte, error) {
 	ctx, cancel := c.reqCtx(ctx)

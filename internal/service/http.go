@@ -102,8 +102,7 @@ type HandlerOptions struct {
 //	GET  /v1/requests/{id} one request trace (spans, status, counts)
 //	GET  /debug/requests   recent traces (?format=json|jsonl|chrome)
 //	GET  /healthz          liveness + version stamp
-//	GET  /metrics          Prometheus text exposition (?format=json for
-//	                       the service.Metrics JSON snapshot)
+//	GET  /metrics          Prometheus text exposition
 //
 // Every API request is traced: the middleware opens a Trace (honoring a
 // client X-Request-ID), threads it down the job context, records the
@@ -428,17 +427,10 @@ func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: version.Stamp()})
 }
 
-// handleMetrics serves the Prometheus text exposition by default and the
-// service.Metrics JSON snapshot at ?format=json (the pre-exposition wire
-// format, unchanged for existing consumers). Both views derive from the
-// same Metrics() snapshot at scrape time, so they always agree.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := s.Metrics()
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, m)
-		return
-	}
-	s.publishSnapshot(m)
+// handleMetrics serves the Prometheus text exposition, publishing the
+// Metrics() snapshot into the registry at scrape time.
+func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.publishSnapshot(s.Metrics())
 	w.Header().Set("Content-Type", obs.ExpositionContentType)
 	s.obsv.Reg.WritePrometheus(w)
 }

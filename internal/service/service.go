@@ -458,24 +458,30 @@ func (s *Service) nextBatch() []*task {
 // in the scenario's result so one bad row cannot sink a batch that also
 // carries other jobs' work.
 func (s *Service) runTask(t *task) {
-	start := s.obsv.Now()
 	s.obsMu.Lock()
 	s.busy++
 	s.obsMu.Unlock()
-	defer func() {
-		s.obsMu.Lock()
-		s.busy--
-		s.tasksRun++
-		s.obsMu.Unlock()
-	}()
+	res := s.execute(t)
+	// Book the run before landing its result, so a caller woken by the
+	// job already sees it in Metrics.
+	s.obsMu.Lock()
+	s.busy--
+	s.tasksRun++
+	s.obsMu.Unlock()
+	t.job.finish(t.i, res)
+}
+
+// execute runs one task through the cache and returns its terminal
+// result.
+func (s *Service) execute(t *task) (res ScenarioResult) {
+	start := s.obsv.Now()
 	// The cache already converts runner panics into errors; this recover
 	// is the backstop for panics outside the runner (key derivation,
 	// telemetry merge), so a batch carrying other jobs' work never dies
-	// with this task. finish is idempotent, so a task that already landed
-	// a result is unaffected.
+	// with this task.
 	defer func() {
 		if r := recover(); r != nil {
-			t.job.finish(t.i, ScenarioResult{Label: t.sc.Label(), Error: fmt.Sprintf("service: task panicked: %v", r)})
+			res = ScenarioResult{Label: t.sc.Label(), Error: fmt.Sprintf("service: task panicked: %v", r)}
 		}
 	}()
 	// The request trace rides the job context from the HTTP handler; nil
@@ -489,8 +495,7 @@ func (s *Service) runTask(t *task) {
 	}
 	t.job.markRunning()
 	if err := t.job.ctx.Err(); err != nil {
-		t.job.finish(t.i, ScenarioResult{Label: t.sc.Label(), Error: context.Cause(t.job.ctx).Error()})
-		return
+		return ScenarioResult{Label: t.sc.Label(), Error: context.Cause(t.job.ctx).Error()}
 	}
 	// Telemetry rides along on real executions only: the collector is
 	// attached inside the cache's runner, so hits and deduped followers —
@@ -527,13 +532,13 @@ func (s *Service) runTask(t *task) {
 	if col != nil && err == nil {
 		s.mergeStalls(col)
 	}
-	res := ScenarioResult{Label: label, Cached: cached}
+	res = ScenarioResult{Label: label, Cached: cached}
 	if err != nil {
 		res.Error = err.Error()
 	} else {
 		res.Outcome = &out
 	}
-	t.job.finish(t.i, res)
+	return res
 }
 
 // mergeStalls folds one run's stall-cause attribution into the service-
