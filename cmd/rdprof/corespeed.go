@@ -7,10 +7,11 @@
 // With -check <file> it instead re-times the gated scenarios and exits
 // non-zero if any regresses more than 2x over the committed
 // afterNsPerOp — the CI backstop that keeps the speedups from silently
-// eroding. Only the long-stream scenarios are gated, timing-only and
-// verified for each of the SMC and natural order: at several ms/run
-// their min-of-N timing is stable on shared CI runners, where the sub-ms
-// scenarios are not.
+// eroding. Only the multi-ms scenarios are gated — the long streams,
+// timing-only and verified for each of the SMC and natural order,
+// timing-only for the conventional controller, and a reordered trace
+// replay: at several ms/run their min-of-N timing is stable on shared
+// CI runners, where the sub-ms scenarios are not.
 package main
 
 import (
@@ -44,6 +45,10 @@ const (
 	// natural order capturing its store values in hash maps, even on
 	// timing-only devices.
 	mapCaptureCommit = "951388d"
+	// guardCommit is where the conventional and trace-replay rows were
+	// first timed. They pin no speedup; their before and after are the
+	// same code, and they exist for the -check regression gate.
+	guardCommit = "1a11d30"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -117,6 +122,31 @@ func coreCases() []coreCase {
 			baseline: mapCaptureCommit, beforeNs: 29_503_748, beforeAl: 537,
 			gate: true,
 		},
+		{
+			name: "ConventionalLongVector",
+			desc: "daxpy n=65536 PI/conventional staggered",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
+				Controller: "conventional",
+				Placement:  rdramstream.Staggered, SkipVerify: true,
+			},
+			baseline: guardCommit, beforeNs: 5_215_785, beforeAl: 16,
+			gate: true,
+		},
+		{
+			name: "TraceReplayKVCacheSMC",
+			desc: "llm-kvcache n=65536 ctxrows=32 seed 7, PI/smc fifo=64 reordered replay",
+			sc: rdramstream.Scenario{
+				Workload: &rdramstream.TraceSpec{Program: &rdramstream.TraceProgram{
+					Name: "llm-kvcache", Seed: 7, Phases: []rdramstream.TracePhase{
+						{Pattern: "llm-kvcache", Accesses: 65536, ContextRows: 32},
+					},
+				}},
+				Scheme: rdramstream.PI, Mode: rdramstream.SMC, FIFODepth: 64,
+			},
+			baseline: guardCommit, beforeNs: 2_938_800, beforeAl: 44,
+			gate: true,
+		},
 	}
 }
 
@@ -186,7 +216,9 @@ func runCoreBench(iters int, outPath string) {
 		Note: "before = the row's baseline commit: " + mapStoreCommit + " has " +
 			"map-backed device pages and a map-backed seed/verify shadow; " +
 			mapCaptureCommit + " has natural order capturing store values in hash " +
-			"maps, timing-only runs included. after = current build, with the " +
+			"maps, timing-only runs included; " + guardCommit + " is where the " +
+			"conventional and trace-replay rows were first timed (regression " +
+			"guards, no speedup pinned). after = current build, with the " +
 			"page-table functional store and one paged word image for " +
 			"seed/verify and store capture. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +

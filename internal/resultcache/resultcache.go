@@ -76,8 +76,9 @@ type Options struct {
 // counters are read under one lock, and related counters are incremented
 // under that same lock in one step, so a snapshot is internally
 // consistent: DiskHits never exceeds Hits, and Hits+Misses+Dedups equals
-// the number of Do calls that have classified themselves — no
-// torn-counter skew under concurrent load (race-tested).
+// the number of requests classified so far (every Do/DoKey, and every Hit
+// that found its key) — no torn-counter skew under concurrent load
+// (race-tested).
 type Stats struct {
 	// Hits counts requests answered from memory, Misses requests that ran
 	// a simulation.
@@ -239,8 +240,8 @@ func Key(sc sim.Scenario) (string, error) {
 
 // Get looks the scenario up in memory (and then on disk, promoting a find
 // to memory) without running anything. The boolean reports a hit. Get
-// touches no hit/miss counters — only Do classifies requests — so probing
-// the cache never skews the serving metrics.
+// touches no hit/miss counters — only Do, DoKey and Hit classify
+// requests — so probing the cache never skews the serving metrics.
 func (c *Cache) Get(sc sim.Scenario) (sim.Outcome, bool, error) {
 	key, err := Key(sc)
 	if err != nil {
@@ -260,20 +261,15 @@ const (
 )
 
 // lookup checks the tiers in order — memory, peer, disk — reporting
-// where the find came from. It touches no hit/miss counters — Do owns
+// where the find came from. It touches no hit/miss counters — DoKey owns
 // those and folds the tier into its own grouped increment, so a peer or
 // disk rescue counts as Hit+PeerHit/DiskHit in one consistent step. ctx
 // bounds only the peer consult (the remote call); memory and disk are
 // local and unconditional.
 func (c *Cache) lookup(ctx context.Context, key string) (out sim.Outcome, ok bool, src tier) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		out := el.Value.(*entry).out
-		c.mu.Unlock()
+	if out, ok := c.memory(key); ok {
 		return out, true, tierMemory
 	}
-	c.mu.Unlock()
 	if peer := c.peerFunc(); peer != nil && ctx.Err() == nil {
 		if out, ok := peer(ctx, key); ok {
 			c.store(key, out, false) // a peer holds it durably; promote to memory only
@@ -295,19 +291,41 @@ func (c *Cache) lookup(ctx context.Context, key string) (out sim.Outcome, ok boo
 	return out, true, tierDisk
 }
 
+// memory looks key up in the in-memory LRU, marking a find most
+// recently used. It touches no counters.
+func (c *Cache) memory(key string) (sim.Outcome, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return sim.Outcome{}, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*entry).out, true
+}
+
+// Hit looks a key (from Key) up in the in-memory tier only — never the
+// peer or disk tier, so it does no I/O and never blocks on a
+// simulation — and counts a find as a Hit. A miss touches no counter:
+// the request is classified later by the DoKey that serves it, so
+// Hits, Misses and Dedups still partition the requests. The service
+// calls it at submit time to answer memory hits without queueing them.
+func (c *Cache) Hit(key string) (sim.Outcome, bool) {
+	out, ok := c.memory(key)
+	if ok {
+		c.count(func(s *Stats) { s.Hits++ })
+	}
+	return out, ok
+}
+
 // Peek looks a raw key up in the local tiers only — memory, then disk,
 // never the peer tier — and touches no counters. It is what a server
 // answers peer probes (GET /v1/cache/{key}) from; skipping the peer tier
 // here is what makes probe forwarding loops impossible.
 func (c *Cache) Peek(key string) (sim.Outcome, bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		out := el.Value.(*entry).out
-		c.mu.Unlock()
+	if out, ok := c.memory(key); ok {
 		return out, true
 	}
-	c.mu.Unlock()
 	if c.disk == nil {
 		return sim.Outcome{}, false
 	}
@@ -381,6 +399,13 @@ func (c *Cache) Do(ctx context.Context, sc sim.Scenario, run Runner) (sim.Outcom
 	if err != nil {
 		return sim.Outcome{}, false, err
 	}
+	return c.DoKey(ctx, key, sc, run)
+}
+
+// DoKey is Do for a caller that already holds the scenario's key
+// (Key(sc)), so a request hashes its scenario once however many cache
+// calls it makes.
+func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runner) (sim.Outcome, bool, error) {
 	if out, ok, src := c.lookup(ctx, key); ok {
 		c.count(func(s *Stats) {
 			s.Hits++
@@ -413,16 +438,11 @@ func (c *Cache) Do(ctx context.Context, sc sim.Scenario, run Runner) (sim.Outcom
 	// lookup miss and here. Only the in-memory map is consulted — the race
 	// being closed is with an in-process leader, which always stores to
 	// memory, and a disk read is too slow to hold flightMu across.
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		out := el.Value.(*entry).out
-		c.mu.Unlock()
+	if out, ok := c.memory(key); ok {
 		c.flightMu.Unlock()
 		c.count(func(s *Stats) { s.Hits++ })
 		return out, true, nil
 	}
-	c.mu.Unlock()
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
 	c.flightMu.Unlock()

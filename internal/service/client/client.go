@@ -165,28 +165,24 @@ func (c *Client) Trace(ctx context.Context, sc sim.Scenario, name string, accs [
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
 	var out service.SimulateResponse
-	var body bytes.Buffer
 	hdr, err := json.Marshal(service.TraceHeader{
 		Format: tracegen.FormatV1, Name: name, Accesses: len(accs), Scenario: sc,
 	})
 	if err != nil {
 		return out, fmt.Errorf("client: encoding trace header: %w", err)
 	}
-	body.Write(hdr)
-	body.WriteByte('\n')
+	// Size the body exactly: one allocation, no regrowth.
+	size := len(hdr) + 1
+	var line [tracegen.MaxLineBytes]byte
 	for _, a := range accs {
-		op := "R"
-		if a.Write {
-			op = "W"
-		}
-		ln, err := json.Marshal(tracegen.Line{Op: op, Addr: a.Addr})
-		if err != nil {
-			return out, fmt.Errorf("client: encoding trace line: %w", err)
-		}
-		body.Write(ln)
-		body.WriteByte('\n')
+		size += len(tracegen.AppendLine(line[:0], a))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/trace", bytes.NewReader(body.Bytes()))
+	body := make([]byte, 0, size)
+	body = append(append(body, hdr...), '\n')
+	for _, a := range accs {
+		body = tracegen.AppendLine(body, a)
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/trace", bytes.NewReader(body))
 	if err != nil {
 		return out, err
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"rdramstream/internal/obs"
-	"rdramstream/internal/resultcache"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/telemetry"
 	"rdramstream/internal/version"
@@ -287,11 +286,6 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		failRequest(w, r, http.StatusBadRequest, err)
 		return
 	}
-	key, err := resultcache.Key(sc)
-	if err != nil {
-		failRequest(w, r, http.StatusBadRequest, err)
-		return
-	}
 	tr := obs.FromContext(r.Context())
 	tr.AddScenarios(1)
 	job, err := s.SubmitOne(r.Context(), sc)
@@ -313,7 +307,7 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SimulateResponse{
-		JobID: job.ID(), Cached: res.Cached, Key: key, Outcome: *res.Outcome,
+		JobID: job.ID(), Cached: res.Cached, Key: job.Key(0), Outcome: *res.Outcome,
 	})
 	streamEnd := s.obsv.Now()
 	tr.Span(obs.StageStream, streamStart, streamEnd, "")

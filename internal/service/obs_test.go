@@ -105,8 +105,9 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A repeat of the same scenario is a cache hit: its trace records the
-	// hit and never enters the simulate stage.
+	// A repeat of the same scenario is a memory hit, answered at submit:
+	// its trace records the hit, a cache span and the stream span, and
+	// never enters the queue or the simulate stage.
 	resp = postSimulate(t, ts.URL, scenario(64), "trace-me-2")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
@@ -114,9 +115,18 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	if rec.CacheHits != 1 {
 		t.Errorf("hit trace records %d cache hits, want 1", rec.CacheHits)
 	}
+	stages = map[string]bool{}
 	for _, sp := range rec.Spans {
-		if sp.Stage == "simulate" {
-			t.Errorf("cache-hit trace carries a simulate span: %+v", sp)
+		stages[sp.Stage] = true
+	}
+	for _, want := range []string{"cache", "stream"} {
+		if !stages[want] {
+			t.Errorf("hit trace has no %q span (spans: %+v)", want, rec.Spans)
+		}
+	}
+	for _, never := range []string{"queued", "batch_wait", "simulate"} {
+		if stages[never] {
+			t.Errorf("hit trace carries a %q span (spans: %+v)", never, rec.Spans)
 		}
 	}
 

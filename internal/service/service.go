@@ -5,7 +5,9 @@
 // Identical scenarios — across requests, across jobs, across time — run
 // once; everything else runs at the configured parallelism with
 // per-request cancellation threaded down to the scenario boundary via
-// engine.MapCtx.
+// engine.MapCtx. Scenarios already in the cache's memory tier never
+// enter the queue: Submit answers them itself, so a hit never waits
+// behind a simulation.
 //
 // The HTTP front end (http.go, served by cmd/rdserved) and the Go client
 // (client subpackage) are thin shells over this type: all queueing,
@@ -34,8 +36,10 @@ type Config struct {
 	// Workers bounds the simulation worker pool (<= 0 uses GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-started scenarios
-	// across all jobs (default 1024). Submissions that would overflow fail
-	// with ErrQueueFull — all-or-nothing, never a partial sweep.
+	// across all jobs (default 1024). Only cache misses queue: memory hits
+	// are answered at submit and take no slot. Submissions whose misses
+	// would overflow fail with ErrQueueFull — all-or-nothing, never a
+	// partial sweep.
 	QueueDepth int
 	// BatchSize is the most scenarios one dispatcher batch hands to
 	// engine.MapCtx (default 32). Batching amortizes pool startup and
@@ -100,8 +104,9 @@ type JobStatus struct {
 // Job tracks one submission (a single scenario or a whole sweep) through
 // the queue. Results land in input order as scenarios finish.
 type Job struct {
-	id  string
-	ctx context.Context
+	id   string
+	ctx  context.Context
+	keys []string // keys[i] is scenario i's cache key; set at construction, never mutated
 
 	mu        sync.Mutex
 	state     State             // guarded by mu
@@ -115,6 +120,10 @@ type Job struct {
 
 // ID returns the job's queryable identifier.
 func (j *Job) ID() string { return j.id }
+
+// Key returns scenario i's content address in the result cache, the
+// key Submit computed once for every cache call the scenario makes.
+func (j *Job) Key(i int) string { return j.keys[i] }
 
 // Done returns a channel closed when every scenario in the job is
 // terminal.
@@ -208,6 +217,7 @@ type task struct {
 	job       *Job
 	i         int
 	sc        sim.Scenario
+	key       string
 	submitted time.Time
 	batched   time.Time
 }
@@ -319,13 +329,17 @@ func (s *Service) SubmitOne(ctx context.Context, sc sim.Scenario) (*Job, error) 
 }
 
 // Submit queues a sweep as one job, all-or-nothing: every scenario is
-// validated first (a malformed sweep is rejected whole, before anything
-// runs) and the queue either has room for all of them or the submission
-// fails with ErrQueueFull. ctx scopes the job's execution — when it is
-// canceled, scenarios not yet started fail with the context's error
-// instead of running. ctx must be non-nil, per the usual context
-// contract; use context.Background() at the call site for a job that
-// should never be canceled.
+// validated and keyed first (a malformed sweep is rejected whole, before
+// anything runs) and the queue either has room for all of its cache
+// misses or the submission fails with ErrQueueFull. Scenarios found in
+// the cache's memory tier are answered before Submit returns and never
+// queue, so a hit does not wait behind simulations; a hit found for a
+// submission that then fails still counts as a cache hit. ctx scopes the
+// job's execution — when it is canceled, scenarios not yet started fail
+// with the context's error instead of running, and a job whose ctx is
+// already done looks nothing up. ctx must be non-nil, per the usual
+// context contract; use context.Background() at the call site for a job
+// that should never be canceled.
 func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) {
 	if len(scs) == 0 {
 		return nil, ErrEmptyJob
@@ -335,19 +349,44 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
 	}
+	// Each scenario is keyed once, here, for every cache call it makes.
+	// The memory tier does no I/O, so it is consulted here too, outside
+	// s.mu; the disk and peer tiers stay on the worker, inside DoKey.
+	keys := make([]string, len(scs))
+	lookup := ctx.Err() == nil
+	var hits []memoryHit
+	for i, sc := range scs {
+		start := s.obsv.Now()
+		key, err := resultcache.Key(sc)
+		if err != nil {
+			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
+		keys[i] = key
+		if !lookup {
+			continue
+		}
+		if out, ok := s.cache.Hit(key); ok {
+			hits = append(hits, memoryHit{i: i, out: out, start: start, end: s.obsv.Now()})
+		}
+	}
+	misses := len(scs) - len(hits)
+
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(s.queue)+len(scs) > s.queueDepth {
+	if len(s.queue)+misses > s.queueDepth {
+		depth := len(s.queue)
+		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d queued + %d submitted > depth %d",
-			ErrQueueFull, len(s.queue), len(scs), s.queueDepth)
+			ErrQueueFull, depth, misses, s.queueDepth)
 	}
 	s.nextJob++
 	job := &Job{
 		id:      fmt.Sprintf("job-%06d", s.nextJob),
 		ctx:     ctx,
+		keys:    keys,
 		state:   StateQueued,
 		results: make([]*ScenarioResult, len(scs)),
 		ready:   make([]chan struct{}, len(scs)),
@@ -360,11 +399,51 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 	s.jobOrder = append(s.jobOrder, job.id)
 	s.evictJobsLocked()
 	now := s.obsv.Now()
+	next := 0 // hits are in index order; skip each as the loop reaches it
 	for i, sc := range scs {
-		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, submitted: now})
+		if next < len(hits) && hits[next].i == i {
+			next++
+			continue
+		}
+		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, key: keys[i], submitted: now})
 	}
-	s.cond.Broadcast()
+	if misses > 0 {
+		s.cond.Broadcast()
+	}
+	s.mu.Unlock()
+
+	if len(hits) > 0 {
+		s.finishHits(job, scs, hits)
+	}
 	return job, nil
+}
+
+// memoryHit is one scenario Submit found in the cache's memory tier,
+// with the span of its keying and lookup.
+type memoryHit struct {
+	i          int
+	out        sim.Outcome
+	start, end time.Time
+}
+
+// finishHits lands the memory hits Submit found. Each records the cache
+// span, stage histogram and cache-hit count a worker would have, and
+// counts as a task run, so the run counters cover every scenario served.
+func (s *Service) finishHits(job *Job, scs []sim.Scenario, hits []memoryHit) {
+	tr := obs.FromContext(job.ctx)
+	// Book the runs before landing their results, so a caller woken by
+	// the job already sees them in Metrics.
+	s.obsMu.Lock()
+	s.tasksRun += int64(len(hits))
+	s.obsMu.Unlock()
+	for k := range hits {
+		h := &hits[k]
+		label := scs[h.i].Label()
+		tr.Span(obs.StageCache, h.start, h.end, label)
+		s.observeStage(obs.StageCache, h.end.Sub(h.start))
+		tr.AddCacheHit()
+		job.finish(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.out})
+	}
 }
 
 // evictJobsLocked drops the oldest finished jobs beyond the retention
@@ -476,9 +555,8 @@ func (s *Service) runTask(t *task) {
 func (s *Service) execute(t *task) (res ScenarioResult) {
 	start := s.obsv.Now()
 	// The cache already converts runner panics into errors; this recover
-	// is the backstop for panics outside the runner (key derivation,
-	// telemetry merge), so a batch carrying other jobs' work never dies
-	// with this task.
+	// is the backstop for panics outside the runner (telemetry merge), so
+	// a batch carrying other jobs' work never dies with this task.
 	defer func() {
 		if r := recover(); r != nil {
 			res = ScenarioResult{Label: t.sc.Label(), Error: fmt.Sprintf("service: task panicked: %v", r)}
@@ -506,7 +584,7 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	var col *telemetry.Collector
 	var simStart, simEnd time.Time
 	cacheStart := s.obsv.Now()
-	out, cached, err := s.cache.Do(t.job.ctx, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
+	out, cached, err := s.cache.DoKey(t.job.ctx, t.key, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
 		simStart = s.obsv.Now()
 		col = telemetry.New(telemetry.Options{})
 		sc.Telemetry = col

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"rdramstream/internal/obs"
-	"rdramstream/internal/resultcache"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/tracegen"
 )
@@ -66,11 +65,6 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.Workload = &spec
 
-	key, err := resultcache.Key(sc)
-	if err != nil {
-		failRequest(w, r, http.StatusBadRequest, err)
-		return
-	}
 	tr := obs.FromContext(r.Context())
 	tr.AddScenarios(1)
 	job, err := s.SubmitOne(r.Context(), sc)
@@ -89,7 +83,7 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SimulateResponse{
-		JobID: job.ID(), Cached: res.Cached, Key: key, Outcome: *res.Outcome,
+		JobID: job.ID(), Cached: res.Cached, Key: job.Key(0), Outcome: *res.Outcome,
 	})
 	streamEnd := s.obsv.Now()
 	tr.Span(obs.StageStream, streamStart, streamEnd, "")

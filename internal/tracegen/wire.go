@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"rdramstream/internal/workload"
 )
@@ -50,18 +52,35 @@ func Encode(w io.Writer, name string, accs []workload.TraceAccess) error {
 	bw.Write(hdr)
 	bw.WriteByte('\n')
 	for _, a := range accs {
-		op := "R"
-		if a.Write {
-			op = "W"
+		// Each line is appended straight into the writer's free buffer,
+		// which must hold a whole line for the append not to reallocate.
+		if bw.Available() < MaxLineBytes {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
 		}
-		ln, err := json.Marshal(Line{Op: op, Addr: a.Addr})
-		if err != nil {
-			return err
-		}
-		bw.Write(ln)
-		bw.WriteByte('\n')
+		bw.Write(AppendLine(bw.AvailableBuffer(), a))
 	}
 	return bw.Flush()
+}
+
+// MaxLineBytes bounds the length of one AppendLine result:
+// {"op":"R","addr":-9223372036854775808} and its newline.
+const MaxLineBytes = 39
+
+// AppendLine appends one access line of the NDJSON trace body to dst
+// and returns the extended slice: exactly the bytes of json.Marshal of
+// the access's Line followed by a newline.
+//
+// rdlint:hotpath — called once per access by Encode and the client.
+func AppendLine(dst []byte, a workload.TraceAccess) []byte {
+	if a.Write {
+		dst = append(dst, `{"op":"W","addr":`...)
+	} else {
+		dst = append(dst, `{"op":"R","addr":`...)
+	}
+	dst = strconv.AppendInt(dst, a.Addr, 10)
+	return append(dst, '}', '\n')
 }
 
 // maxWireLine bounds one NDJSON line; a well-formed header or access
@@ -82,7 +101,9 @@ type Decoder struct {
 // NewDecoder wraps a trace body.
 func NewDecoder(r io.Reader) *Decoder {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), maxWireLine)
+	// Access lines are tens of bytes; the buffer grows only for a long
+	// header line, up to maxWireLine.
+	sc.Buffer(make([]byte, 0, 4096), maxWireLine)
 	return &Decoder{sc: sc}
 }
 
@@ -114,6 +135,53 @@ func decodeLine(b []byte, line int, v any) error {
 		return fmt.Errorf("tracegen: trace line %d: trailing data after JSON value", line)
 	}
 	return nil
+}
+
+// canonicalLine parses b when it is exactly the bytes AppendLine writes
+// for a non-negative address (without the newline):
+// {"op":"R"|"W","addr":D}, where D has no sign, no leading zero, and
+// fits in int64. Every other spelling — case-folded keys, spaces,
+// escapes, null, duplicate keys, -0, overflow — reports false and goes
+// through decodeLine, so the grammar and the error texts are those of
+// encoding/json by construction. When it reports true, the Line is
+// exactly the one decodeLine would return (FuzzDecode checks this).
+//
+// rdlint:hotpath — called once per access line by ReadAccesses.
+func canonicalLine(b []byte) (Line, bool) {
+	const prefix, mid = `{"op":"`, `","addr":`
+	if len(b) < len(prefix)+1+len(mid)+2 || string(b[:len(prefix)]) != prefix {
+		return Line{}, false
+	}
+	var op string
+	switch b[len(prefix)] {
+	case 'R':
+		op = "R"
+	case 'W':
+		op = "W"
+	default:
+		return Line{}, false
+	}
+	b = b[len(prefix)+1:]
+	if string(b[:len(mid)]) != mid || b[len(b)-1] != '}' {
+		return Line{}, false
+	}
+	digits := b[len(mid) : len(b)-1]
+	// 19 decimal digits always fit in a uint64; the int64 bound is
+	// checked after the loop.
+	if len(digits) == 0 || len(digits) > 19 || (digits[0] == '0' && len(digits) > 1) {
+		return Line{}, false
+	}
+	var v uint64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return Line{}, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	if v > math.MaxInt64 {
+		return Line{}, false
+	}
+	return Line{Op: op, Addr: int64(v)}, true
 }
 
 // DecodeHeader strict-decodes the first line into v — a *Header for
@@ -149,9 +217,15 @@ func (d *Decoder) ReadAccesses(want int) ([]workload.TraceAccess, error) {
 		if !ok {
 			return nil, fmt.Errorf("tracegen: trace truncated: header declared %d accesses, body ends after %d", want, len(out))
 		}
-		var l Line
-		if err := decodeLine(b, line, &l); err != nil {
-			return nil, err
+		l, ok := canonicalLine(b)
+		if !ok {
+			// A variable of its own: handing &l to decodeLine would move l
+			// to the heap on the fast path too, one allocation per line.
+			var slow Line
+			if err := decodeLine(b, line, &slow); err != nil {
+				return nil, err
+			}
+			l = slow
 		}
 		var write bool
 		switch l.Op {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync"
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/engine"
@@ -47,10 +48,16 @@ func Fingerprint() string {
 // Stamp is the one-line identity every cmd prints for -version and the
 // result cache embeds in its keys: module, semver, model fingerprint, and
 // (when the binary carries build info) the VCS module version.
-func Stamp() string {
+//
+// It is computed once per process, on first use (after every package's
+// init has registered its controllers): every cache key embeds it, and
+// rebuilding it formats the model, hashes it and parses the build info.
+func Stamp() string { return stamp() }
+
+var stamp = sync.OnceValue(func() string {
 	s := fmt.Sprintf("%s %s model=%s", Module, Semver, Fingerprint())
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" && bi.Main.Version != "(devel)" {
 		s += " build=" + bi.Main.Version
 	}
 	return s
-}
+})
