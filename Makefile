@@ -34,7 +34,7 @@ bench-core:
 # Full telemetry bundle (metrics.json, timeseries.csv, events.jsonl,
 # trace.json) for the canonical daxpy/SMC/PI scenario, under profile/.
 profile:
-	$(GO) run ./cmd/rdprof -kernel daxpy -n 1024 -mode smc -scheme pi -fifo 128 -out profile
+	$(GO) run ./cmd/rdsim -kernel daxpy -n 1024 -mode smc -scheme pi -fifo 128 -profile profile
 
 # Regenerate every artifact: ASCII tables on stdout, CSV series and SVG
 # figures under out/.

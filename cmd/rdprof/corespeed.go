@@ -17,7 +17,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -236,11 +235,11 @@ func runCoreBench(iters int, outPath string) {
 			RegressionGate: c.gate,
 		})
 	}
-	if err := writeFile(outPath, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}); err != nil {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err == nil {
+		err = os.WriteFile(outPath, append(data, '\n'), 0o644)
+	}
+	if err != nil {
 		fatalf("%v", err)
 	}
 	for _, e := range rep.Scenarios {

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,41 +31,58 @@ import (
 )
 
 func main() {
-	variable := flag.String("var", "fifo", "sweep variable: fifo, stride, banks, length, or pagesize")
-	kernel := flag.String("kernel", "vaxpy", "benchmark kernel")
-	n := flag.Int("n", 1024, "stream length (fixed unless -var length)")
-	mode := flag.String("mode", "smc", "controller: smc or natural")
-	fifo := flag.Int("fifo", 32, "FIFO depth (fixed unless -var fifo)")
-	parallel := flag.Int("parallel", 0, "worker count for the sweep (0 = GOMAXPROCS, 1 = serial)")
-	faults := flag.String("faults", "", `fault-degradation sweep "seed,severity[,severity...]": every controller and scheme under deterministic fault injection (overrides -var)`)
-	traceGen := flag.String("trace-gen", "", "sweep a generated trace instead of a kernel: a program spec (e.g. \"llm-kvcache:n=16384\") or @file for an NDJSON trace")
-	traceSeed := flag.Int64("trace-seed", 1, "trace generator seed (with -trace-gen)")
-	server := flag.String("server", "", "offload scenario execution to a running rdserved at this base URL (e.g. http://localhost:8347); repeated sweeps hit its result cache")
-	showVersion := flag.Bool("version", false, "print the version stamp and exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *showVersion {
-		fmt.Println(version.Stamp())
-		return
+// run parses args, runs the sweep they describe, and writes its CSV to
+// stdout and diagnostics to stderr. It returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	variable := fs.String("var", "fifo", "sweep variable: fifo, stride, banks, length, or pagesize")
+	kernel := fs.String("kernel", "vaxpy", "benchmark kernel")
+	n := fs.Int("n", 1024, "stream length (fixed unless -var length)")
+	mode := fs.String("mode", "smc", "controller: smc or natural")
+	fifo := fs.Int("fifo", 32, "FIFO depth (fixed unless -var fifo)")
+	parallel := fs.Int("parallel", 0, "worker count for the sweep (0 = GOMAXPROCS, 1 = serial)")
+	faults := fs.String("faults", "", `fault-degradation sweep "seed,severity[,severity...]": every controller and scheme under deterministic fault injection (overrides -var)`)
+	traceGen := fs.String("trace-gen", "", "sweep a generated trace instead of a kernel: a program spec (e.g. \"llm-kvcache:n=16384\") or @file for an NDJSON trace")
+	traceSeed := fs.Int64("trace-seed", 1, "trace generator seed (with -trace-gen)")
+	server := fs.String("server", "", "offload scenario execution to a running rdserved at this base URL (e.g. http://localhost:8347); repeated sweeps hit its result cache")
+	showVersion := fs.Bool("version", false, "print the version stamp and exit")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
 
-	ctrl, err := parseMode(*mode)
+	if *showVersion {
+		fmt.Fprintln(stdout, version.Stamp())
+		return 0
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "sweep: "+format+"\n", args...)
+		return 1
+	}
+
+	ctrl, err := sim.ParseMode(*mode)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 	defer stopProfiles()
 
 	if *faults != "" {
-		faultSweep(*faults, *kernel, *n, *parallel, *server)
-		return
+		if err := faultSweep(stdout, *faults, *kernel, *n, *parallel, *server); err != nil {
+			return fail("%v", err)
+		}
+		return 0
 	}
 
 	base := rdramstream.Scenario{
@@ -79,13 +97,11 @@ func main() {
 	if *traceGen != "" {
 		switch strings.ToLower(*variable) {
 		case "stride", "length":
-			fmt.Fprintf(os.Stderr, "sweep: -var %s sweeps a kernel parameter; traces have no stride or length knob\n", *variable)
-			os.Exit(1)
+			return fail("-var %s sweeps a kernel parameter; traces have no stride or length knob", *variable)
 		}
 		spec, _, err := rdramstream.TraceSpecFromArg(*traceGen, *traceSeed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		// Trace replay supersedes the kernel fields entirely.
 		base.KernelName, base.N = "", 0
@@ -136,32 +152,19 @@ func main() {
 			add(sc, pw)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "sweep: unknown variable %q\n", *variable)
-		os.Exit(1)
+		return fail("unknown variable %q", *variable)
 	}
 
 	outs, err := runner(*server)(scs, *parallel)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
-	fmt.Println("variable,value,scheme,percent_peak,mbps,cycles")
+	fmt.Fprintln(stdout, "variable,value,scheme,percent_peak,mbps,cycles")
 	for i, out := range outs {
-		fmt.Printf("%s,%d,%v,%.2f,%.2f,%d\n",
+		fmt.Fprintf(stdout, "%s,%d,%v,%.2f,%.2f,%d\n",
 			*variable, values[i], scs[i].Scheme, out.PercentPeak, out.EffectiveMBps, out.Cycles)
 	}
-}
-
-// parseMode maps a -mode value to its controller, accepting rdsim's
-// spellings case-insensitively and rejecting anything else.
-func parseMode(s string) (rdramstream.Controller, error) {
-	switch strings.ToLower(s) {
-	case "smc":
-		return rdramstream.SMC, nil
-	case "natural", "natural-order", "cache":
-		return rdramstream.NaturalOrder, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want smc or natural)", s)
+	return 0
 }
 
 // runner picks the execution strategy for a scenario list: in-process on
@@ -178,28 +181,25 @@ func runner(server string) func(scs []rdramstream.Scenario, workers int) ([]rdra
 	}
 }
 
-// faultSweep parses "seed,severity[,severity...]" and emits the fault
-// degradation of every controller × scheme as CSV. The same seed always
-// yields byte-identical output, at any worker count — CI diffs two runs to
-// hold that guarantee. The "# seed=…" header makes every artifact
+// faultSweep parses "seed,severity[,severity...]" and writes the fault
+// degradation of every controller × scheme as CSV to w. The same seed
+// always yields byte-identical output, at any worker count — CI diffs two
+// runs to hold that guarantee. The "# seed=…" header makes every artifact
 // self-describing: the table regenerates from the file alone.
-func faultSweep(spec, kernel string, n, workers int, server string) {
+func faultSweep(w io.Writer, spec, kernel string, n, workers int, server string) error {
 	fields := strings.Split(spec, ",")
 	if len(fields) < 2 {
-		fmt.Fprintf(os.Stderr, "sweep: -faults wants \"seed,severity[,severity...]\", got %q\n", spec)
-		os.Exit(1)
+		return fmt.Errorf("-faults wants \"seed,severity[,severity...]\", got %q", spec)
 	}
 	seed, err := strconv.ParseInt(strings.TrimSpace(fields[0]), 10, 64)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: -faults seed: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("-faults seed: %v", err)
 	}
 	var severities []int
 	for _, f := range fields[1:] {
 		sev, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || sev < 0 {
-			fmt.Fprintf(os.Stderr, "sweep: -faults severity %q: want a non-negative integer\n", f)
-			os.Exit(1)
+			return fmt.Errorf("-faults severity %q: want a non-negative integer", f)
 		}
 		severities = append(severities, sev)
 	}
@@ -208,18 +208,18 @@ func faultSweep(spec, kernel string, n, workers int, server string) {
 		return run(scs, workers)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
+		return err
 	}
 	sevStrs := make([]string, len(severities))
 	for i, s := range severities {
 		sevStrs[i] = strconv.Itoa(s)
 	}
-	fmt.Printf("# seed=%d severities=%s kernel=%s n=%d\n", seed, strings.Join(sevStrs, ","), kernel, n)
-	fmt.Println("severity,controller,scheme,percent_peak,percent_of_clean,cycles,rejections,jitter_cycles,refreshes,verified")
+	fmt.Fprintf(w, "# seed=%d severities=%s kernel=%s n=%d\n", seed, strings.Join(sevStrs, ","), kernel, n)
+	fmt.Fprintln(w, "severity,controller,scheme,percent_peak,percent_of_clean,cycles,rejections,jitter_cycles,refreshes,verified")
 	for _, p := range pts {
-		fmt.Printf("%d,%s,%s,%.2f,%.2f,%d,%d,%d,%d,%v\n",
+		fmt.Fprintf(w, "%d,%s,%s,%.2f,%.2f,%d,%d,%d,%d,%v\n",
 			p.Severity, p.Controller, p.SchemeName, p.PercentPeak, p.PercentOfClean,
 			p.Cycles, p.Rejections, p.JitterCycles, p.Refreshes, p.Verified)
 	}
+	return nil
 }

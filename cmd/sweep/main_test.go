@@ -1,39 +1,26 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"rdramstream"
 )
 
-// TestParseMode pins -mode to rdsim's spellings: every one of them
-// selects its controller, and anything else is an error rather than a
-// silent SMC run.
-func TestParseMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want rdramstream.Controller
-	}{
-		{"smc", rdramstream.SMC},
-		{"SMC", rdramstream.SMC},
-		{"natural", rdramstream.NaturalOrder},
-		{"natural-order", rdramstream.NaturalOrder},
-		{"Natural-Order", rdramstream.NaturalOrder},
-		{"cache", rdramstream.NaturalOrder},
-	} {
-		got, err := parseMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("parseMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
+// A sweep that fails after profiling started still writes both profiles.
+func TestFailedRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-var", "bogus", "-cpuprofile", cpu, "-memprofile", mem}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
 	}
-	for _, in := range []string{"bogus", "", "natural order", "conventional"} {
-		_, err := parseMode(in)
-		if err == nil {
-			t.Errorf("parseMode(%q) accepted a value rdsim rejects", in)
-			continue
-		}
-		if want := `unknown mode "` + in + `" (want smc or natural)`; err.Error() != want {
-			t.Errorf("parseMode(%q) error = %q, want %q", in, err, want)
+	if want := "sweep: unknown variable \"bogus\"\n"; stderr.String() != want {
+		t.Errorf("stderr %q, want %q", stderr.String(), want)
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(p), err)
 		}
 	}
 }

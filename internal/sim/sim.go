@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"rdramstream/internal/addrmap"
@@ -45,6 +46,18 @@ func (m Mode) String() string {
 		return "natural-order"
 	}
 	return "smc"
+}
+
+// ParseMode resolves a controller name, case-insensitively: "smc", or
+// "natural", "natural-order" or "cache" for the natural-order baseline.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "smc":
+		return SMC, nil
+	case "natural", "natural-order", "cache":
+		return NaturalOrder, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want smc or natural)", s)
 }
 
 // Scenario describes one simulation.

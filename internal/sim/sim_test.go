@@ -171,3 +171,37 @@ func TestWriteAllocateScenario(t *testing.T) {
 		t.Error("write-allocate run must still verify")
 	}
 }
+
+// TestParseMode pins -mode's spellings: every one selects its controller
+// in any case, each Mode's String form parses back to it, and anything
+// else is an error rather than a silent SMC run.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{NaturalOrder, SMC} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want Mode
+	}{
+		{"smc", SMC},
+		{"SMC", SMC},
+		{"natural", NaturalOrder},
+		{"natural-order", NaturalOrder},
+		{"Natural-Order", NaturalOrder},
+		{"cache", NaturalOrder},
+	} {
+		for _, in := range []string{tc.in, strings.ToUpper(tc.in), strings.ToLower(tc.in)} {
+			if got, err := ParseMode(in); err != nil || got != tc.want {
+				t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, tc.want)
+			}
+		}
+	}
+	for _, in := range []string{"bogus", "", "natural order", "conventional"} {
+		_, err := ParseMode(in)
+		if want := `unknown mode "` + in + `" (want smc or natural)`; err == nil || err.Error() != want {
+			t.Errorf("ParseMode(%q) error = %v, want %q", in, err, want)
+		}
+	}
+}

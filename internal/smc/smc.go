@@ -47,6 +47,20 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy resolves an MSU policy name, case-insensitively: each
+// policy's String form, its unhyphenated form, or its initials.
+func ParsePolicy(s string) (Policy, error) {
+	switch strings.ToLower(s) {
+	case "roundrobin", "round-robin", "rr":
+		return RoundRobin, nil
+	case "bankaware", "bank-aware", "ba":
+		return BankAware, nil
+	case "hitfirst", "hit-first", "hf":
+		return HitFirst, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q", s)
+}
+
 // Config parameterizes an SMC simulation.
 type Config struct {
 	// Scheme pairs the interleaving with its precharge policy, as in the

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rdramstream/internal/addrmap"
@@ -336,5 +337,43 @@ func TestCPUStallAccounting(t *testing.T) {
 	}
 	if res.CPUStallCycles >= res.Cycles {
 		t.Errorf("stall %d exceeds total %d", res.CPUStallCycles, res.Cycles)
+	}
+}
+
+// TestParsePolicy pins -policy's spellings: each Policy's String form
+// parses back to it, every alias is accepted in any case, and anything
+// else is an error naming the input.
+func TestParsePolicy(t *testing.T) {
+	for _, p := range []Policy{RoundRobin, BankAware, HitFirst} {
+		if got, err := ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want Policy
+	}{
+		{"roundrobin", RoundRobin},
+		{"round-robin", RoundRobin},
+		{"rr", RoundRobin},
+		{"bankaware", BankAware},
+		{"bank-aware", BankAware},
+		{"ba", BankAware},
+		{"hitfirst", HitFirst},
+		{"hit-first", HitFirst},
+		{"hf", HitFirst},
+		{"Hit-First", HitFirst},
+	} {
+		for _, in := range []string{tc.in, strings.ToUpper(tc.in), strings.ToLower(tc.in)} {
+			if got, err := ParsePolicy(in); err != nil || got != tc.want {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, tc.want)
+			}
+		}
+	}
+	for _, in := range []string{"bogus", "", "round robin", "fifo"} {
+		_, err := ParsePolicy(in)
+		if want := `unknown policy "` + in + `"`; err == nil || err.Error() != want {
+			t.Errorf("ParsePolicy(%q) error = %v, want %q", in, err, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
@@ -25,6 +26,18 @@ func (p Placement) String() string {
 		return "aligned"
 	}
 	return "staggered"
+}
+
+// ParsePlacement resolves a placement name, case-insensitively:
+// "staggered" or "aligned".
+func ParsePlacement(s string) (Placement, error) {
+	switch strings.ToLower(s) {
+	case "staggered":
+		return Staggered, nil
+	case "aligned":
+		return Aligned, nil
+	}
+	return 0, fmt.Errorf("unknown placement %q", s)
 }
 
 // Layout assigns base addresses to vectors with the given footprints

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"strings"
 	"testing"
 
 	"rdramstream/internal/addrmap"
@@ -99,5 +100,37 @@ func TestMustLayoutPanics(t *testing.T) {
 func TestPlacementString(t *testing.T) {
 	if Aligned.String() != "aligned" || Staggered.String() != "staggered" {
 		t.Error("placement strings wrong")
+	}
+}
+
+// TestParsePlacement pins -placement's spellings: each Placement's
+// String form parses back to it, every alias is accepted in any case,
+// and anything else is an error naming the input.
+func TestParsePlacement(t *testing.T) {
+	for _, p := range []Placement{Aligned, Staggered} {
+		if got, err := ParsePlacement(p.String()); err != nil || got != p {
+			t.Errorf("ParsePlacement(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want Placement
+	}{
+		{"staggered", Staggered},
+		{"Staggered", Staggered},
+		{"aligned", Aligned},
+		{"Aligned", Aligned},
+	} {
+		for _, in := range []string{tc.in, strings.ToUpper(tc.in), strings.ToLower(tc.in)} {
+			if got, err := ParsePlacement(in); err != nil || got != tc.want {
+				t.Errorf("ParsePlacement(%q) = %v, %v; want %v", in, got, err, tc.want)
+			}
+		}
+	}
+	for _, in := range []string{"bogus", "", "stagger", "align"} {
+		_, err := ParsePlacement(in)
+		if want := `unknown placement "` + in + `"`; err == nil || err.Error() != want {
+			t.Errorf("ParsePlacement(%q) error = %v, want %q", in, err, want)
+		}
 	}
 }

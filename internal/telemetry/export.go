@@ -10,7 +10,7 @@ import (
 )
 
 // Report is a JSON-friendly snapshot of a Collector, the payload behind
-// rdsim -metrics-out and rdprof's metrics.json.
+// the metrics.json of rdsim -profile.
 type Report struct {
 	Cycles      int64 `json:"cycles"`
 	Window      int64 `json:"windowCycles"`
