@@ -4,14 +4,16 @@
 // scenario timed at the row's baseline commit, the last one before the
 // change the row pins (see docs/PERFORMANCE.md).
 //
-// With -check <file> it instead re-times the gated scenarios and exits
-// non-zero if any regresses more than 2x over the committed
-// afterNsPerOp — the CI backstop that keeps the speedups from silently
-// eroding. Only the multi-ms scenarios are gated — the long streams,
-// timing-only and verified for each of the SMC and natural order,
-// timing-only for the conventional controller, and a reordered trace
-// replay: at several ms/run their min-of-N timing is stable on shared
-// CI runners, where the sub-ms scenarios are not.
+// With -check <file> it instead re-times the scenarios and exits
+// non-zero if a gated one regresses more than 2x over the committed
+// afterNsPerOp, or if any one allocates more per run than its committed
+// afterAllocsPerOp — the CI backstop that keeps the speedups from
+// silently eroding. Only the multi-ms scenarios are time-gated — the
+// long streams, timing-only and verified for each of the SMC and natural
+// order, timing-only for the conventional controller, and a reordered
+// trace replay: at several ms/run their min-of-N timing is stable on
+// shared CI runners, where the sub-ms scenarios are not. Allocation
+// counts are exact, so every row is allocation-gated.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"rdramstream"
@@ -186,23 +189,30 @@ func timeCore(sc rdramstream.Scenario, iters int) int64 {
 	return best
 }
 
-// allocsCore measures heap allocations per run via MemStats deltas.
-// A warm-up run first fills the scratch pools so the steady-state
-// (sweep-loop) allocation count is what gets reported.
+// allocsCore measures heap allocations per run via MemStats deltas: the
+// fewest any of a few runs made, after a warm-up run fills the scratch
+// pools, with the collector paused so a collection cannot empty a pool
+// mid-measurement. That is the steady-state (sweep-loop) count, exact
+// enough for -check to gate on.
 func allocsCore(sc rdramstream.Scenario) int64 {
 	if _, err := rdramstream.Simulate(sc); err != nil {
 		fatalf("bench-core: %v", err)
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const iters = 3
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	best := int64(-1)
 	for i := 0; i < iters; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		if _, err := rdramstream.Simulate(sc); err != nil {
 			fatalf("bench-core: %v", err)
 		}
+		runtime.ReadMemStats(&m1)
+		if n := int64(m1.Mallocs - m0.Mallocs); best < 0 || n < best {
+			best = n
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	return int64(m1.Mallocs-m0.Mallocs) / iters
+	return best
 }
 
 // runCoreBench times every pinned scenario and writes the comparison.
@@ -218,10 +228,13 @@ func runCoreBench(iters int, outPath string) {
 			"maps, timing-only runs included; " + guardCommit + " is where the " +
 			"conventional and trace-replay rows were first timed (regression " +
 			"guards, no speedup pinned). after = current build, with the " +
-			"page-table functional store and one paged word image for " +
-			"seed/verify and store capture. ns/op is the min wall time over the " +
+			"page-table functional store, one paged word image for " +
+			"seed/verify and store capture, a memory cursor that maps once " +
+			"per run of contiguous words, and an SMC that plans packets on " +
+			"demand. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
-			"delta per run after a pool-warming iteration. See docs/PERFORMANCE.md.",
+			"delta per run after a pool-warming iteration, the fewest of three " +
+			"runs with the collector paused. See docs/PERFORMANCE.md.",
 	}
 	for _, c := range coreCases() {
 		timeCore(c.sc, 1) // warm-up
@@ -249,8 +262,11 @@ func runCoreBench(iters int, outPath string) {
 	fmt.Printf("-> %s\n", outPath)
 }
 
-// checkCoreBench re-times the gated scenarios against a committed
-// BENCH_core_speed.json and fails on a >2x ns/op regression.
+// checkCoreBench re-times the pinned scenarios against a committed
+// BENCH_core_speed.json. It fails when a gated scenario runs >2x slower
+// than its committed ns/op, or when any scenario allocates more per run
+// than its committed allocs/op: allocation counts are exact, so that
+// gate holds on every row, even where timings are too noisy to gate.
 func checkCoreBench(path string, iters int) {
 	if iters < 1 {
 		iters = 1
@@ -284,10 +300,16 @@ func checkCoreBench(path string, iters int) {
 				failed = true
 			}
 		}
-		fmt.Printf("%-30s committed %9d ns, now %9d ns (%.2fx) [%s]\n",
-			c.name, e.AfterNsPerOp, ns, ratio, status)
+		al := allocsCore(c.sc)
+		alStatus := "ok"
+		if al > e.AfterAllocsPerOp {
+			alStatus = "ALLOC REGRESSION"
+			failed = true
+		}
+		fmt.Printf("%-30s committed %9d ns, now %9d ns (%.2fx) [%s]; allocs committed %d, now %d [%s]\n",
+			c.name, e.AfterNsPerOp, ns, ratio, status, e.AfterAllocsPerOp, al, alStatus)
 	}
 	if failed {
-		fatalf("bench-core check: a gated scenario regressed >2x vs %s", path)
+		fatalf("bench-core check: a scenario regressed (>2x ns/op on a gated row, or allocs/op above committed) vs %s", path)
 	}
 }

@@ -135,10 +135,24 @@ func (m *Mapper) CapacityWords() int64 {
 
 // Map converts a word address to its device location.
 func (m *Mapper) Map(addr int64) Loc {
+	loc, _ := m.Run(addr)
+	return loc
+}
+
+// Run converts a word address to its device location like Map, and also
+// returns n >= 1, the length of the run that starts at addr: the words
+// addr, addr+1, ..., addr+n-1 sit at consecutive word positions of one
+// device page (same bank and row), and addr+n does not continue them.
+// Under CLI a run is the rest of addr's cacheline, under PI the rest of
+// its page. Walks over contiguous words map once per run instead of once
+// per word.
+// rdlint:hotpath
+func (m *Mapper) Run(addr int64) (Loc, int) {
 	if addr < 0 || addr >= m.CapacityWords() {
 		panic(fmt.Sprintf("addrmap: address %d out of range [0,%d)", addr, m.CapacityWords()))
 	}
 	var loc Loc
+	var inPage, n int
 	switch m.scheme {
 	case CLI:
 		line := addr / int64(m.lineWords)
@@ -146,18 +160,18 @@ func (m *Mapper) Map(addr int64) Loc {
 		loc.Bank = int(line % int64(m.banks))
 		bankLine := line / int64(m.banks)
 		loc.Row = int(bankLine / int64(m.linesPerPage))
-		inPage := int(bankLine%int64(m.linesPerPage))*m.lineWords + inLine
-		loc.Col = inPage / rdram.WordsPerPacket
-		loc.Word = inPage % rdram.WordsPerPacket
+		inPage = int(bankLine%int64(m.linesPerPage))*m.lineWords + inLine
+		n = m.lineWords - inLine
 	case PI:
 		page := addr / int64(m.pageWords)
-		inPage := int(addr % int64(m.pageWords))
+		inPage = int(addr % int64(m.pageWords))
 		loc.Bank = int(page % int64(m.banks))
 		loc.Row = int(page / int64(m.banks))
-		loc.Col = inPage / rdram.WordsPerPacket
-		loc.Word = inPage % rdram.WordsPerPacket
+		n = m.pageWords - inPage
 	}
-	return loc
+	loc.Col = inPage / rdram.WordsPerPacket
+	loc.Word = inPage % rdram.WordsPerPacket
+	return loc, n
 }
 
 // Unmap is the inverse of Map. New rejects schemes outside {CLI, PI}, so

@@ -70,21 +70,25 @@ func (w *Walker) Remaining() int {
 	return total - done
 }
 
-// Next yields the next access in natural order. ok is false when the
-// kernel is exhausted. A write access's Value is computed on demand; Next
+// Next writes the next access in natural order into *a and reports
+// whether there was one; at the end of the kernel it returns false and
+// leaves *a untouched. A write access's Value is computed on demand; Next
 // panics if the iteration's reads were not all supplied first, since that
-// is a controller bug (a store issued before its operands arrived).
-func (w *Walker) Next() (a Access, ok bool) {
+// is a controller bug (a store issued before its operands arrived). The
+// access is filled in place because the front end calls Next once per
+// access and keeps the pending access in its own struct: returning it by
+// value, then copying it there, was a visible share of an SMC run.
+// rdlint:hotpath
+func (w *Walker) Next(a *Access) bool {
 	if w.iter >= w.n {
-		return Access{}, false
+		return false
 	}
-	s := w.k.Streams[w.pos]
-	a = Access{
-		Stream: w.pos,
-		Elem:   w.iter,
-		Addr:   s.Addr(w.iter),
-		Write:  s.Mode == stream.Write,
-	}
+	s := &w.k.Streams[w.pos]
+	a.Stream = w.pos
+	a.Elem = w.iter
+	a.Addr = s.Addr(w.iter)
+	a.Write = s.Mode == stream.Write
+	a.Value = 0
 	if a.Write {
 		if !w.haveWrites {
 			if w.supplied != w.nr {
@@ -116,7 +120,7 @@ func (w *Walker) Next() (a Access, ok bool) {
 		w.supplied = 0
 		w.haveWrites = false
 	}
-	return a, true
+	return true
 }
 
 // SupplyRead provides the loaded value for the oldest outstanding read

@@ -22,8 +22,8 @@ func TestWalkerNaturalOrder(t *testing.T) {
 		if i < len(wantAddrs) && w.Remaining() != len(wantAddrs)-i {
 			t.Errorf("step %d: Remaining = %d, want %d", i, w.Remaining(), len(wantAddrs)-i)
 		}
-		a, ok := w.Next()
-		if !ok {
+		var a Access
+		if !w.Next(&a) {
 			if i != len(wantAddrs) {
 				t.Fatalf("walker ended after %d accesses, want %d", i, len(wantAddrs))
 			}
@@ -58,14 +58,15 @@ func TestWalkerLazySupply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0, _ := w.Next()
-	a1, _ := w.Next()
+	var a0, a1, st Access
+	w.Next(&a0)
+	w.Next(&a1)
 	if a0.Write || a1.Write {
 		t.Fatal("first two accesses should be reads")
 	}
 	w.SupplyRead(math.Float64bits(3))
 	w.SupplyRead(math.Float64bits(4))
-	st, _ := w.Next()
+	w.Next(&st)
 	if !st.Write || math.Float64frombits(st.Value) != 7 {
 		t.Fatalf("store = %+v, want value 7", st)
 	}
@@ -82,13 +83,14 @@ func TestWalkerRejectsInvalidKernel(t *testing.T) {
 func TestWalkerPanicsOnWriteBeforeSupply(t *testing.T) {
 	k := stream.Copy(0, 100, 2, 1)
 	w, _ := NewWalker(k)
-	w.Next() // read, never supplied
+	var a Access
+	w.Next(&a) // read, never supplied
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic when write consumed before reads supplied")
 		}
 	}()
-	w.Next() // write
+	w.Next(&a) // write
 }
 
 func TestWalkerPanicsOnOverSupply(t *testing.T) {
@@ -121,8 +123,8 @@ func TestWalkerFullFunctionalAgainstReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		a, ok := w.Next()
-		if !ok {
+		var a Access
+		if !w.Next(&a) {
 			break
 		}
 		if a.Write {

@@ -7,11 +7,102 @@ import (
 	"rdramstream/internal/telemetry"
 )
 
-// peek reads one word from device storage through the mapper without
-// advancing time: StoreValues' read of a word the kernel has not stored.
-func peek(dev *rdram.Device, m *addrmap.Mapper, addr int64) uint64 {
-	loc := m.Map(addr)
-	return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
+// cursorRuns is how many runs a Cursor holds: one per stream of a walk
+// that interleaves streams (StoreValues' loads, natural order's lines),
+// enough for the paper's kernels, whose widest reads three streams and
+// writes a fourth.
+const cursorRuns = 4
+
+// Cursor maps word addresses to device locations and reads and writes
+// device memory by word address without advancing time. It pays for the
+// address map once per run (addrmap.Mapper.Run: the rest of a cacheline
+// under CLI, of a page under PI) and for the device's page lookup once
+// per run that touches data, instead of once per word: every later
+// address inside a run it holds costs an index. It holds the last few
+// runs, so walks that interleave a handful of streams keep each one's.
+// On a timing-only device Peek returns 0 and Poke stores nothing. A
+// Cursor is a value: the zero value is unusable, NewCursor builds one.
+type Cursor struct {
+	dev  *rdram.Device
+	m    *addrmap.Mapper
+	runs [cursorRuns]cursorRun
+	last int // the run the latest address fell in, checked first
+	next int // the run the next miss replaces, round robin
+}
+
+// cursorRun is one run a Cursor holds: addresses [lo, hi) at consecutive
+// words of page (bank, row), starting at in-page word at.
+type cursorRun struct {
+	lo, hi    int64
+	bank, row int
+	at        int
+	page      []uint64 // the page's words, fetched on first data access
+}
+
+// NewCursor builds a cursor over dev's memory under mapper m.
+func NewCursor(dev *rdram.Device, m *addrmap.Mapper) Cursor {
+	return Cursor{dev: dev, m: m}
+}
+
+// find returns the run holding addr, mapping a new one over the oldest
+// when none does, and addr's in-page word index. It panics with the
+// mapper's message on an address outside the device.
+// rdlint:hotpath
+func (c *Cursor) find(addr int64) (*cursorRun, int) {
+	if r := &c.runs[c.last]; addr >= r.lo && addr < r.hi {
+		return r, r.at + int(addr-r.lo)
+	}
+	for i := range c.runs {
+		if r := &c.runs[i]; addr >= r.lo && addr < r.hi {
+			c.last = i
+			return r, r.at + int(addr-r.lo)
+		}
+	}
+	loc, n := c.m.Run(addr)
+	i := c.next
+	c.next = (i + 1) % cursorRuns
+	c.last = i
+	r := &c.runs[i]
+	r.lo, r.hi = addr, addr+int64(n)
+	r.bank, r.row = loc.Bank, loc.Row
+	r.at = loc.Col*rdram.WordsPerPacket + loc.Word
+	r.page = nil
+	return r, r.at
+}
+
+// Loc returns addr's device location, as Mapper.Map does.
+// rdlint:hotpath
+func (c *Cursor) Loc(addr int64) addrmap.Loc {
+	r, w := c.find(addr)
+	return addrmap.Loc{Bank: r.bank, Row: r.row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket}
+}
+
+// Peek returns the word stored at addr.
+// rdlint:hotpath
+func (c *Cursor) Peek(addr int64) uint64 {
+	r, w := c.find(addr)
+	if p := c.page(r); p != nil {
+		return p[w]
+	}
+	return 0
+}
+
+// Poke stores v at addr.
+// rdlint:hotpath
+func (c *Cursor) Poke(addr int64, v uint64) {
+	r, w := c.find(addr)
+	if p := c.page(r); p != nil {
+		p[w] = v
+	}
+}
+
+// page returns r's device page, nil on a timing-only device.
+// rdlint:hotpath
+func (c *Cursor) page(r *cursorRun) []uint64 {
+	if r.page == nil {
+		r.page = c.dev.Page(r.bank, r.row)
+	}
+	return r.page
 }
 
 // StoreValues functionally executes the kernel and returns an image of
@@ -28,12 +119,13 @@ func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) *Image 
 		return img
 	}
 	img.Reset(k)
+	cur := NewCursor(dev, m)
 	k.Replay(
 		func(addr int64) uint64 {
 			if v, ok := img.Get(addr); ok {
 				return v
 			}
-			return peek(dev, m, addr)
+			return cur.Peek(addr)
 		},
 		img.Set,
 	)

@@ -73,12 +73,11 @@ func (fe *FrontEnd) Done() bool { return fe.done }
 func (fe *FrontEnd) Advance(limit int64, p Ports) {
 	for {
 		if !fe.hasPending {
-			a, ok := fe.walker.Next()
-			if !ok {
+			if !fe.walker.Next(&fe.pending) {
 				fe.done = true
 				return
 			}
-			fe.pending, fe.hasPending = a, true
+			fe.hasPending = true
 		}
 		a := &fe.pending
 		var wait int64

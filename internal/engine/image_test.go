@@ -60,7 +60,8 @@ func randomAliasingKernel(r *rand.Rand) *stream.Kernel {
 }
 
 // refStoreValues is the map-backed store capture the image replaced, kept
-// as the reference the property test compares against.
+// as the reference the property test compares against. It reads unstored
+// words one Map and PeekWord at a time, independently of Cursor.
 func refStoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[int64]uint64 {
 	vals := make(map[int64]uint64)
 	k.Replay(
@@ -68,7 +69,8 @@ func refStoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[
 			if v, ok := vals[addr]; ok {
 				return v
 			}
-			return peek(dev, m, addr)
+			loc := m.Map(addr)
+			return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
 		},
 		func(addr int64, v uint64) { vals[addr] = v },
 	)

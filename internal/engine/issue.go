@@ -42,8 +42,9 @@ func Issue(dev *rdram.Device, at int64, req rdram.Request) (rdram.Result, error)
 		backoff = 4
 	}
 	t := at
+	var res rdram.Result
 	for attempt := 1; attempt <= MaxIssueAttempts; attempt++ {
-		if res, ok := dev.Attempt(t, req); ok {
+		if dev.Attempt(t, &req, &res) {
 			return res, nil
 		}
 		t += backoff

@@ -71,7 +71,6 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 		workers = n
 	}
 	results := make([]T, n)
-	errs := make([]error, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -84,6 +83,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 		}
 		return results, nil
 	}
+	errs := make([]error, n)
 	var next atomic.Int64
 	// minFail is the lowest failing index seen so far; n means "none".
 	// Workers skip queued jobs above it but still run every lower index, so

@@ -140,7 +140,7 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	s := &sim{dev: dev, mapper: mapper, cfg: cfg, window: engine.NewWindow(cfg.Outstanding)}
+	s := &sim{dev: dev, mem: engine.NewCursor(dev, mapper), cfg: cfg, window: engine.NewWindow(cfg.Outstanding)}
 	// The natural-order processor issues in order: the bus waits on the
 	// previous iteration's operands, not on an absent request stream.
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallDependency)
@@ -185,9 +185,9 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 }
 
 type sim struct {
-	dev    *rdram.Device
-	mapper *addrmap.Mapper
-	cfg    Config
+	dev *rdram.Device
+	mem engine.Cursor // packet locations and read-merge words
+	cfg Config
 
 	cursor int64          // first-command time of the most recent transaction
 	window *engine.Window // pipeline of outstanding transactions
@@ -297,7 +297,7 @@ func (s *sim) fetchLine(line, at int64, autoPre bool, dst []int64) ([]int64, err
 	starts := dst[:0]
 	var complete int64
 	for p := 0; p < packets; p++ {
-		loc := s.mapper.Map(base + int64(p*rdram.WordsPerPacket))
+		loc := s.mem.Loc(base + int64(p*rdram.WordsPerPacket))
 		res, err := engine.Issue(s.dev, at, rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 			AutoPrecharge: autoPre && p == packets-1,
@@ -331,13 +331,14 @@ func (s *sim) writeLine(line, at int64, autoPre bool, storeVals *engine.Image) e
 	var complete int64
 	for p := 0; p < packets; p++ {
 		addr := base + int64(p*rdram.WordsPerPacket)
-		loc := s.mapper.Map(addr)
+		loc := s.mem.Loc(addr)
 		var data [rdram.WordsPerPacket]uint64
-		for w := 0; w < rdram.WordsPerPacket; w++ {
-			if v, ok := storeVals.Get(addr + int64(w)); ok {
+		for w := range data {
+			a := addr + int64(w)
+			if v, ok := storeVals.Get(a); ok {
 				data[w] = v
 			} else {
-				data[w] = s.dev.PeekWord(loc.Bank, loc.Row, loc.Col, w)
+				data[w] = s.mem.Peek(a)
 			}
 		}
 		res, err := engine.Issue(s.dev, at, rdram.Request{

@@ -346,27 +346,31 @@ func (d *Device) maybeRefresh(at int64) {
 // callers must use Attempt (directly or through engine.Issue's bounded
 // retry path) instead.
 func (d *Device) Do(at int64, req Request) Result {
-	res, ok := d.Attempt(at, req)
-	if !ok {
+	var res Result
+	if !d.Attempt(at, &req, &res) {
 		panic(fmt.Sprintf("rdram: access rejected under fault injection (bank=%d row=%d col=%d at=%d); use Attempt or engine.Issue on fault-injected devices", req.Bank, req.Row, req.Col, at))
 	}
 	return res
 }
 
 // Attempt performs one packet access like Do, but consults the fault
-// injector first: a rejected access returns ok=false with no device state
-// change (beyond the Stats.Rejections count), and an accepted access may
-// carry bounded additive latency on its t_RCD/t_CAC/t_RP terms. With no
-// injector attached Attempt always accepts and is exactly Do.
+// injector first: a rejected access returns false with no device state
+// change (beyond the Stats.Rejections count) and leaves *res untouched,
+// and an accepted access may carry bounded additive latency on its
+// t_RCD/t_CAC/t_RP terms. An accepted access's packet times (and a read's
+// data) land in *res. With no injector attached Attempt always accepts
+// and is exactly Do. The request and result travel by pointer: this is
+// every controller's per-packet call, and copying them in and out by
+// value was a measurable share of an SMC run.
 // rdlint:hotpath
-func (d *Device) Attempt(at int64, req Request) (Result, bool) {
+func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 	d.checkAddr(req.Bank, req.Row, req.Col)
 	var fault AccessFault
 	if d.Faults != nil {
 		fault = d.Faults.OnAccess(at, req.Bank, req.Write)
 		if fault.Reject {
 			d.stats.Rejections++
-			return Result{}, false
+			return false
 		}
 	}
 	if d.cfg.RefreshInterval > 0 {
@@ -379,7 +383,7 @@ func (d *Device) Attempt(at int64, req Request) (Result, bool) {
 	// packet begins, for stall-cause attribution.
 	prevDataFree := d.dataBusFree
 
-	res := Result{PreIssue: -1, ActIssue: -1}
+	*res = Result{PreIssue: -1, ActIssue: -1}
 	earliestCol := at
 	switch {
 	case bk.open && bk.row == req.Row:
@@ -461,7 +465,7 @@ func (d *Device) Attempt(at int64, req Request) (Result, bool) {
 	res.DataEnd = de
 
 	if d.Telemetry != nil {
-		d.attributeIdle(prevDataFree, at, trwBound, rcdReady, ds, &res)
+		d.attributeIdle(prevDataFree, at, trwBound, rcdReady, ds, res)
 		d.Telemetry.OnColumn(req.Bank, req.Write, tc, tc+int64(t.TPack))
 		d.Telemetry.OnData(req.Bank, req.Write, ds, de)
 	}
@@ -493,7 +497,7 @@ func (d *Device) Attempt(at int64, req Request) (Result, bool) {
 	if req.AutoPrecharge {
 		d.prechargeAt(req.Bank, tc, false)
 	}
-	return res, true
+	return true
 }
 
 // attributeIdle charges every idle DATA-bus cycle in [prevFree, ds) —
@@ -692,6 +696,21 @@ func (p *PagePool) get(words int) []uint64 {
 }
 
 func (p *PagePool) put(pg []uint64) { p.free = append(p.free, pg) }
+
+// Page returns the functional store's words of page (bank, row), zero
+// filled on first touch, for callers that read or write many words of one
+// page without advancing time: seeding, verification, store capture. Word
+// i of the slice is column i/WordsPerPacket, word i%WordsPerPacket. Writes
+// through the slice are writes to the device. On a timing-only device it
+// returns nil and allocates nothing. It panics on an address outside the
+// geometry, like every other accessor.
+func (d *Device) Page(bank, row int) []uint64 {
+	d.checkAddr(bank, row, 0)
+	if d.noStore {
+		return nil
+	}
+	return d.pageSlot(bank, row)
+}
 
 // PeekWord returns the stored 64-bit word at the given packet-level
 // coordinates plus word offset, for functional verification in tests.

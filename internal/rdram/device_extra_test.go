@@ -1,6 +1,7 @@
 package rdram
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -166,5 +167,73 @@ func TestRefreshOnOpenBank(t *testing.T) {
 	}
 	if d.Stats().Refreshes == 0 {
 		t.Error("no refreshes recorded")
+	}
+}
+
+// TestPagePanicsOutOfRange checks that Page keeps the device's address
+// check: a bank or row outside the geometry panics through checkAddr,
+// functional and timing-only devices alike.
+func TestPagePanicsOutOfRange(t *testing.T) {
+	g := DefaultGeometry()
+	for _, timingOnly := range []bool{false, true} {
+		for _, c := range []struct{ bank, row int }{
+			{-1, 0}, {g.Banks, 0}, {0, -1}, {0, g.PagesPerBank},
+		} {
+			d := newTestDevice(t)
+			d.SetTimingOnly(timingOnly)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					want := fmt.Sprintf("rdram: address out of range: bank=%d row=%d col=0", c.bank, c.row)
+					if !strings.HasPrefix(msg, want) {
+						t.Errorf("timing-only %v: Page(%d, %d) panicked with %q, want prefix %q", timingOnly, c.bank, c.row, msg, want)
+					}
+				}()
+				d.Page(c.bank, c.row)
+			}()
+		}
+	}
+}
+
+// TestPageIsTheFunctionalStore checks that Page's words are the device's
+// memory: zero on first touch, writes through the slice are what reads
+// and PeekWord see, and one page's slice is stable across calls.
+func TestPageIsTheFunctionalStore(t *testing.T) {
+	d := newTestDevice(t)
+	p := d.Page(3, 17)
+	if len(p) != DefaultGeometry().PageWords {
+		t.Fatalf("page has %d words, want %d", len(p), DefaultGeometry().PageWords)
+	}
+	for i, v := range p {
+		if v != 0 {
+			t.Fatalf("fresh page word %d = %#x, want 0", i, v)
+		}
+	}
+	p[9] = 0xabc // column 4, word 1
+	if got := d.PeekWord(3, 17, 4, 1); got != 0xabc {
+		t.Errorf("PeekWord after a write through Page = %#x", got)
+	}
+	if res := d.Do(0, Request{Bank: 3, Row: 17, Col: 4}); res.Data[1] != 0xabc {
+		t.Errorf("read after a write through Page = %#x", res.Data)
+	}
+	d.PokeWord(3, 17, 0, 0, 7)
+	if q := d.Page(3, 17); &q[0] != &p[0] || q[0] != 7 {
+		t.Errorf("Page returned a different slice, or missed PokeWord's store")
+	}
+}
+
+// TestPageTimingOnlyAllocatesNothing pins SetTimingOnly's contract for
+// Page: it returns nil and never allocates the page table.
+func TestPageTimingOnlyAllocatesNothing(t *testing.T) {
+	d := newTestDevice(t)
+	d.SetTimingOnly(true)
+	if p := d.Page(0, 0); p != nil {
+		t.Errorf("timing-only Page = %d words, want nil", len(p))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.Page(5, 100) }); allocs != 0 {
+		t.Errorf("timing-only Page allocated %v times per call", allocs)
+	}
+	if d.pageTable != nil || d.pages != nil {
+		t.Errorf("timing-only Page allocated the page table (%d entries, %d pages)", len(d.pageTable), len(d.pages))
 	}
 }

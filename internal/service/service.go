@@ -239,7 +239,7 @@ type Service struct {
 	queue    []*task         // guarded by mu
 	closed   bool            // guarded by mu
 	jobs     map[string]*Job // guarded by mu
-	jobOrder []string        // guarded by mu; submission order, for retention eviction
+	jobOrder []*Job          // guarded by mu; submission order, for retention eviction
 	nextJob  int64           // guarded by mu
 
 	obsv *obs.Observer
@@ -396,7 +396,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 		job.ready[i] = make(chan struct{})
 	}
 	s.jobs[job.id] = job
-	s.jobOrder = append(s.jobOrder, job.id)
+	s.jobOrder = append(s.jobOrder, job)
 	s.evictJobsLocked()
 	now := s.obsv.Now()
 	next := 0 // hits are in index order; skip each as the loop reaches it
@@ -447,27 +447,42 @@ func (s *Service) finishHits(job *Job, scs []sim.Scenario, hits []memoryHit) {
 }
 
 // evictJobsLocked drops the oldest finished jobs beyond the retention
-// bound. Unfinished jobs are never evicted, whatever their age.
+// bound. Unfinished jobs are never evicted, whatever their age. Jobs
+// usually finish in submission order, so eviction pops the front of
+// jobOrder, O(1) amortized per Submit; only while the oldest job is
+// still unfinished does it scan past it for finished ones.
 func (s *Service) evictJobsLocked() {
 	excess := len(s.jobOrder) - s.jobRetention
+	for excess > 0 && s.jobOrder[0].finished() {
+		delete(s.jobs, s.jobOrder[0].id)
+		s.jobOrder[0] = nil
+		s.jobOrder = s.jobOrder[1:]
+		excess--
+	}
 	if excess <= 0 {
 		return
 	}
 	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		j := s.jobs[id]
-		if excess > 0 && j != nil {
-			select {
-			case <-j.done:
-				delete(s.jobs, id)
-				excess--
-				continue
-			default:
-			}
+	for _, j := range s.jobOrder {
+		if excess > 0 && j.finished() {
+			delete(s.jobs, j.id)
+			excess--
+			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, j)
 	}
+	clear(s.jobOrder[len(kept):])
 	s.jobOrder = kept
+}
+
+// finished reports whether every scenario of the job is terminal.
+func (j *Job) finished() bool {
+	select {
+	case <-j.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Job looks a job up by ID.

@@ -249,3 +249,64 @@ func TestMetricsAggregateStalls(t *testing.T) {
 		t.Errorf("cache hit changed stall aggregates: %d -> %d", total, total2)
 	}
 }
+
+// TestEvictJobsOldestFinishedFirst pins the retention order: beyond
+// JobRetention the oldest finished jobs go first, finished jobs behind
+// an unfinished oldest one are found and dropped, and an unfinished job
+// is never dropped, even when that leaves the service over its bound.
+func TestEvictJobsOldestFinishedFirst(t *testing.T) {
+	s := &Service{jobs: map[string]*Job{}, jobRetention: 2}
+	jobs := map[string]*Job{}
+	submit := func(id string, finished bool) {
+		j := &Job{id: id, done: make(chan struct{})}
+		if finished {
+			close(j.done)
+		}
+		jobs[id] = j
+		s.mu.Lock()
+		s.jobs[id] = j
+		s.jobOrder = append(s.jobOrder, j)
+		s.evictJobsLocked()
+		s.mu.Unlock()
+	}
+	retained := func() string {
+		var ids []string
+		for _, j := range s.jobOrder {
+			ids = append(ids, j.id)
+			if _, err := s.Job(j.id); err != nil {
+				t.Errorf("job %s is in the retention order but not queryable: %v", j.id, err)
+			}
+		}
+		if len(s.jobs) != len(ids) {
+			t.Errorf("%d jobs queryable, %d in the retention order", len(s.jobs), len(ids))
+		}
+		return strings.Join(ids, " ")
+	}
+	for _, step := range []struct {
+		id       string
+		finished bool
+		finish   string // a job that finishes before this submission
+		want     string
+	}{
+		{id: "a", finished: true, want: "a"},
+		{id: "b", finished: true, want: "a b"},
+		{id: "c", want: "b c"},                              // the oldest finished job goes first
+		{id: "d", finished: true, want: "c d"},              // b, finished, goes before unfinished c
+		{id: "e", finished: true, want: "c e"},              // c is unfinished: d, behind it, goes
+		{id: "f", want: "c f"},                              // e goes; both survivors are unfinished
+		{id: "g", want: "c f g"},                            // nothing finished: over the bound
+		{id: "h", finish: "c", want: "f g h"},               // c, finished, goes from the front
+		{id: "i", finish: "g", finished: true, want: "f h"}, // two over: g and i go
+	} {
+		if step.finish != "" {
+			close(jobs[step.finish].done)
+		}
+		submit(step.id, step.finished)
+		if got := retained(); got != step.want {
+			t.Errorf("after submitting %s: retained %q, want %q", step.id, got, step.want)
+		}
+	}
+	if _, err := s.Job("a"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("evicted job a: err %v, want ErrUnknownJob", err)
+	}
+}

@@ -12,14 +12,16 @@ import (
 )
 
 // seed fills every stream element with a deterministic value derived from
-// s, through the mapper, recording each value in img, the golden image
-// verify replays the kernel over. The draw order — one rng draw per
-// previously unseen address, in stream then element order — is part of
-// the pinned golden results and must never change. rng is reseeded here;
-// passing the same generator run after run saves its allocation.
+// s, through a cursor over the device, recording each value in img, the
+// golden image verify replays the kernel over. The draw order — one rng
+// draw per previously unseen address, in stream then element order — is
+// part of the pinned golden results and must never change. rng is
+// reseeded here; passing the same generator run after run saves its
+// allocation.
 func seed(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64, rng *rand.Rand, img *engine.Image) {
 	rng.Seed(s + 1)
 	img.Reset(k)
+	cur := engine.NewCursor(dev, m)
 	for _, st := range k.Streams {
 		for i := 0; i < st.Length; i++ {
 			addr := st.Addr(i)
@@ -29,8 +31,7 @@ func seed(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64, rng *
 			// Keep magnitudes small so float arithmetic is exact and the
 			// comparison is bit-precise.
 			v := math.Float64bits(float64(rng.Intn(1024)) / 8)
-			loc := m.Map(addr)
-			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v)
+			cur.Poke(addr, v)
 			img.Set(addr, v)
 		}
 	}
@@ -49,9 +50,9 @@ func verify(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, img *engine.
 		img.Set,
 	)
 	var err error
+	cur := engine.NewCursor(dev, m)
 	img.Range(func(addr int64, want uint64) bool {
-		loc := m.Map(addr)
-		if got := dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word); got != want {
+		if got := cur.Peek(addr); got != want {
 			err = fmt.Errorf("sim: functional verification failed: address %d: device %#x, golden %#x", addr, got, want)
 			return false
 		}

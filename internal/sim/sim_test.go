@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/rdram"
 	"rdramstream/internal/smc"
 	"rdramstream/internal/stream"
 )
@@ -202,6 +204,39 @@ func TestParseMode(t *testing.T) {
 		_, err := ParseMode(in)
 		if want := `unknown mode "` + in + `" (want smc or natural)`; err == nil || err.Error() != want {
 			t.Errorf("ParseMode(%q) error = %v, want %q", in, err, want)
+		}
+	}
+}
+
+// TestRunKernelRejectsStreamsOutsideCapacity checks that a caller-built
+// kernel reaching past either end of the device fails with RunKernel's
+// capacity error before seeding maps a word, verified or not, and never
+// panics in the mapper.
+func TestRunKernelRejectsStreamsOutsideCapacity(t *testing.T) {
+	capacity := int64(rdram.DefaultGeometry().CapacityWords())
+	for _, c := range []struct {
+		base, stride int64
+		first, last  int64
+	}{
+		{capacity - 2, 1, capacity - 2, capacity + 1}, // runs off the top
+		{capacity + 6, 1, capacity + 6, capacity + 9}, // starts above it
+		{-3, 1, -3, 0},                           // starts below address 0
+		{0, capacity / 2, 0, 3 * (capacity / 2)}, // strides past it
+	} {
+		for _, skip := range []bool{false, true} {
+			k := &stream.Kernel{
+				Name: "edge",
+				Streams: []stream.Stream{
+					{Name: "x", Base: 0, Stride: 1, Length: 4, Mode: stream.Read},
+					{Name: "y", Base: c.base, Stride: c.stride, Length: 4, Mode: stream.Write},
+				},
+				Compute: func(_ int, in []float64) []float64 { return in },
+			}
+			want := fmt.Sprintf(`sim: stream "y" spans addresses [%d, %d] outside device capacity %d words`, c.first, c.last, capacity)
+			_, err := RunKernel(k, Scenario{Scheme: addrmap.PI, Mode: SMC, SkipVerify: skip})
+			if err == nil || err.Error() != want {
+				t.Errorf("base %d stride %d SkipVerify %v: err %v, want %q", c.base, c.stride, skip, err, want)
+			}
 		}
 	}
 }

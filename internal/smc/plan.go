@@ -13,61 +13,94 @@ package smc
 
 import (
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/engine"
+	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
 
 // group is one DATA-packet's worth of stream traffic: the packet a set of
 // consecutive stream elements maps to. For unit strides a group carries two
-// elements; for larger strides usually one.
-// Because planStream walks elements in order and each element lands in
-// exactly one group, a group's element indices are always the consecutive
-// range [elo, ehi) — storing the range replaced a grown per-group slice
-// that dominated sweep allocation profiles. words holds the word-within-
-// packet of each element (aligned with elo); it fits a byte since a packet
-// carries WordsPerPacket words.
+// elements; for larger strides one. A packet carries WordsPerPacket words,
+// so the word offsets fit inline.
 type group struct {
-	loc      addrmap.Loc // packet coordinates (Word is 0)
-	elo, ehi int         // element index range served by this packet
-	words    []uint8     // word-within-packet per element, ascending
+	loc      addrmap.Loc                 // packet coordinates (Word is 0)
+	elo, ehi int                         // element index range [elo, ehi) served by this packet
+	words    [rdram.WordsPerPacket]uint8 // word-within-packet of element elo+j, ascending
 }
 
 // n is the number of elements the group serves.
-func (g group) n() int { return g.ehi - g.elo }
-
-// planStream splits a stream's elements into packet groups in element
-// order, appending into dst (recycled across runs by the scratch pool) with
-// word offsets carved out of the shared words slab. Direct RDRAM transfers
-// whole 128-bit packets, so this is the schedule of device accesses the MSU
-// performs for the stream.
-func planStream(m *addrmap.Mapper, s stream.Stream, dst []group, words []uint8) ([]group, []uint8) {
-	groups := dst[:0]
-	curPacket := int64(-1)
-	start := len(words)
-	seal := func() {
-		if len(groups) > 0 {
-			g := &groups[len(groups)-1]
-			g.ehi = g.elo + len(words) - start
-			g.words = words[start:len(words):len(words)]
-			start = len(words)
-		}
-	}
-	for i := 0; i < s.Length; i++ {
-		addr := s.Addr(i)
-		pkt := addrmap.PacketAddr(addr)
-		if pkt != curPacket {
-			seal()
-			groups = append(groups, group{loc: m.Map(pkt), elo: i})
-			curPacket = pkt
-		}
-		words = append(words, uint8(addr-curPacket))
-	}
-	seal()
-	return groups, words
-}
+func (g *group) n() int { return g.ehi - g.elo }
 
 // sameRowAs reports whether two groups address the same open row.
-func (g group) sameRowAs(o group) bool {
+func (g *group) sameRowAs(o *group) bool {
 	return g.loc.Bank == o.loc.Bank && g.loc.Row == o.loc.Row
+}
+
+// planner yields a stream's packet groups in element order, on demand:
+// cur is the group the MSU issues next, and next, the one after it, is
+// the lookahead the closed-page precharge and the speculative activate
+// decide on. Direct RDRAM transfers whole 128-bit packets, so the groups
+// are the device accesses the MSU performs for the stream. Planning two
+// groups at a time keeps a FIFO's plan at a fixed size whatever the
+// stream's length, as the SBU's hardware FIFOs are (§3), and maps packets
+// through a cursor that pays the address map once per run.
+type planner struct {
+	st        stream.Stream
+	elem      int // first element not yet in cur or next
+	cur, next group
+	mem       engine.Cursor
+}
+
+// reset starts planning st from its first element.
+func (p *planner) reset(st stream.Stream, mem engine.Cursor) {
+	p.st, p.elem, p.mem = st, 0, mem
+	p.plan(&p.cur)
+	p.plan(&p.next)
+}
+
+// more reports whether the stream has a packet left to issue.
+func (p *planner) more() bool { return p.cur.ehi > p.cur.elo }
+
+// lookahead returns the group after cur, or nil when cur is the last.
+func (p *planner) lookahead() *group {
+	if p.next.ehi > p.next.elo {
+		return &p.next
+	}
+	return nil
+}
+
+// advance retires cur: next becomes cur, and the group after it is
+// planned.
+// rdlint:hotpath
+func (p *planner) advance() {
+	p.cur = p.next
+	p.plan(&p.next)
+}
+
+// plan fills g with the group of the packet holding element p.elem and
+// the elements after it that share the packet; at the end of the stream
+// g is left empty.
+// rdlint:hotpath
+func (p *planner) plan(g *group) {
+	g.elo = p.elem
+	if p.elem < p.st.Length {
+		pkt := addrmap.PacketAddr(p.st.Addr(p.elem))
+		g.loc = p.mem.Loc(pkt)
+		for n := 0; n < rdram.WordsPerPacket && p.elem < p.st.Length; n++ {
+			addr := p.st.Addr(p.elem)
+			if addrmap.PacketAddr(addr) != pkt {
+				break
+			}
+			g.words[n] = uint8(addr - pkt)
+			p.elem++
+		}
+	}
+	g.ehi = p.elem
+}
+
+// packetAddr returns the word address of g's packet, which p planned.
+func (p *planner) packetAddr(g *group) int64 {
+	return p.st.Addr(g.elo) - int64(g.words[0])
 }
 
 const unscheduled = int64(-1)
@@ -75,8 +108,7 @@ const unscheduled = int64(-1)
 // readFIFO is the SBU buffer for one read stream. The MSU appends arriving
 // elements; the CPU pops them in order from the memory-mapped head.
 type readFIFO struct {
-	groups    []group
-	nextFetch int // next group the MSU will fetch
+	plan planner // the packets the MSU fetches
 
 	avail  []int64  // arrival time (DataEnd) per issued element, in order
 	values []uint64 // element values, aligned with avail
@@ -91,10 +123,7 @@ type readFIFO struct {
 // canFetch reports whether the MSU may issue the next packet for this
 // stream without overflowing the FIFO.
 func (f *readFIFO) canFetch() bool {
-	if f.nextFetch >= len(f.groups) {
-		return false
-	}
-	return f.issued-f.popped+f.groups[f.nextFetch].n() <= f.depth
+	return f.plan.more() && f.issued-f.popped+f.plan.cur.n() <= f.depth
 }
 
 // headAvail returns when the CPU's next element is (or will be) available,
@@ -109,8 +138,7 @@ func (f *readFIFO) headAvail() int64 {
 // writeFIFO is the SBU buffer for one write stream. The CPU pushes store
 // values in order; the MSU drains whole packets to memory.
 type writeFIFO struct {
-	groups    []group
-	nextDrain int
+	plan planner // the packets the MSU drains
 
 	pushedAt []int64  // push completion time per element, in order
 	values   []uint64 // pushed values, aligned
@@ -149,15 +177,12 @@ func (r *retryState) onAccept() { r.at, r.rejects = 0, 0 }
 
 // canDrain reports whether the next packet's elements have all been pushed.
 func (f *writeFIFO) canDrain() bool {
-	if f.nextDrain >= len(f.groups) {
-		return false
-	}
-	return len(f.pushedAt) >= f.groups[f.nextDrain].ehi
+	return f.plan.more() && len(f.pushedAt) >= f.plan.cur.ehi
 }
 
 // drainReady is the earliest time the next packet's data is in the FIFO.
 func (f *writeFIFO) drainReady() int64 {
-	return f.pushedAt[f.groups[f.nextDrain].ehi-1]
+	return f.pushedAt[f.plan.cur.ehi-1]
 }
 
 // slotFreeAt returns the earliest time the CPU can push its next element:

@@ -106,19 +106,33 @@ type Result = engine.Result
 // Run simulates kernel k through an SMC over the device. Device memory is
 // read and written functionally, so callers can verify the results.
 func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
+	res, _, err := simulate(dev, k, cfg)
+	return res, err
+}
+
+// work counts the scheduler's effort over one run: passes of the run
+// loop, canService calls, and nextWakeup calls (time jumps). They are
+// deterministic, so tests pin them exactly where timings cannot resolve
+// a change.
+type work struct {
+	passes, services, wakeups int64
+}
+
+// simulate is Run, also reporting the scheduler's work counts.
+func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, error) {
 	if cfg.FIFODepth < rdram.WordsPerPacket {
-		return Result{}, fmt.Errorf("smc: FIFODepth must be at least %d, got %d", rdram.WordsPerPacket, cfg.FIFODepth)
+		return Result{}, work{}, fmt.Errorf("smc: FIFODepth must be at least %d, got %d", rdram.WordsPerPacket, cfg.FIFODepth)
 	}
 	if cfg.LineWords <= 0 || cfg.LineWords%rdram.WordsPerPacket != 0 {
-		return Result{}, fmt.Errorf("smc: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, cfg.LineWords)
+		return Result{}, work{}, fmt.Errorf("smc: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, cfg.LineWords)
 	}
 	mapper, err := addrmap.New(cfg.Scheme, dev.Config().Geometry, cfg.LineWords)
 	if err != nil {
-		return Result{}, err
+		return Result{}, work{}, err
 	}
 	fe, err := engine.NewFrontEnd(k, int64(dev.Config().Timing.TPack/rdram.WordsPerPacket))
 	if err != nil {
-		return Result{}, err
+		return Result{}, work{}, err
 	}
 
 	s := &sim{
@@ -145,51 +159,44 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 			s.fprobes[i] = col.FIFO(i, fmt.Sprintf("fifo %d %s %s", i, dir, st.Name))
 		}
 	}
-	// The plan slabs and FIFO bookkeeping arrays are the run's dominant
+	// The FIFOs and their bookkeeping arrays are the run's dominant
 	// allocations and every one of them is rebuilt from scratch each run,
-	// so a sweep recycles them through a pool. Slices are reused at length
-	// zero and only ever appended to, so no zeroing is needed; every
-	// element passes through its FIFO exactly once, so first use sizes the
-	// backing exactly.
+	// so a sweep recycles them through a free list. Slices are reused at
+	// length zero and only ever appended to, so no zeroing is needed;
+	// every element passes through its FIFO exactly once, so first use
+	// sizes the backing exactly.
 	scr := getScratch()
 	defer putScratch(scr)
-	words := scr.words[:0]
-	var groups []group
 	for i, st := range k.Streams {
-		if i >= len(scr.slabs) {
-			scr.slabs = append(scr.slabs, nil)
-		}
-		groups, words = planStream(mapper, st, scr.slabs[i][:0], words)
-		scr.slabs[i] = groups
 		if i < s.nr {
 			if i >= len(scr.reads) {
 				scr.reads = append(scr.reads, new(readFIFO))
 			}
 			f := scr.reads[i]
-			*f = readFIFO{groups: groups, depth: cfg.FIFODepth, avail: f.avail[:0], values: f.values[:0]}
+			*f = readFIFO{depth: cfg.FIFODepth, avail: f.avail[:0], values: f.values[:0]}
 			if cap(f.avail) < st.Length {
 				f.avail = make([]int64, 0, st.Length)
 				f.values = make([]uint64, 0, st.Length)
 			}
-			s.reads = append(s.reads, f)
+			f.plan.reset(st, engine.NewCursor(dev, mapper))
 		} else {
 			j := i - s.nr
 			if j >= len(scr.writes) {
 				scr.writes = append(scr.writes, new(writeFIFO))
 			}
 			f := scr.writes[j]
-			*f = writeFIFO{groups: groups, depth: cfg.FIFODepth, pushedAt: f.pushedAt[:0], values: f.values[:0], drainAt: f.drainAt[:0]}
+			*f = writeFIFO{depth: cfg.FIFODepth, pushedAt: f.pushedAt[:0], values: f.values[:0], drainAt: f.drainAt[:0]}
 			if cap(f.pushedAt) < st.Length {
 				f.pushedAt = make([]int64, 0, st.Length)
 				f.values = make([]uint64, 0, st.Length)
 				f.drainAt = make([]int64, 0, st.Length)
 			}
-			s.writes = append(s.writes, f)
+			f.plan.reset(st, engine.NewCursor(dev, mapper))
 		}
 	}
-	scr.words = words
+	s.reads, s.writes = scr.reads[:s.nr], scr.writes[:len(k.Streams)-s.nr]
 	if err := s.run(); err != nil {
-		return Result{}, err
+		return Result{}, work{}, err
 	}
 
 	st := dev.Stats()
@@ -208,19 +215,16 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 		// tiles the full [0, Cycles) idle time.
 		col.Device.ChargeStall(telemetry.StallCPUTail, res.Cycles-st.LastDataEnd)
 	}
-	return res, nil
+	return res, s.work, nil
 }
 
-// runScratch is the recyclable per-run state: packet-group slabs (one per
-// stream plus the shared word-offset slab) and the FIFO structs with their
+// runScratch is the recyclable per-run state: the FIFO structs with their
 // grown bookkeeping arrays. A sweep's scenarios check one out per run via
 // getScratch; everything is reset by slicing to length zero, never by
 // clearing, so reuse costs nothing.
 type runScratch struct {
 	reads  []*readFIFO
 	writes []*writeFIFO
-	slabs  [][]group
-	words  []uint8
 }
 
 // idleScratch holds the runScratch sets no run has checked out. It is a
@@ -228,8 +232,8 @@ type runScratch struct {
 // it holds across two garbage collections, and a sweep that interleaves
 // SMC scenarios with other controllers idles the SMC's scratch long
 // enough for that to happen: every miss re-allocated multi-megabyte FIFO
-// arrays and plan slabs. The list keeps at most GOMAXPROCS sets, one per
-// run that can be in flight at once.
+// arrays. The list keeps at most GOMAXPROCS sets, one per run that can be
+// in flight at once.
 var idleScratch struct {
 	mu   sync.Mutex
 	sets []*runScratch // guarded by mu
@@ -280,6 +284,8 @@ type sim struct {
 
 	wd *engine.Watchdog // forward-progress guard (see Config.WatchdogLimit)
 
+	work work // scheduler work counts
+
 	// Telemetry probes; all nil when cfg.Telemetry is nil.
 	col     *telemetry.Collector
 	ctl     *telemetry.ControllerProbe
@@ -292,6 +298,7 @@ type sim struct {
 // cycle by cycle. See docs/PERFORMANCE.md for the event model.
 func (s *sim) run() error {
 	for {
+		s.work.passes++
 		s.fe.Advance(s.msuTime, s)
 		if s.fe.Done() && !s.msuHasWork() {
 			return nil
@@ -302,6 +309,7 @@ func (s *sim) run() error {
 		if s.issueOne() {
 			continue
 		}
+		s.work.wakeups++
 		t := s.nextWakeup()
 		if t == unscheduled || t <= s.msuTime {
 			if s.fe.Done() && !s.msuHasWork() {
@@ -341,12 +349,12 @@ func (s *sim) nextWakeup() int64 {
 func (s *sim) nextRetry() int64 {
 	t := unscheduled
 	for _, f := range s.reads {
-		if f.nextFetch < len(f.groups) && f.retry.at > s.msuTime && (t == unscheduled || f.retry.at < t) {
+		if f.plan.more() && f.retry.at > s.msuTime && (t == unscheduled || f.retry.at < t) {
 			t = f.retry.at
 		}
 	}
 	for _, f := range s.writes {
-		if f.nextDrain < len(f.groups) && f.retry.at > s.msuTime && (t == unscheduled || f.retry.at < t) {
+		if f.plan.more() && f.retry.at > s.msuTime && (t == unscheduled || f.retry.at < t) {
 			t = f.retry.at
 		}
 	}
@@ -359,12 +367,12 @@ func (s *sim) dumpState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "smc: msuTime=%d policy=%s scheme=%s\n", s.msuTime, s.cfg.Policy, s.cfg.Scheme)
 	for i, f := range s.reads {
-		fmt.Fprintf(&b, "  read fifo %d: group %d/%d occupancy=%d retryAt=%d rejects=%d\n",
-			i, f.nextFetch, len(f.groups), f.issued-f.popped, f.retry.at, f.retry.rejects)
+		fmt.Fprintf(&b, "  read fifo %d: element %d/%d occupancy=%d retryAt=%d rejects=%d\n",
+			i, f.plan.cur.elo, f.plan.st.Length, f.issued-f.popped, f.retry.at, f.retry.rejects)
 	}
 	for j, f := range s.writes {
-		fmt.Fprintf(&b, "  write fifo %d: group %d/%d pushed=%d drained=%d retryAt=%d rejects=%d\n",
-			s.nr+j, f.nextDrain, len(f.groups), len(f.pushedAt), len(f.drainAt), f.retry.at, f.retry.rejects)
+		fmt.Fprintf(&b, "  write fifo %d: element %d/%d pushed=%d drained=%d retryAt=%d rejects=%d\n",
+			s.nr+j, f.plan.cur.elo, f.plan.st.Length, len(f.pushedAt), len(f.drainAt), f.retry.at, f.retry.rejects)
 	}
 	fmt.Fprintf(&b, "  cpu: nextEvent=%d wakeup=%d\n", s.fe.NextEvent(s), s.nextWakeup())
 	fmt.Fprintf(&b, "  device: nextEvent=%d %v", s.dev.NextEventAt(s.msuTime), s.dev.Stats())
@@ -404,13 +412,13 @@ func (s *sim) PushWrite(i int, v uint64, done int64) {
 func (s *sim) noteBlocked(from, until int64) {
 	cause := telemetry.StallNoRequest
 	for i, f := range s.reads {
-		if f.nextFetch < len(f.groups) && !f.canFetch() {
+		if f.plan.more() && !f.canFetch() {
 			s.fprobes[i].OnBlocked(from, until, true)
 			cause = telemetry.StallFIFOFull
 		}
 	}
 	for j, f := range s.writes {
-		if f.nextDrain < len(f.groups) && !f.canDrain() {
+		if f.plan.more() && !f.canDrain() {
 			s.fprobes[s.nr+j].OnBlocked(from, until, false)
 			if cause == telemetry.StallNoRequest {
 				cause = telemetry.StallFIFOEmpty
@@ -420,12 +428,12 @@ func (s *sim) noteBlocked(from, until int64) {
 	// Rejection backoff dominates: if any FIFO with work is sitting out a
 	// retry delay, the idle bus is the fault injector's doing.
 	for _, f := range s.reads {
-		if f.nextFetch < len(f.groups) && f.retry.blocked(from) {
+		if f.plan.more() && f.retry.blocked(from) {
 			cause = telemetry.StallFaultRetry
 		}
 	}
 	for _, f := range s.writes {
-		if f.nextDrain < len(f.groups) && f.retry.blocked(from) {
+		if f.plan.more() && f.retry.blocked(from) {
 			cause = telemetry.StallFaultRetry
 		}
 	}
@@ -435,12 +443,12 @@ func (s *sim) noteBlocked(from, until int64) {
 // msuHasWork reports whether any stream still has packets to move.
 func (s *sim) msuHasWork() bool {
 	for _, f := range s.reads {
-		if f.nextFetch < len(f.groups) {
+		if f.plan.more() {
 			return true
 		}
 	}
 	for _, f := range s.writes {
-		if f.nextDrain < len(f.groups) {
+		if f.plan.more() {
 			return true
 		}
 	}
@@ -455,6 +463,7 @@ func (s *sim) fifoCount() int { return len(s.reads) + len(s.writes) }
 // a transient rejection is not serviceable until its retry time.
 // rdlint:hotpath
 func (s *sim) canService(i int) (bool, int64) {
+	s.work.services++
 	if i < s.nr {
 		f := s.reads[i]
 		if f.retry.blocked(s.msuTime) {
@@ -487,7 +496,7 @@ func (s *sim) issueOne() bool {
 			if !ok {
 				continue
 			}
-			g := s.nextGroup(i)
+			g := &s.planOf(i).cur
 			ready := s.dev.AccessReadyAt(g.loc.Bank, g.loc.Row, at)
 			if ready < bestAt {
 				best, bestAt = i, ready
@@ -513,7 +522,7 @@ func (s *sim) issueOne() bool {
 			if fallback < 0 {
 				fallback = i
 			}
-			g := s.nextGroup(i)
+			g := &s.planOf(i).cur
 			if row, open := s.dev.BankOpenRow(g.loc.Bank); open && row == g.loc.Row {
 				s.ctl.OnDecision("hitfirst-hit")
 				s.current = i
@@ -541,15 +550,14 @@ func (s *sim) issueOne() bool {
 	}
 }
 
-// nextGroup returns the group FIFO i would issue next.
+// planOf returns FIFO i's planner; its cur is the group FIFO i would
+// issue next.
 // rdlint:hotpath
-func (s *sim) nextGroup(i int) group {
+func (s *sim) planOf(i int) *planner {
 	if i < s.nr {
-		f := s.reads[i]
-		return f.groups[f.nextFetch]
+		return &s.reads[i].plan
 	}
-	f := s.writes[i-s.nr]
-	return f.groups[f.nextDrain]
+	return &s.writes[i-s.nr].plan
 }
 
 // issue performs one packet access for FIFO i, reporting whether the
@@ -557,22 +565,12 @@ func (s *sim) nextGroup(i int) group {
 // FIFO's backoff is armed and no controller state changes.
 // rdlint:hotpath
 func (s *sim) issue(i int) bool {
-	g := s.nextGroup(i)
-	var next *group
-	if i < s.nr {
-		f := s.reads[i]
-		if f.nextFetch+1 < len(f.groups) {
-			next = &f.groups[f.nextFetch+1]
-		}
-	} else {
-		f := s.writes[i-s.nr]
-		if f.nextDrain+1 < len(f.groups) {
-			next = &f.groups[f.nextDrain+1]
-		}
-	}
+	p := s.planOf(i)
+	g := &p.cur
+	next := p.lookahead()
 	// Closed-page policy: precharge when this stream's burst leaves the
 	// row (the next group for this stream is elsewhere).
-	autoPre := s.cfg.Scheme == addrmap.CLI && (next == nil || !g.sameRowAs(*next))
+	autoPre := s.cfg.Scheme == addrmap.CLI && (next == nil || !g.sameRowAs(next))
 
 	req := rdram.Request{
 		Bank: g.loc.Bank, Row: g.loc.Row, Col: g.loc.Col,
@@ -588,11 +586,12 @@ func (s *sim) issue(i int) bool {
 		// edges or non-unit strides). A fully covered packet — the common
 		// unit-stride case — needs no read-merge at all.
 		if g.n() < rdram.WordsPerPacket {
-			for w := 0; w < rdram.WordsPerPacket; w++ {
-				req.Data[w] = s.dev.PeekWord(g.loc.Bank, g.loc.Row, g.loc.Col, w)
+			pkt := p.packetAddr(g)
+			for w := range req.Data {
+				req.Data[w] = p.mem.Peek(pkt + int64(w))
 			}
 		}
-		for j, w := range g.words {
+		for j, w := range g.words[:g.n()] {
 			req.Data[w] = f.values[g.elo+j]
 		}
 	}
@@ -616,8 +615,8 @@ func (s *sim) issue(i int) bool {
 	// row/column packets for the following access overlap this one's data
 	// transfer (as the Direct RDRAM interface intends), while FIFO
 	// occupancy is still evaluated at a realistic point in time.
-	res, ok := s.dev.Attempt(at, req)
-	if !ok {
+	var res rdram.Result
+	if !s.dev.Attempt(at, &req, &res) {
 		retry.onReject(at, s.tPack)
 		if s.dprobe != nil {
 			s.dprobe.SetIdleCause(telemetry.StallFaultRetry)
@@ -632,18 +631,16 @@ func (s *sim) issue(i int) bool {
 
 	if i < s.nr {
 		f := s.reads[i]
-		for _, w := range g.words {
+		for _, w := range g.words[:g.n()] {
 			f.values = append(f.values, res.Data[w])
 			f.avail = append(f.avail, res.DataEnd)
 		}
 		f.issued += g.n()
-		f.nextFetch++
 	} else {
 		f := s.writes[i-s.nr]
-		for range g.words {
+		for range g.n() {
 			f.drainAt = append(f.drainAt, res.DataEnd)
 		}
-		f.nextDrain++
 	}
 	if s.fprobes != nil {
 		fp := s.fprobes[i]
@@ -661,8 +658,9 @@ func (s *sim) issue(i int) bool {
 	// §6 extension: when a stream finishes its accesses to a DRAM page,
 	// open the next page it will touch while other FIFOs use the bus.
 	if s.cfg.SpeculateActivate && s.cfg.Scheme == addrmap.PI &&
-		next != nil && !g.sameRowAs(*next) {
+		next != nil && !g.sameRowAs(next) {
 		s.dev.ActivateBank(next.loc.Bank, next.loc.Row, s.msuTime)
 	}
+	p.advance()
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -61,10 +62,24 @@ func runSMC(t *testing.T, factory string, n int, strideW int64, cfg Config, plac
 	return res, dev, k, shadow
 }
 
-// plan is the test harness for planStream with fresh slabs.
-func plan(m *addrmap.Mapper, s stream.Stream) []group {
-	groups, _ := planStream(m, s, nil, nil)
+// drain collects every group p yields, in order.
+func drain(p *planner) []group {
+	var groups []group
+	for p.more() {
+		groups = append(groups, p.cur)
+		p.advance()
+	}
 	return groups
+}
+
+// plan is the test harness for the planner: every group of s, planned
+// through a fresh planner over a timing-only device.
+func plan(m *addrmap.Mapper, s stream.Stream) []group {
+	dev := rdram.NewDevice(rdram.DefaultConfig())
+	dev.SetTimingOnly(true)
+	var p planner
+	p.reset(s, engine.NewCursor(dev, m))
+	return drain(&p)
 }
 
 func TestPlanStreamUnitStride(t *testing.T) {
@@ -114,12 +129,29 @@ func TestPlanStreamOddBaseSplitsPackets(t *testing.T) {
 	}
 }
 
-// TestPlanStreamRecyclesSlabs exercises the scratch-reuse path: planning
-// into a previous run's larger slabs must produce identical groups.
-func TestPlanStreamRecyclesSlabs(t *testing.T) {
+// TestPlanStreamRecyclesPlanner exercises the scratch-reuse path: a
+// planner reset after planning a longer stream must yield the same groups
+// as a fresh one, each with its packet's location and a one-group
+// lookahead that ends with the stream.
+func TestPlanStreamRecyclesPlanner(t *testing.T) {
 	m := addrmap.MustNew(addrmap.CLI, rdram.DefaultGeometry(), 4)
-	big, bigWords := planStream(m, stream.Stream{Base: 0, Stride: 1, Length: 64, Mode: stream.Read}, nil, nil)
-	groups, _ := planStream(m, stream.Stream{Base: 1, Stride: 1, Length: 4, Mode: stream.Read}, big[:0], bigWords[:0])
+	dev := rdram.NewDevice(rdram.DefaultConfig())
+	var p planner
+	p.reset(stream.Stream{Base: 0, Stride: 1, Length: 64, Mode: stream.Read}, engine.NewCursor(dev, m))
+	p.advance()
+	short := stream.Stream{Base: 1, Stride: 1, Length: 4, Mode: stream.Read}
+	p.reset(short, engine.NewCursor(dev, m))
+	var groups []group
+	for p.more() {
+		if next := p.lookahead(); (next == nil) != (len(groups) == 2) {
+			t.Errorf("group %d: lookahead %+v", len(groups), next)
+		}
+		if want := m.Map(addrmap.PacketAddr(short.Addr(p.cur.elo))); p.cur.loc != want {
+			t.Errorf("group %d at %+v, want %+v", len(groups), p.cur.loc, want)
+		}
+		groups = append(groups, p.cur)
+		p.advance()
+	}
 	if len(groups) != 3 || groups[0].n() != 1 || groups[1].n() != 2 || groups[2].n() != 1 {
 		t.Fatalf("recycled plan = %+v, want sizes 1,2,1", groups)
 	}

@@ -60,24 +60,26 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 		lines[i] = -1
 	}
 	nr := k.ReadStreams()
+	mem := engine.NewCursor(dev, mapper)
 	doLine := func(line int64, write bool) error {
 		at := window.Admit(0)
 		base := line * lw
 		var complete int64
 		for p := 0; p < packets; p++ {
 			addr := base + int64(p*rdram.WordsPerPacket)
-			loc := mapper.Map(addr)
+			loc := mem.Loc(addr)
 			req := rdram.Request{
 				Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 				Write:         write,
 				AutoPrecharge: autoPre && p == packets-1,
 			}
 			if write {
-				for w := 0; w < rdram.WordsPerPacket; w++ {
-					if v, ok := storeVals.Get(addr + int64(w)); ok {
+				for w := range req.Data {
+					a := addr + int64(w)
+					if v, ok := storeVals.Get(a); ok {
 						req.Data[w] = v
 					} else {
-						req.Data[w] = dev.PeekWord(loc.Bank, loc.Row, loc.Col, w)
+						req.Data[w] = mem.Peek(a)
 					}
 				}
 			}

@@ -90,7 +90,7 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 	autoPre := opt.Scheme == addrmap.CLI
 	ti := &traceIssuer{
 		dev:       dev,
-		mapper:    mapper,
+		mem:       engine.NewCursor(dev, mapper),
 		window:    engine.NewWindow(outstanding),
 		lineWords: opt.LineWords,
 		packets:   opt.LineWords / rdram.WordsPerPacket,
@@ -118,7 +118,7 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 		banks := make([]int, len(txns))
 		rows := make([]int, len(txns))
 		for i, t := range txns {
-			loc := mapper.Map(t.line * int64(opt.LineWords))
+			loc := ti.mem.Loc(t.line * int64(opt.LineWords))
 			banks[i], rows[i] = loc.Bank, loc.Row
 		}
 		open := make([]int, dev.Config().Geometry.Banks)
@@ -181,7 +181,7 @@ type txn struct {
 // closure. Trace replay and the generated workloads of Run share it.
 type traceIssuer struct {
 	dev       *rdram.Device
-	mapper    *addrmap.Mapper
+	mem       engine.Cursor // packet locations
 	window    *engine.Window
 	lineWords int
 	packets   int
@@ -199,7 +199,7 @@ func (ti *traceIssuer) issue(t txn) error {
 	base := t.line * int64(ti.lineWords)
 	var complete int64
 	for p := 0; p < ti.packets; p++ {
-		loc := ti.mapper.Map(base + int64(p*rdram.WordsPerPacket))
+		loc := ti.mem.Loc(base + int64(p*rdram.WordsPerPacket))
 		res, err := engine.Issue(ti.dev, at, rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 			Write:         t.write,

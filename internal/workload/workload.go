@@ -124,7 +124,7 @@ func Run(dev *rdram.Device, cfg Config) (Result, error) {
 
 	ti := &traceIssuer{
 		dev:       dev,
-		mapper:    mapper,
+		mem:       engine.NewCursor(dev, mapper),
 		window:    engine.NewWindow(outstanding),
 		lineWords: cfg.LineWords,
 		packets:   cfg.LineWords / rdram.WordsPerPacket,
