@@ -132,18 +132,43 @@ func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) *Image 
 	return img
 }
 
-// Attach wires a telemetry collector to the device and declares the
-// controller's default idle cause, returning the controller probe (nil
-// collector returns nil, and the nil-safe probes make that free). Any
-// controller built on the engine gets device counters and stall
-// attribution through this one call.
+// Attach declares the controller's default idle cause to the device and
+// wires a telemetry collector, if any, onto the device's packet trace
+// hook (after any hook already there), returning the controller probe
+// (nil collector returns nil, and the nil-safe probes make that free).
+// The device keeps its own counters and stall attribution on every run;
+// the collector adds bus series and event capture.
 func Attach(dev *rdram.Device, col *telemetry.Collector, idle telemetry.StallCause) *telemetry.ControllerProbe {
+	dev.SetIdleCause(idle)
 	if col == nil {
 		return nil
 	}
-	dev.Telemetry = col.Device
-	col.Device.SetIdleCause(idle)
+	p := col.Device
+	p.SetBanks(dev.Config().Geometry.Banks)
+	prev := dev.Trace
+	dev.Trace = func(ev rdram.TraceEvent) {
+		if prev != nil {
+			prev(ev)
+		}
+		pk := packetKinds[ev.Kind]
+		p.OnPacket(pk.bus, pk.name, ev.Bank, ev.Start, ev.End)
+	}
 	return col.Controller
+}
+
+// packetKinds gives each device packet kind its bus and its telemetry
+// event name.
+var packetKinds = [...]struct {
+	bus  telemetry.Bus
+	name string
+}{
+	rdram.TraceActivate:  {telemetry.RowBus, "ACT"},
+	rdram.TracePrecharge: {telemetry.RowBus, "PRER"},
+	rdram.TraceReadCol:   {telemetry.ColBus, "COL RD"},
+	rdram.TraceWriteCol:  {telemetry.ColBus, "COL WR"},
+	rdram.TraceRetire:    {telemetry.ColBus, "RET"},
+	rdram.TraceReadData:  {telemetry.DataBus, "DATA rd"},
+	rdram.TraceWriteData: {telemetry.DataBus, "DATA wr"},
 }
 
 // Window models the device's bounded pipeline of outstanding transactions

@@ -11,8 +11,9 @@
 //     conventional controllers;
 //   - the paged word image (Image) and StoreValues, which captures a
 //     kernel's store values in one for the write transactions;
-//   - the telemetry attachment point (Attach), so any controller built on
-//     the engine gets stall attribution without touching device internals;
+//   - the attachment point (Attach) that declares a controller's idle
+//     cause to the device's always-on stall attribution and wires an
+//     optional telemetry collector onto the device's packet trace;
 //   - a registry of named controllers (Register/Lookup), the extension
 //     point for new scheduling policies: implement Controller, register it,
 //     and sim.Run/cmd/rdsim reach it by name; and

@@ -45,6 +45,10 @@ type bankState struct {
 	preDone    int64 // cycle at which the last precharge completes (t_RP)
 	everActed  bool
 	chip       int // the chip on the channel holding this bank
+
+	// ops counts the bank's operations; each event is counted here once,
+	// and Device.Stats sums the banks.
+	ops telemetry.BankCounters
 }
 
 // Device is a single Direct RDRAM chip: a set of banks with per-bank sense
@@ -88,17 +92,17 @@ type Device struct {
 	// per-chip t_RR and write-retire state.
 	packetsPerPage int
 
-	stats Stats
+	// stats holds the device-wide counters; the per-bank operation counts
+	// live in bankState.ops. idleCause is the controller's declared reason
+	// for DATA-bus idle time before the next request arrives (see
+	// SetIdleCause).
+	stats     Stats
+	idleCause telemetry.StallCause
 
-	// Trace, when non-nil, receives every packet the device schedules. It
-	// is used to render the Figure 5/6 style command/data timelines.
+	// Trace, when non-nil, receives every packet the device schedules: the
+	// Figure 5/6 style timelines, the protocol checker and a telemetry
+	// Collector's bus series and event capture all observe the device here.
 	Trace func(ev TraceEvent)
-
-	// Telemetry, when non-nil, receives per-bank operation counts, bus
-	// occupancy spans, and the stall-cause attribution of idle DATA-bus
-	// cycles. Its hooks are called from the same sites that update Stats,
-	// so the two reconcile exactly. Nil costs one pointer check per hook.
-	Telemetry *telemetry.DeviceProbe
 
 	// Faults, when non-nil, perturbs the device deterministically: transient
 	// access rejections, bounded per-access timing jitter, and refresh-storm
@@ -134,8 +138,46 @@ func NewDevice(cfg Config) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Stats returns a copy of the device's operation counters.
-func (d *Device) Stats() Stats { return d.stats }
+// Stats returns a copy of the device's counters, the per-bank operation
+// counts summed over the banks.
+func (d *Device) Stats() Stats {
+	s := d.stats
+	for i := range d.banks {
+		o := &d.banks[i].ops
+		s.Activates += o.Activates
+		s.Precharges += o.Precharges
+		s.Reads += o.Reads
+		s.Writes += o.Writes
+		s.PageHits += o.PageHits
+		s.PageMisses += o.PageMisses
+		s.PageConflicts += o.PageConflicts
+		s.Retires += o.Retires
+	}
+	return s
+}
+
+// PerBank returns a copy of each bank's operation counters, indexed by
+// bank; they sum to the matching Stats fields.
+func (d *Device) PerBank() []telemetry.BankCounters {
+	out := make([]telemetry.BankCounters, len(d.banks))
+	for i := range d.banks {
+		out[i] = d.banks[i].ops
+	}
+	return out
+}
+
+// SetIdleCause declares why the DATA bus is idle from the controller's
+// point of view: idle cycles before the next request arrives are charged
+// to c until it is changed. The zero state is StallNoRequest.
+func (d *Device) SetIdleCause(c telemetry.StallCause) { d.idleCause = c }
+
+// ChargeStall attributes n idle DATA-bus cycles that fall outside every
+// access's gap — the SMC's CPU tail after the final DATA packet — to c.
+func (d *Device) ChargeStall(c telemetry.StallCause, n int64) {
+	if n > 0 {
+		d.stats.Stalls[c] += n
+	}
+}
 
 // PacketsPerPage is the number of DATA packets held by one page.
 func (d *Device) PacketsPerPage() int { return d.packetsPerPage }
@@ -185,11 +227,8 @@ func (d *Device) prechargeAt(b int, at int64, occupyBus bool) int64 {
 	}
 	bk.open = false
 	bk.preDone = tp + int64(t.TRP)
-	d.stats.Precharges++
+	bk.ops.Precharges++
 	d.emit(TracePrecharge, tp, t.TPack, b, bk.row, -1)
-	if d.Telemetry != nil {
-		d.Telemetry.OnPrecharge(b, tp, tp+int64(t.TPack))
-	}
 	return tp
 }
 
@@ -227,11 +266,8 @@ func (d *Device) activateAt(b, row int, at int64) int64 {
 	bk.everActed = true
 	d.lastAct[dev] = ta
 	d.anyAct[dev] = true
-	d.stats.Activates++
+	bk.ops.Activates++
 	d.emit(TraceActivate, ta, t.TPack, b, row, -1)
-	if d.Telemetry != nil {
-		d.Telemetry.OnActivate(b, ta, ta+int64(t.TPack))
-	}
 	return ta
 }
 
@@ -388,21 +424,18 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 	switch {
 	case bk.open && bk.row == req.Row:
 		res.PageHit = true
-		d.stats.PageHits++
+		bk.ops.PageHits++
 	case bk.open:
 		// Page conflict: precharge, then activate the requested row; RPExtra
 		// jitter stretches the conflict's precharge-to-activate wait.
 		res.PreIssue = d.prechargeAt(req.Bank, at, true)
 		res.ActIssue = d.activateAt(req.Bank, req.Row, res.PreIssue+int64(t.TRP)+fault.RPExtra)
 		d.stats.JitterCycles += fault.RPExtra
-		d.stats.PageConflicts++
-		d.stats.PageMisses++
+		bk.ops.PageConflicts++
+		bk.ops.PageMisses++
 	default:
 		res.ActIssue = d.activateAt(req.Bank, req.Row, at)
-		d.stats.PageMisses++
-	}
-	if d.Telemetry != nil {
-		d.Telemetry.OnAccess(req.Bank, res.PageHit, res.PreIssue >= 0)
+		bk.ops.PageMisses++
 	}
 	rcdReady := bk.rcdReady
 	if res.ActIssue >= 0 && fault.RCDExtra > 0 {
@@ -422,11 +455,8 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 	reqDev := bk.chip
 	if !req.Write && d.pendingRetire[reqDev] {
 		d.pendingRetire[reqDev] = false
-		d.stats.Retires++
+		bk.ops.Retires++
 		d.emit(TraceRetire, d.colBusFree, t.TPack, req.Bank, -1, -1)
-		if d.Telemetry != nil {
-			d.Telemetry.OnRetire(req.Bank, d.colBusFree, d.colBusFree+int64(t.TPack))
-		}
 	}
 
 	tc := max(earliestCol, d.colBusFree)
@@ -463,11 +493,9 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 	res.ColIssue = tc
 	res.DataStart = ds
 	res.DataEnd = de
-
-	if d.Telemetry != nil {
+	if ds > prevDataFree {
+		// Back-to-back packets leave no idle gap to attribute.
 		d.attributeIdle(prevDataFree, at, trwBound, rcdReady, ds, res)
-		d.Telemetry.OnColumn(req.Bank, req.Write, tc, tc+int64(t.TPack))
-		d.Telemetry.OnData(req.Bank, req.Write, ds, de)
 	}
 
 	w := req.Col * WordsPerPacket
@@ -475,14 +503,14 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 		d.pendingRetire[reqDev] = true
 		d.lastWriteDataEnd = de
 		d.anyWrite = true
-		d.stats.Writes++
+		bk.ops.Writes++
 		if !d.noStore {
 			copy(d.pageSlot(req.Bank, req.Row)[w:w+WordsPerPacket], req.Data[:])
 		}
 		d.emit(TraceWriteCol, tc, t.TPack, req.Bank, req.Row, req.Col)
 		d.emit(TraceWriteData, ds, t.TPack, req.Bank, req.Row, req.Col)
 	} else {
-		d.stats.Reads++
+		bk.ops.Reads++
 		if !d.noStore {
 			copy(res.Data[:], d.pageSlot(req.Bank, req.Row)[w:w+WordsPerPacket])
 		}
@@ -502,7 +530,8 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 
 // attributeIdle charges every idle DATA-bus cycle in [prevFree, ds) —
 // the gap between the previous DATA packet and this one — to exactly one
-// stall cause. It walks a chain of monotone thresholds in causal order:
+// stall cause in Stats.Stalls. It walks a chain of monotone thresholds in
+// causal order:
 //
 //	prevFree ──(controller idle)── at ──(precharge t_RP)── PreIssue+t_RP
 //	──(t_RC/t_RR/ROW-bus wait)── ActIssue ──(t_RCD)── rcdReady
@@ -510,41 +539,40 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 //
 // Each segment is clamped to [prevFree, ds), so the per-cause charges tile
 // the gap exactly; summed over a run (plus any controller-charged tail)
-// they equal Cycles − DataBusBusy, the invariant the telemetry tests
-// assert. Cycles before the request arrived are charged to the cause the
-// controller declared via SetIdleCause (no-request, dependency wait, or
-// FIFO starvation).
+// they equal Cycles − DataBusBusy. Cycles before the request arrived are
+// charged to the cause the controller declared via SetIdleCause
+// (no-request, dependency wait, or FIFO starvation). Attempt calls it
+// on every access that leaves a gap (ds > prevFree).
+// rdlint:hotpath
 func (d *Device) attributeIdle(prevFree, at, trwBound, rcdReady, ds int64, res *Result) {
-	if ds <= prevFree {
-		return
-	}
 	t := &d.cfg.Timing
-	p := d.Telemetry
-	pos := prevFree
-	charge := func(c telemetry.StallCause, until int64) {
-		if until > ds {
-			until = ds
-		}
-		if until > pos {
-			p.ChargeStall(c, until-pos)
-			pos = until
-		}
-	}
-	charge(p.IdleCause(), at)
+	pos := d.chargeTo(prevFree, ds, d.idleCause, at)
 	if res.PreIssue >= 0 {
-		charge(telemetry.StallPrecharge, res.PreIssue+int64(t.TRP))
+		pos = d.chargeTo(pos, ds, telemetry.StallPrecharge, res.PreIssue+int64(t.TRP))
 	}
 	if res.ActIssue >= 0 {
-		charge(telemetry.StallRowTiming, res.ActIssue)
-		charge(telemetry.StallActivate, res.ActIssue+int64(t.TRCD))
+		pos = d.chargeTo(pos, ds, telemetry.StallRowTiming, res.ActIssue)
+		pos = d.chargeTo(pos, ds, telemetry.StallActivate, res.ActIssue+int64(t.TRCD))
 	} else {
 		// Page hit on a freshly opened row can still wait out t_RCD.
-		charge(telemetry.StallActivate, rcdReady)
+		pos = d.chargeTo(pos, ds, telemetry.StallActivate, rcdReady)
 	}
 	if trwBound >= 0 {
-		charge(telemetry.StallTurnaround, trwBound)
+		pos = d.chargeTo(pos, ds, telemetry.StallTurnaround, trwBound)
 	}
-	charge(telemetry.StallColumn, ds)
+	d.chargeTo(pos, ds, telemetry.StallColumn, ds)
+}
+
+// chargeTo charges the idle cycles [pos, min(until, ds)) to cause c and
+// returns where the next segment starts.
+// rdlint:hotpath
+func (d *Device) chargeTo(pos, ds int64, c telemetry.StallCause, until int64) int64 {
+	until = min(until, ds)
+	if until <= pos {
+		return pos
+	}
+	d.stats.Stalls[c] += until - pos
+	return until
 }
 
 // NoEvent is NextEventAt's answer when no device state change is scheduled

@@ -1,9 +1,15 @@
 package rdram
 
-import "fmt"
+import (
+	"fmt"
 
-// Stats counts device operations and data-bus occupancy. All counters are
-// monotone over a simulation.
+	"rdramstream/internal/telemetry"
+)
+
+// Stats counts device operations, data-bus occupancy and the stall-cause
+// attribution of every idle DATA-bus cycle. All counters are monotone over
+// a simulation. It holds only scalars and fixed arrays, so Stats values
+// (and the outcomes carrying them) compare with ==.
 type Stats struct {
 	Activates     int64 `json:"Activates"`
 	Precharges    int64 `json:"Precharges"`
@@ -18,6 +24,10 @@ type Stats struct {
 	LastDataEnd   int64 `json:"LastDataEnd"`  // cycle after the final DATA packet
 	Rejections    int64 `json:"Rejections"`   // accesses refused by the fault injector
 	JitterCycles  int64 `json:"JitterCycles"` // extra latency cycles added by fault injection
+	// Stalls charges each idle DATA-bus cycle to one cause, indexed by
+	// telemetry.StallCause (the order of telemetry.StallCauses()). Over a
+	// run the entries sum to Cycles − DataBusBusy.
+	Stalls [telemetry.NumStallCauses]int64 `json:"Stalls"`
 }
 
 // PacketCount is the total number of DATA packets transferred.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -454,14 +453,9 @@ func (s *Service) publishSnapshot(m Metrics) {
 	reg.SetCounter("rd_jobs_submitted_total", "Jobs accepted by Submit.", float64(m.Jobs.Submitted))
 	reg.SetGauge("rd_jobs_active", "Jobs not yet finished.", float64(m.Jobs.Active))
 	reg.SetGauge("rd_jobs_retained", "Finished and active jobs still queryable.", float64(m.Jobs.Retained))
-	causes := make([]string, 0, len(m.Stalls))
-	for cause := range m.Stalls {
-		causes = append(causes, cause)
-	}
-	sort.Strings(causes)
-	for _, cause := range causes {
+	for c, cycles := range m.Stalls {
 		reg.SetCounter("rd_sim_stall_cycles_total",
 			"Idle DATA-bus cycles attributed by stall cause, summed over executed simulations.",
-			float64(m.Stalls[cause]), obs.L("cause", cause))
+			float64(cycles), obs.L("cause", telemetry.StallCause(c).String()))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"rdramstream/internal/service/client"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/stream"
+	"rdramstream/internal/telemetry"
 )
 
 func scenario(n int) sim.Scenario {
@@ -246,7 +247,7 @@ func TestHealthAndMetrics(t *testing.T) {
 	if m.Queue.Capacity == 0 || m.Workers.Configured == 0 {
 		t.Errorf("metrics missing queue/worker config: %+v", m)
 	}
-	if len(m.Stalls) == 0 {
+	if m.Stalls == ([telemetry.NumStallCauses]int64{}) {
 		t.Error("metrics carry no stall aggregates after an executed run")
 	}
 }

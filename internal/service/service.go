@@ -252,10 +252,10 @@ type Service struct {
 	// lags a decrement (race-tested). Leaf lock: never held while
 	// acquiring s.mu or any cache lock.
 	obsMu    sync.Mutex
-	busy     int64            // guarded by obsMu
-	tasksRun int64            // guarded by obsMu
-	batches  int64            // guarded by obsMu
-	stalls   map[string]int64 // guarded by obsMu
+	busy     int64                           // guarded by obsMu
+	tasksRun int64                           // guarded by obsMu
+	batches  int64                           // guarded by obsMu
+	stalls   [telemetry.NumStallCauses]int64 // guarded by obsMu
 
 	drained chan struct{} // dispatcher exited
 }
@@ -295,7 +295,6 @@ func New(cfg Config) (*Service, error) {
 		ctx:          ctx,
 		cancel:       cancel,
 		jobs:         make(map[string]*Job),
-		stalls:       make(map[string]int64),
 		drained:      make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -570,8 +569,8 @@ func (s *Service) runTask(t *task) {
 func (s *Service) execute(t *task) (res ScenarioResult) {
 	start := s.obsv.Now()
 	// The cache already converts runner panics into errors; this recover
-	// is the backstop for panics outside the runner (telemetry merge), so
-	// a batch carrying other jobs' work never dies with this task.
+	// is the backstop for panics outside the runner, so a batch carrying
+	// other jobs' work never dies with this task.
 	defer func() {
 		if r := recover(); r != nil {
 			res = ScenarioResult{Label: t.sc.Label(), Error: fmt.Sprintf("service: task panicked: %v", r)}
@@ -590,19 +589,11 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	if err := t.job.ctx.Err(); err != nil {
 		return ScenarioResult{Label: t.sc.Label(), Error: context.Cause(t.job.ctx).Error()}
 	}
-	// Telemetry rides along on real executions only: the collector is
-	// attached inside the cache's runner, so hits and deduped followers —
-	// which run nothing — aggregate nothing. Attaching a collector never
-	// changes the simulated outcome (probes are passive), which keeps
-	// cached results byte-identical to direct sim.Run.
 	label := t.sc.Label()
-	var col *telemetry.Collector
 	var simStart, simEnd time.Time
 	cacheStart := s.obsv.Now()
 	out, cached, err := s.cache.DoKey(t.job.ctx, t.key, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
 		simStart = s.obsv.Now()
-		col = telemetry.New(telemetry.Options{})
-		sc.Telemetry = col
 		o, e := sim.Run(sc)
 		simEnd = s.obsv.Now()
 		return o, e
@@ -622,8 +613,14 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	if cached {
 		tr.AddCacheHit()
 	}
-	if col != nil && err == nil {
-		s.mergeStalls(col)
+	// Only real executions add their outcome's stall attribution to the
+	// /metrics aggregate: hits and deduped followers ran nothing.
+	if !simStart.IsZero() && err == nil {
+		s.obsMu.Lock()
+		for c, cycles := range out.Device.Stalls {
+			s.stalls[c] += cycles
+		}
+		s.obsMu.Unlock()
 	}
 	res = ScenarioResult{Label: label, Cached: cached}
 	if err != nil {
@@ -632,17 +629,6 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 		res.Outcome = &out
 	}
 	return res
-}
-
-// mergeStalls folds one run's stall-cause attribution into the service-
-// wide aggregate exposed by /metrics.
-func (s *Service) mergeStalls(col *telemetry.Collector) {
-	rep := col.Report()
-	s.obsMu.Lock()
-	for cause, cycles := range rep.Stalls {
-		s.stalls[cause] += cycles
-	}
-	s.obsMu.Unlock()
 }
 
 // Close drains the service: no new submissions are accepted, queued work
@@ -693,10 +679,10 @@ type Metrics struct {
 	Queue   QueueMetrics      `json:"queue"`
 	Workers WorkerMetrics     `json:"workers"`
 	Jobs    JobMetrics        `json:"jobs"`
-	// Stalls aggregates the stall-cause attribution (idle DATA-bus
-	// cycles by cause, see internal/telemetry) over every simulation this
-	// service actually executed; cache hits contribute nothing.
-	Stalls map[string]int64 `json:"stalls"`
+	// Stalls sums the outcomes' Device.Stalls (idle DATA-bus cycles,
+	// indexed by telemetry.StallCause) over every simulation this service
+	// actually executed; cache hits contribute nothing.
+	Stalls [telemetry.NumStallCauses]int64 `json:"stalls"`
 }
 
 // Metrics snapshots the service. Each section is read under its own
@@ -724,10 +710,7 @@ func (s *Service) Metrics() Metrics {
 	busy := s.busy
 	tasksRun := s.tasksRun
 	batches := s.batches
-	stalls := make(map[string]int64, len(s.stalls))
-	for k, v := range s.stalls {
-		stalls[k] = v
-	}
+	stalls := s.stalls
 	s.obsMu.Unlock()
 
 	return Metrics{

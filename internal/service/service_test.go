@@ -226,15 +226,18 @@ func TestMetricsAggregateStalls(t *testing.T) {
 	if m.Workers.TasksRun != 1 {
 		t.Errorf("worker stats = %+v, want 1 task run", m.Workers)
 	}
-	if len(m.Stalls) == 0 {
-		t.Error("no stall-cause aggregates after an executed simulation")
+	// The aggregate is the executed run's own Device.Stalls, which tile
+	// its idle DATA-bus time.
+	out := job.Status().Results[0].Outcome
+	if m.Stalls != out.Device.Stalls {
+		t.Errorf("stall aggregates %v, want the run's Device.Stalls %v", m.Stalls, out.Device.Stalls)
 	}
 	var total int64
 	for _, v := range m.Stalls {
 		total += v
 	}
-	if total <= 0 {
-		t.Errorf("stall aggregate total = %d, want positive", total)
+	if want := out.Cycles - out.Device.DataBusBusy; total != want || total <= 0 {
+		t.Errorf("stall aggregate total = %d, want Cycles-DataBusBusy = %d", total, want)
 	}
 
 	// A cache hit must not add to the stall aggregates.

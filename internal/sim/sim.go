@@ -130,12 +130,14 @@ type Scenario struct {
 	// they were spelled — one result-cache entry and one fabric shard.
 	Workload *tracegen.Spec `json:"Workload,omitempty"`
 
-	// Telemetry, when non-nil, instruments the run: per-bank device
-	// counters, per-window bus occupancy and bandwidth, stall-cause
-	// attribution of every idle DATA-bus cycle, FIFO depth/starvation
-	// (SMC), and the miss-latency histogram (natural order). The caller
-	// keeps the collector and reads it back after the run; Finalize is
-	// called with the run's total cycles. Telemetry is an observer: it
+	// Telemetry, when non-nil, instruments the run: per-window bus
+	// occupancy and bandwidth, event capture, FIFO depth/starvation
+	// (SMC), and the miss-latency histogram (natural order). The device
+	// counters and the stall-cause attribution of every idle DATA-bus
+	// cycle need no collector: every Outcome carries them in Device. The
+	// caller keeps the collector and reads it back after the run;
+	// Finalize is called with the run's total cycles and the device's
+	// counters. Telemetry is an observer: it
 	// never changes the simulated outcome, so it is excluded from JSON
 	// encoding (the service wire format) and from result-cache keys.
 	Telemetry *telemetry.Collector `json:"-"`
@@ -412,7 +414,7 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	out := Outcome{Result: res}
-	sc.Telemetry.Finalize(out.Cycles)
+	finalize(sc.Telemetry, dev, out)
 
 	if !sc.SkipVerify {
 		if err := verify(dev, mapper, k, &scr.image); err != nil {
@@ -504,6 +506,18 @@ func newDevice(sc Scenario) (*rdram.Device, *scratch, error) {
 	}
 	dev.Trace = sc.Trace
 	return dev, scr, nil
+}
+
+// finalize hands the run's length and the device's own counters to the
+// scenario's collector, if any, for its report.
+func finalize(col *telemetry.Collector, dev *rdram.Device, out Outcome) {
+	if col != nil {
+		col.Finalize(out.Cycles, telemetry.DeviceCounters{
+			DataBusBusy: out.Device.DataBusBusy,
+			Stalls:      out.Device.Stalls,
+			PerBank:     dev.PerBank(),
+		})
+	}
 }
 
 // scratch is the per-run allocation set a sweep recycles: the device's

@@ -36,10 +36,13 @@ func comboName(sc Scenario) string {
 	return fmt.Sprintf("%s/%v/%v", sc.KernelName, sc.Scheme, sc.Mode)
 }
 
-// TestTelemetryReconcilesWithDeviceStats asserts that the telemetry
-// layer's per-bank counters, summed, exactly match the device's own Stats
-// for every kernel × {CLI, PI} × {natural, SMC} combination — both count
-// from the same scheduling sites, so any drift is a wiring bug.
+// TestTelemetryReconcilesWithDeviceStats asserts that the collector's
+// report — the metrics.json of rdsim -profile — carries exactly the
+// device's own counters for every kernel × {CLI, PI} × {natural, SMC}
+// combination: report totals, DATA-bus occupancy and stalls equal the
+// outcome's Stats, and the per-bank rows never exceed the bank count.
+// That the device's per-bank counters sum to its totals on every outcome
+// is TestStallInvariantOnEveryOutcome's to check.
 func TestTelemetryReconcilesWithDeviceStats(t *testing.T) {
 	for _, sc := range telemetryCombos() {
 		sc := sc
@@ -53,54 +56,71 @@ func TestTelemetryReconcilesWithDeviceStats(t *testing.T) {
 			if !out.Verified {
 				t.Fatal("run not verified")
 			}
-			st := out.Device
-			got := col.Device.Totals()
-			checks := []struct {
-				name       string
-				stat, tele int64
-			}{
-				{"Activates", st.Activates, got.Activates},
-				{"Precharges", st.Precharges, got.Precharges},
-				{"Reads", st.Reads, got.Reads},
-				{"Writes", st.Writes, got.Writes},
-				{"PageHits", st.PageHits, got.PageHits},
-				{"PageMisses", st.PageMisses, got.PageMisses},
-				{"PageConflicts", st.PageConflicts, got.PageConflicts},
-				{"Retires", st.Retires, got.Retires},
-				{"DataBusBusy", st.DataBusBusy, col.Device.DataBusBusy()},
+			rep := col.Report()
+			if rep.Totals != opCounts(out.Device) {
+				t.Errorf("report totals %+v, device stats %+v", rep.Totals, opCounts(out.Device))
 			}
-			for _, c := range checks {
-				if c.stat != c.tele {
-					t.Errorf("%s: device stats %d, telemetry %d", c.name, c.stat, c.tele)
+			if rep.DataBusBusy != out.Device.DataBusBusy {
+				t.Errorf("report data busy %d, device %d", rep.DataBusBusy, out.Device.DataBusBusy)
+			}
+			for i, v := range out.Device.Stalls {
+				if rep.Stalls[telemetry.StallCause(i).String()] != v {
+					t.Errorf("report stall %v = %d, device %d", telemetry.StallCause(i), rep.Stalls[telemetry.StallCause(i).String()], v)
 				}
 			}
-			// Per-bank counters must also sum element-wise into totals and
-			// never exceed the configured bank count.
-			if nb := len(col.Device.PerBank()); nb > sc.Device.Geometry.Banks && sc.Device.Geometry.Banks > 0 {
-				t.Errorf("telemetry saw %d banks, geometry has %d", nb, sc.Device.Geometry.Banks)
+			if nb := len(rep.PerBank); nb > sc.Device.Geometry.Banks && sc.Device.Geometry.Banks > 0 {
+				t.Errorf("report has %d bank rows, geometry has %d", nb, sc.Device.Geometry.Banks)
 			}
 		})
 	}
 }
 
-// TestStallAttributionInvariant asserts the tentpole invariant: the
-// per-cause idle-cycle charges tile the run exactly — they sum to
-// Cycles − DataBusBusy for every kernel × scheme × controller combination.
+// opCounts is the per-bank-counted part of a Stats.
+func opCounts(st rdram.Stats) telemetry.BankCounters {
+	return telemetry.BankCounters{
+		Activates: st.Activates, Precharges: st.Precharges,
+		Reads: st.Reads, Writes: st.Writes,
+		PageHits: st.PageHits, PageMisses: st.PageMisses, PageConflicts: st.PageConflicts,
+		Retires: st.Retires,
+	}
+}
+
+// stallSum totals a Stats' per-cause idle cycles.
+func stallSum(st rdram.Stats) int64 {
+	var n int64
+	for _, v := range st.Stalls {
+		n += v
+	}
+	return n
+}
+
+// TestStallAttributionInvariant asserts the attribution invariant with a
+// collector attached: the outcome's per-cause idle-cycle charges tile the
+// run exactly — they sum to Cycles − DataBusBusy for every kernel ×
+// scheme × controller combination — the report agrees, and attaching the
+// collector changes nothing in the outcome.
 func TestStallAttributionInvariant(t *testing.T) {
 	for _, sc := range telemetryCombos() {
 		sc := sc
 		t.Run(comboName(sc), func(t *testing.T) {
+			plain, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
 			col := telemetry.New(telemetry.Options{Window: 512})
 			sc.Telemetry = col
 			out, err := Run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if out != plain {
+				t.Errorf("collector changed the outcome:\n%+v\n%+v", out, plain)
+			}
 			wantIdle := out.Cycles - out.Device.DataBusBusy
-			if got := col.Device.IdleTotal(); got != wantIdle {
+			if got := stallSum(out.Device); got != wantIdle {
 				t.Errorf("stall attribution: per-cause sum %d, want Cycles-DataBusBusy = %d-%d = %d",
 					got, out.Cycles, out.Device.DataBusBusy, wantIdle)
-				for i, v := range col.Device.Stalls() {
+				for i, v := range out.Device.Stalls {
 					if v != 0 {
 						t.Logf("  %v: %d", telemetry.StallCause(i), v)
 					}
@@ -109,14 +129,14 @@ func TestStallAttributionInvariant(t *testing.T) {
 			if col.Cycles != out.Cycles {
 				t.Errorf("Finalize recorded %d cycles, outcome has %d", col.Cycles, out.Cycles)
 			}
-			// The report must agree with the raw probes.
+			// The report must agree with the device.
 			rep := col.Report()
 			var repSum int64
 			for _, v := range rep.Stalls {
 				repSum += v
 			}
-			if repSum != wantIdle {
-				t.Errorf("report stall sum %d, want %d", repSum, wantIdle)
+			if repSum != wantIdle || rep.IdleCycles != wantIdle {
+				t.Errorf("report stall sum %d, idle %d, want %d", repSum, rep.IdleCycles, wantIdle)
 			}
 		})
 	}
@@ -164,8 +184,11 @@ func TestStallAttributionVariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantIdle := out.Cycles - out.Device.DataBusBusy
-			if got := col.Device.IdleTotal(); got != wantIdle {
+			if got := stallSum(out.Device); got != wantIdle {
 				t.Errorf("per-cause sum %d, want %d", got, wantIdle)
+			}
+			if rep := col.Report(); rep.IdleCycles != wantIdle {
+				t.Errorf("report idle %d, want %d", rep.IdleCycles, wantIdle)
 			}
 		})
 	}

@@ -46,6 +46,6 @@ func runTrace(sc Scenario) (Outcome, error) {
 	// rdsim's exit code and the CI byte-compares free of trace special
 	// cases.
 	out := Outcome{Result: res, Verified: true}
-	sc.Telemetry.Finalize(out.Cycles)
+	finalize(sc.Telemetry, dev, out)
 	return out, nil
 }

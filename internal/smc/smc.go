@@ -146,10 +146,8 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 		tPack:  int64(dev.Config().Timing.TPack),
 		tRAC:   int64(dev.Config().Timing.TRAC()),
 	}
+	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallNoRequest)
 	if col := cfg.Telemetry; col != nil {
-		s.ctl = engine.Attach(dev, col, telemetry.StallNoRequest)
-		s.col = col
-		s.dprobe = col.Device
 		s.fprobes = make([]*telemetry.FIFOProbe, len(k.Streams))
 		for i, st := range k.Streams {
 			dir := "read"
@@ -199,9 +197,15 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 		return Result{}, work{}, err
 	}
 
+	// The run extends past the final DATA packet while the CPU drains the
+	// last FIFO contents; charge that tail so the stall attribution tiles
+	// the full [0, Cycles) idle time.
+	lastData := dev.Stats().LastDataEnd
+	cycles := max(s.fe.Time(), lastData)
+	dev.ChargeStall(telemetry.StallCPUTail, cycles-lastData)
 	st := dev.Stats()
 	res := Result{
-		Cycles:           max(s.fe.Time(), st.LastDataEnd),
+		Cycles:           cycles,
 		UsefulWords:      int64(k.Iterations()) * int64(len(k.Streams)),
 		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
 		CPUStallCycles:   s.fe.StallCycles(),
@@ -210,10 +214,6 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 	res.Finalize(dev.Config().Timing.CyclesPerWordPeak())
 	if col := cfg.Telemetry; col != nil {
 		col.Controller.CPUStallCycles = s.fe.StallCycles()
-		// The run extends past the final DATA packet while the CPU drains
-		// the last FIFO contents; charge that tail so the stall attribution
-		// tiles the full [0, Cycles) idle time.
-		col.Device.ChargeStall(telemetry.StallCPUTail, res.Cycles-st.LastDataEnd)
 	}
 	return res, s.work, nil
 }
@@ -287,9 +287,7 @@ type sim struct {
 	work work // scheduler work counts
 
 	// Telemetry probes; all nil when cfg.Telemetry is nil.
-	col     *telemetry.Collector
 	ctl     *telemetry.ControllerProbe
-	dprobe  *telemetry.DeviceProbe
 	fprobes []*telemetry.FIFOProbe
 }
 
@@ -317,9 +315,7 @@ func (s *sim) run() error {
 			}
 			return fmt.Errorf("smc: stalled at cycle %d with work remaining (MSU idle, CPU blocked)\n%s", s.msuTime, s.dumpState())
 		}
-		if s.col != nil {
-			s.noteBlocked(s.msuTime, t)
-		}
+		s.noteBlocked(s.msuTime, t)
 		s.msuTime = t
 	}
 }
@@ -405,21 +401,26 @@ func (s *sim) PushWrite(i int, v uint64, done int64) {
 	}
 }
 
-// noteBlocked records an MSU idle episode [from, until): which FIFOs were
-// starving it (full read FIFOs blocking prefetch, incomplete write packets
-// blocking drain), and declares the dominant cause to the device so the
-// idle DATA-bus cycles preceding the next access are attributed to it.
+// noteBlocked handles an MSU idle episode [from, until): it declares the
+// dominant cause to the device, so the idle DATA-bus cycles preceding the
+// next access are attributed to it, and with telemetry on records which
+// FIFOs were starving the MSU (full read FIFOs blocking prefetch,
+// incomplete write packets blocking drain).
 func (s *sim) noteBlocked(from, until int64) {
 	cause := telemetry.StallNoRequest
 	for i, f := range s.reads {
 		if f.plan.more() && !f.canFetch() {
-			s.fprobes[i].OnBlocked(from, until, true)
+			if s.fprobes != nil {
+				s.fprobes[i].OnBlocked(from, until, true)
+			}
 			cause = telemetry.StallFIFOFull
 		}
 	}
 	for j, f := range s.writes {
 		if f.plan.more() && !f.canDrain() {
-			s.fprobes[s.nr+j].OnBlocked(from, until, false)
+			if s.fprobes != nil {
+				s.fprobes[s.nr+j].OnBlocked(from, until, false)
+			}
 			if cause == telemetry.StallNoRequest {
 				cause = telemetry.StallFIFOEmpty
 			}
@@ -437,7 +438,7 @@ func (s *sim) noteBlocked(from, until int64) {
 			cause = telemetry.StallFaultRetry
 		}
 	}
-	s.dprobe.SetIdleCause(cause)
+	s.dev.SetIdleCause(cause)
 }
 
 // msuHasWork reports whether any stream still has packets to move.
@@ -599,8 +600,8 @@ func (s *sim) issue(i int) bool {
 	// A write drain that waited on the CPU's pushes is a FIFO-empty wait;
 	// declare it so the idle bus cycles before the drain are attributed to
 	// starvation rather than to an absent request.
-	if s.dprobe != nil && req.Write && at > s.msuTime {
-		s.dprobe.SetIdleCause(telemetry.StallFIFOEmpty)
+	if req.Write && at > s.msuTime {
+		s.dev.SetIdleCause(telemetry.StallFIFOEmpty)
 	}
 
 	var retry *retryState
@@ -618,9 +619,7 @@ func (s *sim) issue(i int) bool {
 	var res rdram.Result
 	if !s.dev.Attempt(at, &req, &res) {
 		retry.onReject(at, s.tPack)
-		if s.dprobe != nil {
-			s.dprobe.SetIdleCause(telemetry.StallFaultRetry)
-		}
+		s.dev.SetIdleCause(telemetry.StallFaultRetry)
 		return false
 	}
 	retry.onAccept()
@@ -652,8 +651,8 @@ func (s *sim) issue(i int) bool {
 			f := s.writes[i-s.nr]
 			fp.OnDepth(res.DataEnd, len(f.pushedAt)-len(f.drainAt))
 		}
-		s.dprobe.SetIdleCause(telemetry.StallNoRequest)
 	}
+	s.dev.SetIdleCause(telemetry.StallNoRequest)
 
 	// §6 extension: when a stream finishes its accesses to a DRAM page,
 	// open the next page it will touch while other FIFOs use the bus.

@@ -55,20 +55,30 @@ func (c *Collector) Report() *Report {
 	if c == nil {
 		return nil
 	}
+	dev := &c.Counters
 	r := &Report{
 		Cycles:           c.Cycles,
 		Window:           c.Window,
-		DataBusBusy:      c.Device.DataBusBusy(),
-		IdleCycles:       c.Device.IdleTotal(),
+		DataBusBusy:      dev.DataBusBusy,
 		Stalls:           map[string]int64{},
-		Totals:           c.Device.Totals(),
-		PerBank:          c.Device.PerBank(),
 		BusBusyPerWindow: map[string][]float64{},
 	}
-	for i, v := range c.Device.Stalls() {
+	for i, v := range dev.Stalls {
+		r.IdleCycles += v
 		if v != 0 {
 			r.Stalls[StallCause(i).String()] = v
 		}
+	}
+	// Per-bank rows run up to the last bank that did anything.
+	n := len(dev.PerBank)
+	for n > 0 && dev.PerBank[n-1] == (BankCounters{}) {
+		n--
+	}
+	if n > 0 {
+		r.PerBank = dev.PerBank[:n]
+	}
+	for _, b := range r.PerBank {
+		r.Totals.Add(b)
 	}
 	row, col, data := c.Device.BusSeries()
 	r.BusBusyPerWindow["row"] = row.Values()

@@ -1,23 +1,30 @@
 // Package telemetry is the simulator's cycle-level observability layer:
-// allocation-conscious counters, fixed-window time series, fixed-bucket
-// histograms, an event capture buffer, and exporters (JSONL, CSV, Chrome
-// trace-event JSON). The probes are nil-safe — every method no-ops on a
+// the stall-cause taxonomy and per-bank counter types the device fills on
+// every run, plus fixed-window time series, fixed-bucket histograms, an
+// event capture buffer, and exporters (JSONL, CSV, Chrome trace-event
+// JSON). The probes are nil-safe — every method no-ops on a
 // nil receiver — so the simulation layers instrument unconditionally and
 // a run without a Collector pays only a nil check per probe call.
 //
-// Structure: a Collector owns one DeviceProbe (per-bank operation
-// counters, per-window ROW/COL/DATA bus occupancy, and the stall-cause
-// attribution of idle DATA-bus cycles), one ControllerProbe (scheduling
-// decisions, miss-latency histogram, CPU stalls), and one FIFOProbe per
-// SMC stream buffer (depth gauge, full/empty stall accounting).
+// Structure: a Collector owns one DeviceProbe (per-window ROW/COL/DATA
+// bus occupancy and per-bank packet events), one ControllerProbe
+// (scheduling decisions, miss-latency histogram, CPU stalls), and one
+// FIFOProbe per SMC stream buffer (depth gauge, full/empty stall
+// accounting). The counters are not here: the device counts its own
+// operations per bank and attributes every idle DATA-bus cycle to a
+// StallCause on every run (rdram.Stats), and Finalize hands that snapshot
+// to the Collector for its Report.
 package telemetry
+
+import "strconv"
 
 // Options configures a Collector.
 type Options struct {
 	// Window is the time-series bucket width in cycles (default 256).
 	Window int64
 	// CaptureEvents enables the event buffer feeding the JSONL and Chrome
-	// trace exports. Off, only counters/series/histograms are kept.
+	// trace exports. Off, only series, histograms and probe counts are
+	// kept.
 	CaptureEvents bool
 	// EventLimit caps the capture buffer (default DefaultEventLimit).
 	EventLimit int
@@ -30,7 +37,7 @@ type Options struct {
 type Collector struct {
 	// Window is the series bucket width in cycles.
 	Window int64
-	// Device records device-level activity and stall attribution.
+	// Device records the device's bus occupancy and packet events.
 	Device *DeviceProbe
 	// Controller records controller-level activity.
 	Controller *ControllerProbe
@@ -41,6 +48,17 @@ type Collector struct {
 	Events *EventBuffer
 	// Cycles is the run length recorded by Finalize.
 	Cycles int64
+	// Counters is the device's counter snapshot recorded by Finalize.
+	Counters DeviceCounters
+}
+
+// DeviceCounters is the device's own counter block at the end of a run:
+// DATA-bus occupancy, the stall-cause attribution of the idle cycles, and
+// the per-bank operation counts.
+type DeviceCounters struct {
+	DataBusBusy int64
+	Stalls      [NumStallCauses]int64
+	PerBank     []BankCounters
 }
 
 // New builds a Collector.
@@ -57,12 +75,8 @@ func New(o Options) *Collector {
 		c.Events = &EventBuffer{Limit: limit}
 	}
 	c.Device = &DeviceProbe{
-		window:    o.Window,
-		rowBus:    NewSeries(o.Window),
-		colBus:    NewSeries(o.Window),
-		dataBus:   NewSeries(o.Window),
-		idleCause: StallNoRequest,
-		events:    c.Events,
+		bus:    [NumBuses]*Series{NewSeries(o.Window), NewSeries(o.Window), NewSeries(o.Window)},
+		events: c.Events,
 	}
 	c.Controller = &ControllerProbe{
 		MissLatency: MustHistogram(DefaultLatencyBounds()...),
@@ -90,16 +104,18 @@ func (c *Collector) FIFO(i int, name string) *FIFOProbe {
 	return c.FIFOs[i]
 }
 
-// Finalize records the run's total cycle count; exporters and the stall
-// invariant need it.
-func (c *Collector) Finalize(cycles int64) {
+// Finalize records the run's total cycle count and the device's counters,
+// the source of the Report's totals, per-bank rows and stall attribution.
+func (c *Collector) Finalize(cycles int64, dev DeviceCounters) {
 	if c == nil {
 		return
 	}
 	c.Cycles = cycles
+	c.Counters = dev
 }
 
-// BankCounters are the per-bank operation counts, mirroring rdram.Stats.
+// BankCounters are one bank's operation counts, the per-bank rows behind
+// the matching rdram.Stats totals.
 type BankCounters struct {
 	Activates     int64 `json:"activates"`
 	Precharges    int64 `json:"precharges"`
@@ -111,7 +127,8 @@ type BankCounters struct {
 	Retires       int64 `json:"retires"`
 }
 
-func (b *BankCounters) add(o BankCounters) {
+// Add adds o's counts to b.
+func (b *BankCounters) Add(o BankCounters) {
 	b.Activates += o.Activates
 	b.Precharges += o.Precharges
 	b.Reads += o.Reads
@@ -122,196 +139,53 @@ func (b *BankCounters) add(o BankCounters) {
 	b.Retires += o.Retires
 }
 
-// DeviceProbe records device-level telemetry. The rdram.Device calls its
-// On* hooks from the same sites that update rdram.Stats, so the totals
-// reconcile exactly with the device's own counters (tested in sim).
+// Bus names one of the device's three shared buses.
+type Bus int
+
+// The buses a packet can occupy, in the order BusSeries returns them.
+const (
+	RowBus Bus = iota
+	ColBus
+	DataBus
+
+	// NumBuses sizes per-bus arrays.
+	NumBuses
+)
+
+// DeviceProbe records the device's bus occupancy per window and, with
+// event capture on, one event per packet on its bank's track. The device
+// reaches it through its packet trace hook (see engine.Attach); the
+// device's counters are the device's own (rdram.Stats).
 type DeviceProbe struct {
-	window int64
-	banks  []BankCounters
-
-	rowBus, colBus, dataBus *Series
-
-	dataBusBusy int64
-	stalls      [NumStallCauses]int64
-	idleCause   StallCause
+	bus    [NumBuses]*Series
+	tracks []string // capture track per bank, named once by SetBanks
 
 	events *EventBuffer
 }
 
-func (p *DeviceProbe) bank(b int) *BankCounters {
-	for len(p.banks) <= b {
-		p.banks = append(p.banks, BankCounters{})
+// SetBanks names one capture track per bank of an n-bank device, once, so
+// recording an event formats nothing. Without event capture it does
+// nothing.
+func (p *DeviceProbe) SetBanks(n int) {
+	if p == nil || p.events == nil {
+		return
 	}
-	return &p.banks[b]
-}
-
-// trackName returns the capture track for a bank. Banks are few; a tiny
-// static table avoids per-event formatting allocations on the common path.
-var bankTracks = [...]string{
-	"bank 0", "bank 1", "bank 2", "bank 3", "bank 4", "bank 5", "bank 6", "bank 7",
-	"bank 8", "bank 9", "bank 10", "bank 11", "bank 12", "bank 13", "bank 14", "bank 15",
-}
-
-func bankTrack(b int) string {
-	if b >= 0 && b < len(bankTracks) {
-		return bankTracks[b]
+	p.tracks = make([]string, n)
+	for b := range p.tracks {
+		p.tracks[b] = "bank " + strconv.Itoa(b)
 	}
-	return "bank 16+"
 }
 
-// OnActivate records a ROW ACT packet on bank b occupying [start, end).
-func (p *DeviceProbe) OnActivate(b int, start, end int64) {
+// OnPacket records one packet named name (e.g. "ACT", "DATA rd") that
+// bank b's access put on bus during [start, end).
+func (p *DeviceProbe) OnPacket(bus Bus, name string, b int, start, end int64) {
 	if p == nil {
 		return
 	}
-	p.bank(b).Activates++
-	p.rowBus.AddSpan(start, end, 1)
-	p.events.Append(Event{Track: bankTrack(b), Name: "ACT", Start: start, End: end})
-}
-
-// OnPrecharge records a ROW PRER packet on bank b.
-func (p *DeviceProbe) OnPrecharge(b int, start, end int64) {
-	if p == nil {
-		return
+	p.bus[bus].AddSpan(start, end, 1)
+	if p.events != nil {
+		p.events.Append(Event{Track: p.tracks[b], Name: name, Start: start, End: end})
 	}
-	p.bank(b).Precharges++
-	p.rowBus.AddSpan(start, end, 1)
-	p.events.Append(Event{Track: bankTrack(b), Name: "PRER", Start: start, End: end})
-}
-
-// OnColumn records a COL RD/WR packet on bank b.
-func (p *DeviceProbe) OnColumn(b int, write bool, start, end int64) {
-	if p == nil {
-		return
-	}
-	p.colBus.AddSpan(start, end, 1)
-	name := "COL RD"
-	if write {
-		name = "COL WR"
-	}
-	p.events.Append(Event{Track: bankTrack(b), Name: name, Start: start, End: end})
-}
-
-// OnRetire records a COL RET packet preceding a read on bank b's device.
-func (p *DeviceProbe) OnRetire(b int, start, end int64) {
-	if p == nil {
-		return
-	}
-	p.bank(b).Retires++
-	p.colBus.AddSpan(start, end, 1)
-	p.events.Append(Event{Track: bankTrack(b), Name: "RET", Start: start, End: end})
-}
-
-// OnData records a DATA packet transfer for bank b.
-func (p *DeviceProbe) OnData(b int, write bool, start, end int64) {
-	if p == nil {
-		return
-	}
-	bk := p.bank(b)
-	if write {
-		bk.Writes++
-	} else {
-		bk.Reads++
-	}
-	p.dataBusBusy += end - start
-	p.dataBus.AddSpan(start, end, 1)
-	name := "DATA rd"
-	if write {
-		name = "DATA wr"
-	}
-	p.events.Append(Event{Track: bankTrack(b), Name: name, Start: start, End: end})
-}
-
-// OnAccess classifies one column access's page outcome for bank b.
-func (p *DeviceProbe) OnAccess(b int, hit, conflict bool) {
-	if p == nil {
-		return
-	}
-	bk := p.bank(b)
-	switch {
-	case hit:
-		bk.PageHits++
-	case conflict:
-		bk.PageConflicts++
-		bk.PageMisses++
-	default:
-		bk.PageMisses++
-	}
-}
-
-// SetIdleCause declares why the DATA bus is currently idle from the
-// controller's point of view; subsequent pre-arrival idle cycles are
-// charged to this cause until it is changed. The zero state is
-// StallNoRequest.
-func (p *DeviceProbe) SetIdleCause(c StallCause) {
-	if p == nil {
-		return
-	}
-	p.idleCause = c
-}
-
-// IdleCause returns the currently declared controller-side idle cause.
-func (p *DeviceProbe) IdleCause() StallCause {
-	if p == nil {
-		return StallNoRequest
-	}
-	return p.idleCause
-}
-
-// ChargeStall attributes n idle DATA-bus cycles to a cause.
-func (p *DeviceProbe) ChargeStall(c StallCause, n int64) {
-	if p == nil || n <= 0 {
-		return
-	}
-	p.stalls[c] += n
-}
-
-// Stalls returns the per-cause idle cycle totals.
-func (p *DeviceProbe) Stalls() [NumStallCauses]int64 {
-	if p == nil {
-		return [NumStallCauses]int64{}
-	}
-	return p.stalls
-}
-
-// IdleTotal sums idle cycles across causes.
-func (p *DeviceProbe) IdleTotal() int64 {
-	if p == nil {
-		return 0
-	}
-	var t int64
-	for _, v := range p.stalls {
-		t += v
-	}
-	return t
-}
-
-// DataBusBusy returns the cycles the DATA bus carried packets.
-func (p *DeviceProbe) DataBusBusy() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.dataBusBusy
-}
-
-// Totals sums the per-bank counters.
-func (p *DeviceProbe) Totals() BankCounters {
-	if p == nil {
-		return BankCounters{}
-	}
-	var t BankCounters
-	for _, b := range p.banks {
-		t.add(b)
-	}
-	return t
-}
-
-// PerBank returns the per-bank counters (indexed by bank id).
-func (p *DeviceProbe) PerBank() []BankCounters {
-	if p == nil {
-		return nil
-	}
-	return p.banks
 }
 
 // BusSeries returns the ROW, COL, and DATA bus occupancy series
@@ -320,7 +194,7 @@ func (p *DeviceProbe) BusSeries() (row, col, data *Series) {
 	if p == nil {
 		return nil, nil, nil
 	}
-	return p.rowBus, p.colBus, p.dataBus
+	return p.bus[RowBus], p.bus[ColBus], p.bus[DataBus]
 }
 
 // FIFOProbe records one SMC stream FIFO's behaviour.

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -200,19 +201,10 @@ func TestStallCauseNames(t *testing.T) {
 // contract that lets the simulators instrument unconditionally.
 func TestProbesNilSafe(t *testing.T) {
 	var d *DeviceProbe
-	d.OnActivate(0, 0, 4)
-	d.OnPrecharge(0, 0, 4)
-	d.OnColumn(0, false, 0, 4)
-	d.OnRetire(0, 0, 4)
-	d.OnData(0, true, 0, 4)
-	d.OnAccess(0, true, false)
-	d.SetIdleCause(StallFIFOEmpty)
-	d.ChargeStall(StallColumn, 3)
-	if d.IdleCause() != StallNoRequest || d.IdleTotal() != 0 || d.DataBusBusy() != 0 {
-		t.Error("nil device probe not zero")
-	}
-	if d.PerBank() != nil || (d.Totals() != BankCounters{}) {
-		t.Error("nil device probe has banks")
+	d.SetBanks(8)
+	d.OnPacket(DataBus, "DATA wr", 0, 0, 4)
+	if row, col, data := d.BusSeries(); row != nil || col != nil || data != nil {
+		t.Error("nil device probe has bus series")
 	}
 	var f *FIFOProbe
 	f.OnDepth(0, 3)
@@ -222,7 +214,7 @@ func TestProbesNilSafe(t *testing.T) {
 	c.OnDecision("x")
 	c.ObserveMissLatency(12)
 	var col *Collector
-	col.Finalize(100)
+	col.Finalize(100, DeviceCounters{})
 	if col.FIFO(0, "x") != nil {
 		t.Error("nil collector minted a FIFO probe")
 	}
@@ -231,31 +223,40 @@ func TestProbesNilSafe(t *testing.T) {
 	}
 }
 
+// TestDeviceProbeCountersAndSeries checks the report's counter half —
+// totals summed from the device's per-bank rows, rows trimmed after the
+// last active bank — and the probe's per-bus occupancy series.
 func TestDeviceProbeCountersAndSeries(t *testing.T) {
 	c := New(Options{Window: 8})
 	p := c.Device
-	p.OnActivate(1, 0, 4)
-	p.OnPrecharge(1, 4, 8)
-	p.OnColumn(1, false, 8, 12)
-	p.OnRetire(1, 12, 16)
-	p.OnData(1, false, 12, 16)
-	p.OnData(1, true, 16, 20)
-	p.OnAccess(1, true, false)
-	p.OnAccess(1, false, true)
-	p.OnAccess(1, false, false)
+	p.OnPacket(RowBus, "ACT", 1, 0, 4)
+	p.OnPacket(RowBus, "PRER", 1, 4, 8)
+	p.OnPacket(ColBus, "COL RD", 1, 8, 12)
+	p.OnPacket(ColBus, "RET", 1, 12, 16)
+	p.OnPacket(DataBus, "DATA rd", 1, 12, 16)
+	p.OnPacket(DataBus, "DATA wr", 1, 16, 20)
+	c.Finalize(20, DeviceCounters{
+		DataBusBusy: 8,
+		PerBank: []BankCounters{
+			{Reads: 1},
+			{Activates: 1, Precharges: 1, Writes: 1, Retires: 1, PageHits: 1, PageMisses: 2, PageConflicts: 1},
+			{}, {},
+		},
+	})
 
-	tot := p.Totals()
+	rep := c.Report()
+	tot := rep.Totals
 	if tot.Activates != 1 || tot.Precharges != 1 || tot.Reads != 1 || tot.Writes != 1 || tot.Retires != 1 {
 		t.Errorf("totals = %+v", tot)
 	}
 	if tot.PageHits != 1 || tot.PageConflicts != 1 || tot.PageMisses != 2 {
 		t.Errorf("page outcomes = %+v", tot)
 	}
-	if got := len(p.PerBank()); got != 2 {
-		t.Errorf("banks = %d, want 2 (lazy grow through index 1)", got)
+	if got := len(rep.PerBank); got != 2 {
+		t.Errorf("banks = %d, want 2 (rows through the last active bank)", got)
 	}
-	if p.DataBusBusy() != 8 {
-		t.Errorf("data busy = %d, want 8", p.DataBusBusy())
+	if rep.DataBusBusy != 8 {
+		t.Errorf("data busy = %d, want 8", rep.DataBusBusy)
 	}
 	row, colS, data := p.BusSeries()
 	if sumVals(row.Values()) != 8 || sumVals(colS.Values()) != 8 || sumVals(data.Values()) != 8 {
@@ -263,22 +264,24 @@ func TestDeviceProbeCountersAndSeries(t *testing.T) {
 	}
 }
 
+// TestStallAccounting checks the report's stall half: idle cycles sum the
+// device's per-cause array, and the map names only the nonzero causes.
 func TestStallAccounting(t *testing.T) {
 	c := New(Options{})
-	p := c.Device
-	if p.IdleCause() != StallNoRequest {
-		t.Errorf("zero idle cause = %v", p.IdleCause())
+	var stalls [NumStallCauses]int64
+	stalls[StallDependency] = 10
+	stalls[StallColumn] = 5
+	c.Finalize(25, DeviceCounters{DataBusBusy: 10, Stalls: stalls})
+	rep := c.Report()
+	if rep.IdleCycles != 15 {
+		t.Errorf("idle total = %d, want 15", rep.IdleCycles)
 	}
-	p.SetIdleCause(StallDependency)
-	p.ChargeStall(p.IdleCause(), 10)
-	p.ChargeStall(StallColumn, 5)
-	p.ChargeStall(StallColumn, -3) // non-positive charges ignored
-	if p.IdleTotal() != 15 {
-		t.Errorf("idle total = %d, want 15", p.IdleTotal())
+	want := map[string]int64{"dependency": 10, "column": 5}
+	if !reflect.DeepEqual(rep.Stalls, want) {
+		t.Errorf("stalls = %v, want %v", rep.Stalls, want)
 	}
-	st := p.Stalls()
-	if st[StallDependency] != 10 || st[StallColumn] != 5 {
-		t.Errorf("stalls = %v", st)
+	if rep.PerBank != nil {
+		t.Errorf("per-bank rows %v with no banks", rep.PerBank)
 	}
 }
 
@@ -381,13 +384,15 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 
 func TestCollectorExporters(t *testing.T) {
 	c := New(Options{Window: 4, CaptureEvents: true, EventLimit: 8})
-	c.Device.OnActivate(0, 0, 4)
-	c.Device.OnData(0, false, 4, 8)
-	c.Device.ChargeStall(StallActivate, 4)
+	c.Device.SetBanks(1)
+	c.Device.OnPacket(RowBus, "ACT", 0, 0, 4)
+	c.Device.OnPacket(DataBus, "DATA rd", 0, 4, 8)
 	c.FIFO(0, "read x").OnDepth(2, 5)
 	c.Controller.OnDecision("roundrobin")
 	c.Controller.ObserveMissLatency(20)
-	c.Finalize(8)
+	var stalls [NumStallCauses]int64
+	stalls[StallActivate] = 4
+	c.Finalize(8, DeviceCounters{DataBusBusy: 4, Stalls: stalls, PerBank: []BankCounters{{Activates: 1, Reads: 1, PageMisses: 1}}})
 
 	rep := c.Report()
 	if rep.Cycles != 8 || rep.DataBusBusy != 4 || rep.IdleCycles != 4 {
@@ -455,18 +460,29 @@ func TestEventCaptureOffByDefault(t *testing.T) {
 	if c.Events != nil {
 		t.Error("event buffer allocated without CaptureEvents")
 	}
-	// Hooks still work, they just keep counters only.
-	c.Device.OnData(0, false, 0, 4)
-	if c.Device.DataBusBusy() != 4 {
-		t.Error("counters lost without capture")
+	// Hooks still work, they just keep series only.
+	c.Device.SetBanks(8)
+	c.Device.OnPacket(DataBus, "DATA rd", 0, 0, 4)
+	if _, _, data := c.Device.BusSeries(); sumVals(data.Values()) != 4 {
+		t.Error("series lost without capture")
 	}
 }
 
+// TestBankTrackFallback pins one capture track per bank for every bank of
+// the geometry: a 32-bank channel (four chips) draws banks 16–31 on
+// tracks of their own, not on one shared fallback track.
 func TestBankTrackFallback(t *testing.T) {
-	if bankTrack(3) != "bank 3" {
-		t.Errorf("bankTrack(3) = %q", bankTrack(3))
+	c := New(Options{CaptureEvents: true})
+	c.Device.SetBanks(32)
+	for _, b := range []int{0, 3, 15, 16, 17, 31} {
+		c.Device.OnPacket(RowBus, "ACT", b, int64(b), int64(b)+4)
 	}
-	if bankTrack(99) != "bank 16+" {
-		t.Errorf("bankTrack(99) = %q", bankTrack(99))
+	var got []string
+	for _, ev := range c.Events.Events {
+		got = append(got, ev.Track)
+	}
+	want := []string{"bank 0", "bank 3", "bank 15", "bank 16", "bank 17", "bank 31"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tracks = %q, want %q", got, want)
 	}
 }

@@ -26,7 +26,7 @@ const Module = "rdramstream"
 
 // Semver is the module version. It is bumped whenever simulated outcomes
 // may change; the result cache treats any change as a full invalidation.
-const Semver = "0.5.0"
+const Semver = "0.6.0"
 
 // Fingerprint hashes the model parameters that determine simulated
 // outcomes: the default device configuration, the packet constants, the

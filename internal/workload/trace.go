@@ -37,9 +37,10 @@ type TraceOptions struct {
 	// Window is the reorder window depth in transactions (0 = 32, the
 	// default SBU depth). Ignored without Reorder.
 	Window int
-	// Telemetry, when non-nil, instruments the replay (stall-cause
-	// attribution with StallNoRequest as the idle cause, like the
-	// conventional controller). Pure observer.
+	// Telemetry, when non-nil, records the replay's bus series and
+	// events. Pure observer; the device attributes idle cycles before
+	// each transaction to StallNoRequest either way, like the
+	// conventional controller.
 	Telemetry *telemetry.Collector
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
+	"rdramstream/internal/telemetry"
 )
 
 // scatteredTrace builds a trace that ping-pongs between rows — the
@@ -40,8 +41,19 @@ func TestReplayTraceMatchesReplay(t *testing.T) {
 		if got.Cycles != want[scheme].LastDataEnd {
 			t.Errorf("%v: %d cycles, want %d", scheme, got.Cycles, want[scheme].LastDataEnd)
 		}
-		if got.Device != want[scheme] {
-			t.Errorf("%v: device stats diverge:\n  got  %+v\n  want %+v", scheme, got.Device, want[scheme])
+		// The legacy replay kept no stall attribution: compare the rest,
+		// and check the attribution tiles the idle time.
+		st := got.Device
+		st.Stalls = [telemetry.NumStallCauses]int64{}
+		if st != want[scheme] {
+			t.Errorf("%v: device stats diverge:\n  got  %+v\n  want %+v", scheme, st, want[scheme])
+		}
+		var idle int64
+		for _, v := range got.Device.Stalls {
+			idle += v
+		}
+		if want := got.Cycles - got.Device.DataBusBusy; idle != want {
+			t.Errorf("%v: stalls sum to %d, want Cycles-DataBusBusy = %d", scheme, idle, want)
 		}
 	}
 }

@@ -220,12 +220,13 @@ func DefaultDevice() DeviceConfig { return rdram.DefaultConfig() }
 
 // Observability layer: cycle-level telemetry and trace validation.
 type (
-	// Telemetry collects cycle-level instrumentation for one run: per-bank
-	// device counters, windowed bus occupancy and bandwidth, stall-cause
-	// attribution of idle DATA-bus cycles, FIFO depth/starvation, and the
-	// miss-latency histogram. Attach it via Scenario.Telemetry and read it
-	// back (Report, WriteMetricsJSON, WriteSeriesCSV, WriteChromeTrace,
-	// WriteEventsJSONL) after the run.
+	// Telemetry collects cycle-level instrumentation for one run:
+	// windowed bus occupancy and bandwidth, per-bank and per-FIFO events,
+	// FIFO depth/starvation, and the miss-latency histogram; its report
+	// adds the device's per-bank counters and stall-cause attribution,
+	// which every Outcome carries anyway (Outcome.Device). Attach it via
+	// Scenario.Telemetry and read it back (Report, WriteMetricsJSON,
+	// WriteSeriesCSV, WriteChromeTrace, WriteEventsJSONL) after the run.
 	Telemetry = telemetry.Collector
 	// TelemetryOptions configures NewTelemetry (window width, event
 	// capture).
