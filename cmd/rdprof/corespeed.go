@@ -9,11 +9,12 @@
 // afterNsPerOp, or if any one allocates more per run than its committed
 // afterAllocsPerOp — the CI backstop that keeps the speedups from
 // silently eroding. Only the multi-ms scenarios are time-gated — the
-// long streams, timing-only and verified for each of the SMC and natural
-// order, timing-only for the conventional controller, and a reordered
-// trace replay: at several ms/run their min-of-N timing is stable on
-// shared CI runners, where the sub-ms scenarios are not. Allocation
-// counts are exact, so every row is allocation-gated.
+// long streams, timing-only and verified (under PI and CLI) for each of
+// the SMC and natural order, timing-only for the conventional
+// controller, and a reordered trace replay: at several ms/run their
+// min-of-N timing is stable on shared CI runners, where the sub-ms
+// scenarios are not. Allocation counts are exact, so every row is
+// allocation-gated.
 package main
 
 import (
@@ -51,6 +52,11 @@ const (
 	// first timed. They pin no speedup; their before and after are the
 	// same code, and they exist for the -check regression gate.
 	guardCommit = "1a11d30"
+	// runCursorCommit is the parent of the per-stripe functional harness,
+	// whose memory cursor mapped once per run of contiguous words (one
+	// cacheline under CLI) and whose seed, golden replay, store capture
+	// and verify moved one word at a time.
+	runCursorCommit = "22f3daf"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -122,6 +128,28 @@ func coreCases() []coreCase {
 				Placement: rdramstream.Staggered,
 			},
 			baseline: mapCaptureCommit, beforeNs: 29_503_748, beforeAl: 537,
+			gate: true,
+		},
+		{
+			name: "NaturalOrderLongVectorVerifiedCLI",
+			desc: "daxpy n=65536 CLI/natural staggered, verified",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.CLI,
+				Mode:      rdramstream.NaturalOrder,
+				Placement: rdramstream.Staggered,
+			},
+			baseline: runCursorCommit, beforeNs: 15_037_464, beforeAl: 22,
+			gate: true,
+		},
+		{
+			name: "SMCLongVectorVerifiedCLI",
+			desc: "daxpy n=65536 CLI/smc fifo=128 staggered, verified",
+			sc: rdramstream.Scenario{
+				KernelName: "daxpy", N: 65536, Scheme: rdramstream.CLI,
+				Mode: rdramstream.SMC, FIFODepth: 128,
+				Placement: rdramstream.Staggered,
+			},
+			baseline: runCursorCommit, beforeNs: 14_901_302, beforeAl: 21,
 			gate: true,
 		},
 		{
@@ -227,11 +255,14 @@ func runCoreBench(iters int, outPath string) {
 			mapCaptureCommit + " has natural order capturing store values in hash " +
 			"maps, timing-only runs included; " + guardCommit + " is where the " +
 			"conventional and trace-replay rows were first timed (regression " +
-			"guards, no speedup pinned). after = current build, with the " +
-			"page-table functional store, one paged word image for " +
-			"seed/verify and store capture, a memory cursor that maps once " +
-			"per run of contiguous words, and an SMC that plans packets on " +
-			"demand. ns/op is the min wall time over the " +
+			"guards, no speedup pinned); " + runCursorCommit + " has a memory " +
+			"cursor that maps once per run of contiguous words and a " +
+			"word-at-a-time seed, golden replay, store capture and verify. " +
+			"after = current build, with the page-table functional store, one " +
+			"paged word image for seed/verify and store capture, a memory " +
+			"cursor that maps once per stripe (row r of every bank), a " +
+			"functional harness that walks stripes in chunks, and an SMC " +
+			"that plans packets on demand. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
 			"delta per run after a pool-warming iteration, the fewest of three " +
 			"runs with the collector paused. See docs/PERFORMANCE.md.",

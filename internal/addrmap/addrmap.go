@@ -12,6 +12,7 @@ package addrmap
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"rdramstream/internal/rdram"
@@ -70,6 +71,12 @@ type Loc struct {
 }
 
 // Mapper converts word addresses to device coordinates and back.
+//
+// Under both schemes row r of every bank holds exactly the Banks ×
+// PageWords consecutive addresses from r·Banks·PageWords: the stripe. The
+// stripe view (Stripe, InStripe) maps an address to its stripe and offset,
+// and an offset to its bank and in-page word, so a walk over contiguous
+// addresses maps once per stripe and finds each word by index arithmetic.
 type Mapper struct {
 	scheme       Scheme
 	banks        int
@@ -77,6 +84,16 @@ type Mapper struct {
 	lineWords    int
 	pagesPerBank int
 	linesPerPage int
+	stripeWords  int // banks × pageWords
+	// unit is the interleave unit the stripe is dealt to the banks in:
+	// the cacheline under CLI, the whole page under PI.
+	unit int
+
+	// pow2 says banks, pageWords and lineWords are all powers of two,
+	// and the stripe view shifts and masks by the logs below instead of
+	// dividing.
+	pow2                              bool
+	stripeShift, bankShift, unitShift uint
 }
 
 // New builds a mapper for the given scheme over the device geometry.
@@ -97,15 +114,29 @@ func New(scheme Scheme, g rdram.Geometry, lineWords int) (*Mapper, error) {
 	if g.PageWords%lineWords != 0 {
 		return nil, fmt.Errorf("addrmap: page size %d words is not a multiple of the cacheline %d", g.PageWords, lineWords)
 	}
-	return &Mapper{
+	m := &Mapper{
 		scheme:       scheme,
 		banks:        g.Banks,
 		pageWords:    g.PageWords,
 		lineWords:    lineWords,
 		pagesPerBank: g.PagesPerBank,
 		linesPerPage: g.PageWords / lineWords,
-	}, nil
+		stripeWords:  g.Banks * g.PageWords,
+		unit:         lineWords,
+	}
+	if scheme == PI {
+		m.unit = g.PageWords
+	}
+	if isPow2(g.Banks) && isPow2(g.PageWords) && isPow2(lineWords) {
+		m.pow2 = true
+		m.stripeShift = uint(bits.TrailingZeros(uint(m.stripeWords)))
+		m.bankShift = uint(bits.TrailingZeros(uint(g.Banks)))
+		m.unitShift = uint(bits.TrailingZeros(uint(m.unit)))
+	}
+	return m, nil
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // MustNew is New for configurations known statically; it panics on error.
 func MustNew(scheme Scheme, g rdram.Geometry, lineWords int) *Mapper {
@@ -133,45 +164,64 @@ func (m *Mapper) CapacityWords() int64 {
 	return int64(m.banks) * int64(m.pagesPerBank) * int64(m.pageWords)
 }
 
+// StripeWords returns the words of one stripe, Banks × PageWords.
+func (m *Mapper) StripeWords() int { return m.stripeWords }
+
 // Map converts a word address to its device location.
 func (m *Mapper) Map(addr int64) Loc {
-	loc, _ := m.Run(addr)
-	return loc
-}
-
-// Run converts a word address to its device location like Map, and also
-// returns n >= 1, the length of the run that starts at addr: the words
-// addr, addr+1, ..., addr+n-1 sit at consecutive word positions of one
-// device page (same bank and row), and addr+n does not continue them.
-// Under CLI a run is the rest of addr's cacheline, under PI the rest of
-// its page. Walks over contiguous words map once per run instead of once
-// per word.
-// rdlint:hotpath
-func (m *Mapper) Run(addr int64) (Loc, int) {
-	if addr < 0 || addr >= m.CapacityWords() {
-		panic(fmt.Sprintf("addrmap: address %d out of range [0,%d)", addr, m.CapacityWords()))
-	}
+	m.check(addr)
 	var loc Loc
-	var inPage, n int
+	var inPage int
 	switch m.scheme {
 	case CLI:
 		line := addr / int64(m.lineWords)
-		inLine := int(addr % int64(m.lineWords))
 		loc.Bank = int(line % int64(m.banks))
 		bankLine := line / int64(m.banks)
 		loc.Row = int(bankLine / int64(m.linesPerPage))
-		inPage = int(bankLine%int64(m.linesPerPage))*m.lineWords + inLine
-		n = m.lineWords - inLine
+		inPage = int(bankLine%int64(m.linesPerPage))*m.lineWords + int(addr%int64(m.lineWords))
 	case PI:
 		page := addr / int64(m.pageWords)
 		inPage = int(addr % int64(m.pageWords))
 		loc.Bank = int(page % int64(m.banks))
 		loc.Row = int(page / int64(m.banks))
-		n = m.pageWords - inPage
 	}
 	loc.Col = inPage / rdram.WordsPerPacket
 	loc.Word = inPage % rdram.WordsPerPacket
-	return loc, n
+	return loc
+}
+
+// Stripe returns the stripe addr lies in, which is also its row in every
+// bank, and addr's offset within the stripe.
+// rdlint:hotpath
+func (m *Mapper) Stripe(addr int64) (row, off int) {
+	m.check(addr)
+	if m.pow2 {
+		return int(addr >> (m.stripeShift & 63)), int(addr & int64(m.stripeWords-1))
+	}
+	return int(addr / int64(m.stripeWords)), int(addr % int64(m.stripeWords))
+}
+
+// InStripe returns the bank and in-page word of stripe offset off, for
+// 0 <= off < StripeWords, and n >= 1, the words from off to the end of
+// its interleave unit: offsets off, ..., off+n-1 sit at consecutive words
+// of the same page. The stripe deals its units to the banks in turn —
+// cachelines under CLI, whole pages under PI — so one formula serves both
+// schemes.
+// rdlint:hotpath
+func (m *Mapper) InStripe(off int) (bank, word, n int) {
+	if m.pow2 {
+		u, in := off>>(m.unitShift&63), off&(m.unit-1)
+		return u & (m.banks - 1), (u>>(m.bankShift&63))<<(m.unitShift&63) | in, m.unit - in
+	}
+	u, in := off/m.unit, off%m.unit
+	return u % m.banks, u/m.banks*m.unit + in, m.unit - in
+}
+
+// check panics on an address outside the device.
+func (m *Mapper) check(addr int64) {
+	if addr < 0 || addr >= m.CapacityWords() {
+		panic(fmt.Sprintf("addrmap: address %d out of range [0,%d)", addr, m.CapacityWords()))
+	}
 }
 
 // Unmap is the inverse of Map. New rejects schemes outside {CLI, PI}, so

@@ -24,8 +24,9 @@ func inPage(loc Loc) int { return loc.Col*rdram.WordsPerPacket + loc.Word }
 // FuzzMapUnmap fuzzes the address translation for both schemes over a
 // range of geometries (run with `go test -fuzz=FuzzMapUnmap`; the seed
 // corpus runs in every ordinary test invocation): the Map/Unmap round
-// trip, Run's contract, and Map's and Run's panic on an address outside
-// the device.
+// trip, the stripe view's agreement with Map, that a stripe holds exactly
+// one row of every bank, and Map's and Stripe's panic on an address
+// outside the device.
 func FuzzMapUnmap(f *testing.F) {
 	f.Add(int64(0), uint8(0), uint8(3), uint8(0))
 	f.Add(int64(12345), uint8(1), uint8(4), uint8(0))
@@ -60,26 +61,50 @@ func FuzzMapUnmap(f *testing.F) {
 			t.Fatalf("out-of-range location %+v", loc)
 		}
 
-		// Run: addr's location, then n words at consecutive positions of
-		// the same page, and addr+n does not continue them.
-		runLoc, n := m.Run(addr)
-		if runLoc != loc {
-			t.Fatalf("Run(%d) at %+v, Map says %+v", addr, runLoc, loc)
+		// The stripe view: addr's stripe is its row, and the offset's bank
+		// and in-page word are Map's.
+		row, off := m.Stripe(addr)
+		sw := int64(m.StripeWords())
+		if sw != int64(g.Banks*g.PageWords) || off < 0 || int64(off) >= sw || int64(row)*sw+int64(off) != addr {
+			t.Fatalf("scheme=%v line=%d %+v: Stripe(%d) = row %d offset %d, stripe %d words", scheme, lineWords, g, addr, row, off, sw)
 		}
-		if n < 1 || addr+int64(n) > capacity {
-			t.Fatalf("Run(%d) = %d words, capacity %d", addr, n, capacity)
+		bank, w, n := m.InStripe(off)
+		if row != loc.Row || bank != loc.Bank || w != inPage(loc) {
+			t.Fatalf("scheme=%v line=%d %+v: stripe view of %d is row %d bank %d word %d, Map says %+v",
+				scheme, lineWords, g, addr, row, bank, w, loc)
 		}
-		for i := 1; i < n; i++ {
+		// The n words of off's interleave unit continue it in its page,
+		// and the word after them does not.
+		if n < 1 || int64(off+n) > sw {
+			t.Fatalf("scheme=%v line=%d %+v: InStripe(%d) gives a unit of %d words", scheme, lineWords, g, off, n)
+		}
+		for i := 1; i <= n; i++ {
+			if off+i == int(sw) {
+				break
+			}
 			l := m.Map(addr + int64(i))
-			if l.Bank != loc.Bank || l.Row != loc.Row || inPage(l) != inPage(loc)+i {
-				t.Fatalf("scheme=%v line=%d %+v: word %d of the run from %d is at %+v, run starts at %+v",
-					scheme, lineWords, g, i, addr, l, loc)
+			if cont := l.Bank == bank && inPage(l) == w+i; cont != (i < n) {
+				t.Fatalf("scheme=%v line=%d %+v: word %d after %d is at %+v; unit from %d is %d words",
+					scheme, lineWords, g, i, addr, l, addr, n)
 			}
 		}
-		if end := addr + int64(n); end < capacity {
-			if l := m.Map(end); l.Bank == loc.Bank && l.Row == loc.Row && inPage(l) == inPage(loc)+n {
-				t.Fatalf("scheme=%v line=%d %+v: the run from %d stops at %d words, but %d continues it at %+v",
-					scheme, lineWords, g, addr, n, end, l)
+		// Stripe row holds exactly row row of every bank: each (bank,
+		// in-page word) of the row maps back into the stripe, once, at the
+		// offset the stripe view gives it.
+		seen := make([]bool, sw)
+		for bank := 0; bank < g.Banks; bank++ {
+			for w := 0; w < g.PageWords; w++ {
+				a := m.Unmap(Loc{Bank: bank, Row: row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket})
+				o := a - int64(row)*sw
+				if o < 0 || o >= sw || seen[o] {
+					t.Fatalf("scheme=%v line=%d %+v: bank %d row %d word %d is address %d, outside stripe %d or twice in it",
+						scheme, lineWords, g, bank, row, w, a, row)
+				}
+				seen[o] = true
+				if b2, w2, _ := m.InStripe(int(o)); b2 != bank || w2 != w {
+					t.Fatalf("scheme=%v line=%d %+v: InStripe(%d) = bank %d word %d, want bank %d word %d",
+						scheme, lineWords, g, o, b2, w2, bank, w)
+				}
 			}
 		}
 
@@ -88,8 +113,8 @@ func FuzzMapUnmap(f *testing.F) {
 			if got := panicValue(func() { m.Map(bad) }); got != want {
 				t.Fatalf("Map(%d) panicked with %v, want %q", bad, got, want)
 			}
-			if got := panicValue(func() { m.Run(bad) }); got != want {
-				t.Fatalf("Run(%d) panicked with %v, want %q", bad, got, want)
+			if got := panicValue(func() { m.Stripe(bad) }); got != want {
+				t.Fatalf("Stripe(%d) panicked with %v, want %q", bad, got, want)
 			}
 		}
 	})

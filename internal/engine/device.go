@@ -7,36 +7,41 @@ import (
 	"rdramstream/internal/telemetry"
 )
 
-// cursorRuns is how many runs a Cursor holds: one per stream of a walk
-// that interleaves streams (StoreValues' loads, natural order's lines),
-// enough for the paper's kernels, whose widest reads three streams and
-// writes a fourth.
-const cursorRuns = 4
+// cursorStripes is how many stripes a Cursor holds: one per stream of a
+// walk that interleaves streams (StoreValues' loads, natural order's
+// lines), with room for the paper's seven-read, one-write experiment.
+const cursorStripes = 8
 
 // Cursor maps word addresses to device locations and reads and writes
-// device memory by word address without advancing time. It pays for the
-// address map once per run (addrmap.Mapper.Run: the rest of a cacheline
-// under CLI, of a page under PI) and for the device's page lookup once
-// per run that touches data, instead of once per word: every later
-// address inside a run it holds costs an index. It holds the last few
-// runs, so walks that interleave a handful of streams keep each one's.
-// On a timing-only device Peek returns 0 and Poke stores nothing. A
-// Cursor is a value: the zero value is unusable, NewCursor builds one.
+// device memory by word address without advancing time. Its unit is the
+// stripe, row r of every bank (addrmap.Mapper.Stripe): it pays for the
+// address map once per stripe, finds each word in it by index arithmetic
+// (Mapper.InStripe), and fetches a bank's page from the device on the
+// first data access to it, so banks a walk never reads or writes get no
+// page. It holds the last few stripes, replacing the least recently used,
+// so walks that interleave several streams keep each one's. On a
+// timing-only device Peek returns 0. A Cursor is a value: the zero value
+// is unusable, NewCursor builds one, and a copy must not be used once the
+// original has touched data (the two would share page slots).
 type Cursor struct {
-	dev  *rdram.Device
-	m    *addrmap.Mapper
-	runs [cursorRuns]cursorRun
-	last int // the run the latest address fell in, checked first
-	next int // the run the next miss replaces, round robin
+	dev     *rdram.Device
+	m       *addrmap.Mapper
+	stripes [cursorStripes]cursorStripe
+	last    int    // the stripe the latest address fell in, checked first
+	clock   uint64 // stamps stripes for least-recently-used replacement
+	// slab holds the stripes' page slots, Banks per stripe: bank b's page
+	// of stripe s is slab[s.base+b], nil until first touched. It is
+	// allocated on the first data access and kept across reset.
+	slab [][]uint64
 }
 
-// cursorRun is one run a Cursor holds: addresses [lo, hi) at consecutive
-// words of page (bank, row), starting at in-page word at.
-type cursorRun struct {
-	lo, hi    int64
-	bank, row int
-	at        int
-	page      []uint64 // the page's words, fetched on first data access
+// cursorStripe is one stripe a Cursor holds: addresses [lo, hi), row row
+// of every bank, with page slots from slab[base].
+type cursorStripe struct {
+	lo, hi int64
+	row    int
+	base   int
+	used   uint64 // the cursor's clock when this stripe was last found
 }
 
 // NewCursor builds a cursor over dev's memory under mapper m.
@@ -44,92 +49,115 @@ func NewCursor(dev *rdram.Device, m *addrmap.Mapper) Cursor {
 	return Cursor{dev: dev, m: m}
 }
 
-// find returns the run holding addr, mapping a new one over the oldest
-// when none does, and addr's in-page word index. It panics with the
-// mapper's message on an address outside the device.
+// reset points c at dev and m and empties it, keeping its slab's backing.
+func (c *Cursor) reset(dev *rdram.Device, m *addrmap.Mapper) {
+	c.dev, c.m = dev, m
+	c.stripes = [cursorStripes]cursorStripe{}
+	c.last, c.clock = 0, 0
+	c.slab = c.slab[:0]
+}
+
+// find returns the stripe holding addr, mapping it over the least
+// recently used one when no stripe does. It panics with the mapper's
+// message on an address outside the device.
 // rdlint:hotpath
-func (c *Cursor) find(addr int64) (*cursorRun, int) {
-	if r := &c.runs[c.last]; addr >= r.lo && addr < r.hi {
-		return r, r.at + int(addr-r.lo)
+func (c *Cursor) find(addr int64) *cursorStripe {
+	if s := &c.stripes[c.last]; addr >= s.lo && addr < s.hi {
+		return s
 	}
-	for i := range c.runs {
-		if r := &c.runs[i]; addr >= r.lo && addr < r.hi {
-			c.last = i
-			return r, r.at + int(addr-r.lo)
+	c.clock++
+	victim := 0
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		if addr >= s.lo && addr < s.hi {
+			s.used, c.last = c.clock, i
+			return s
+		}
+		if s.used < c.stripes[victim].used {
+			victim = i
 		}
 	}
-	loc, n := c.m.Run(addr)
-	i := c.next
-	c.next = (i + 1) % cursorRuns
-	c.last = i
-	r := &c.runs[i]
-	r.lo, r.hi = addr, addr+int64(n)
-	r.bank, r.row = loc.Bank, loc.Row
-	r.at = loc.Col*rdram.WordsPerPacket + loc.Word
-	r.page = nil
-	return r, r.at
+	row, off := c.m.Stripe(addr)
+	s := &c.stripes[victim]
+	s.lo = addr - int64(off)
+	s.hi = s.lo + int64(c.m.StripeWords())
+	s.row = row
+	s.base = victim * c.m.Banks()
+	s.used, c.last = c.clock, victim
+	if len(c.slab) > 0 {
+		clear(c.slab[s.base : s.base+c.m.Banks()])
+	}
+	return s
+}
+
+// page returns bank's page in stripe s, fetching it from the device on
+// first touch; nil on a timing-only device.
+// rdlint:hotpath
+func (c *Cursor) page(s *cursorStripe, bank int) []uint64 {
+	if len(c.slab) == 0 {
+		if c.dev.TimingOnly() {
+			return nil
+		}
+		c.allocSlab()
+	}
+	p := c.slab[s.base+bank]
+	if p == nil {
+		p = c.dev.Page(bank, s.row)
+		c.slab[s.base+bank] = p
+	}
+	return p
+}
+
+// allocSlab sizes the slab for every stripe's page slots, all empty,
+// reusing its backing when that is large enough.
+func (c *Cursor) allocSlab() {
+	n := cursorStripes * c.m.Banks()
+	if cap(c.slab) < n {
+		c.slab = make([][]uint64, n)
+	}
+	c.slab = c.slab[:n]
+	clear(c.slab)
+}
+
+// seg returns the words of addr's interleave unit (see
+// addrmap.Mapper.InStripe) from addr to the unit's end, in stripe s: word
+// j of the result is address addr+j. The walks move data a unit at a
+// time through it. It panics on a timing-only device, which has no words.
+// rdlint:hotpath
+func (c *Cursor) seg(s *cursorStripe, addr int64) []uint64 {
+	bank, w, n := c.m.InStripe(int(addr - s.lo))
+	return c.page(s, bank)[w : w+n]
 }
 
 // Loc returns addr's device location, as Mapper.Map does.
 // rdlint:hotpath
 func (c *Cursor) Loc(addr int64) addrmap.Loc {
-	r, w := c.find(addr)
-	return addrmap.Loc{Bank: r.bank, Row: r.row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket}
+	s := c.find(addr)
+	bank, w, _ := c.m.InStripe(int(addr - s.lo))
+	return addrmap.Loc{Bank: bank, Row: s.row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket}
 }
 
 // Peek returns the word stored at addr.
 // rdlint:hotpath
 func (c *Cursor) Peek(addr int64) uint64 {
-	r, w := c.find(addr)
-	if p := c.page(r); p != nil {
+	s := c.find(addr)
+	bank, w, _ := c.m.InStripe(int(addr - s.lo))
+	if p := c.page(s, bank); p != nil {
 		return p[w]
 	}
 	return 0
 }
 
-// Poke stores v at addr.
+// chunk returns the stripe holding element i of st, mapping it if need
+// be, and n >= 1: elements i, i+1, ..., i+n-1 all lie in that stripe and
+// in one image page, so a walk over them looks both up once. A stride
+// longer than the stripe or the image page gives chunks of one element;
+// strides of any sign are handled.
 // rdlint:hotpath
-func (c *Cursor) Poke(addr int64, v uint64) {
-	r, w := c.find(addr)
-	if p := c.page(r); p != nil {
-		p[w] = v
-	}
-}
-
-// page returns r's device page, nil on a timing-only device.
-// rdlint:hotpath
-func (c *Cursor) page(r *cursorRun) []uint64 {
-	if r.page == nil {
-		r.page = c.dev.Page(r.bank, r.row)
-	}
-	return r.page
-}
-
-// StoreValues functionally executes the kernel and returns an image of
-// every word it stores — the data a timing controller transmits on its
-// write transactions. Loads read the image first, so loop-carried values
-// are seen; unstored addresses read current device contents. A
-// timing-only device stores no data, so there it returns an empty image
-// without replaying the kernel: timing never depends on data values. The
-// caller releases the image when its run returns.
-func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) *Image {
-	img := imagePool.Get().(*Image)
-	if dev.TimingOnly() {
-		img.Reset(nil)
-		return img
-	}
-	img.Reset(k)
-	cur := NewCursor(dev, m)
-	k.Replay(
-		func(addr int64) uint64 {
-			if v, ok := img.Get(addr); ok {
-				return v
-			}
-			return cur.Peek(addr)
-		},
-		img.Set,
-	)
-	return img
+func (c *Cursor) chunk(st *stream.Stream, i int) (*cursorStripe, int) {
+	addr := st.Addr(i)
+	s := c.find(addr)
+	return s, span(st, i, max(s.lo, addr&^imageMask), min(s.hi, addr|imageMask+1))
 }
 
 // Attach declares the controller's default idle cause to the device and

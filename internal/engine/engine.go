@@ -9,8 +9,17 @@
 //     accesses in natural order at one element per t_PACK/w_p cycles;
 //   - the outstanding-transaction pipeline window (Window) of the
 //     conventional controllers;
-//   - the paged word image (Image) and StoreValues, which captures a
-//     kernel's store values in one for the write transactions;
+//   - the memory Cursor, whose unit is the stripe (row r of every bank:
+//     Banks × PageWords consecutive addresses under both interleavings),
+//     mapped once and then indexed; the controllers map packets and
+//     read-merge words through it;
+//   - the paged word image (Image) and the functional harness's walks
+//     over it, which move a chunk of elements — all inside one stripe
+//     and one image page — per lookup: Seed fills the device and the
+//     golden image, Replay runs the kernel over the image alone (never
+//     reading the device), StoreValues captures a kernel's store values
+//     for the write transactions, and Mismatch compares image and device
+//     in address order;
 //   - the attachment point (Attach) that declares a controller's idle
 //     cause to the device's always-on stall attribution and wires an
 //     optional telemetry collector onto the device's packet trace;

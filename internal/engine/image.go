@@ -16,10 +16,29 @@ const (
 )
 
 // imagePage holds one page of words plus a presence bit per word: a word
-// is part of the image only once Set has set its bit.
+// is part of the image only once set has set its bit.
 type imagePage struct {
 	words   [imagePageWords]uint64
 	present [imagePageWords / 64]uint64
+}
+
+// get returns the word at addr and whether it is present; addr must lie
+// in the page.
+// rdlint:hotpath
+func (p *imagePage) get(addr int64) (uint64, bool) {
+	w := addr & imageMask
+	if p.present[w>>6]&(1<<(w&63)) == 0 {
+		return 0, false
+	}
+	return p.words[w], true
+}
+
+// set stores v at addr and marks it present; addr must lie in the page.
+// rdlint:hotpath
+func (p *imagePage) set(addr int64, v uint64) {
+	w := addr & imageMask
+	p.words[w] = v
+	p.present[w>>6] |= 1 << (w & 63)
 }
 
 // Image is a sparse word image over the page span of a kernel's streams:
@@ -27,12 +46,18 @@ type imagePage struct {
 // values StoreValues captures for the timing controllers. A dense table
 // covers the span: table[addr>>imageShift - base] is 1 + the index of the
 // page in pages, 0 meaning untouched. An Image is reused run after run:
-// Reset keeps the table's backing and the pages for the next kernel.
+// Reset keeps the table's backing and the pages for the next kernel, and
+// the walks over it (Seed, Replay, StoreValues, Mismatch) keep their
+// cursor and per-stream state here too, so a run allocates none of it.
 type Image struct {
 	base  int64        // page number of table[0]
 	table []int32      // one entry per page of the kernel's span
 	pages []*imagePage // pages[:used] are in the image, the rest spare
 	used  int
+
+	cur  Cursor       // the walks' view of the device
+	walk []walkStream // a replay's per-stream place
+	in   []float64    // a replay's loaded values, one per read stream
 }
 
 // Reset empties the image and sizes its table to the page span of k's
@@ -73,6 +98,8 @@ func (img *Image) Reset(k *stream.Kernel) {
 // past a stream's ends.
 // rdlint:hotpath
 func (img *Image) Get(addr int64) (uint64, bool) {
+	// page and get spelled out, so that Get inlines into the
+	// controllers' per-word store loops.
 	slot := uint64(addr>>imageShift - img.base)
 	if slot >= uint64(len(img.table)) {
 		return 0, false
@@ -89,26 +116,36 @@ func (img *Image) Get(addr int64) (uint64, bool) {
 	return p.words[w], true
 }
 
-// Set adds addr to the image with value v. addr must lie in the span
-// Reset sized.
-func (img *Image) Set(addr int64, v uint64) {
-	slot := addr>>imageShift - img.base
-	i := img.table[slot]
-	if i == 0 {
-		if img.used == len(img.pages) {
-			img.pages = append(img.pages, new(imagePage))
-		}
-		// Only presence needs clearing on reuse: a word is never read
-		// before Set marks it present and writes it.
-		clear(img.pages[img.used].present[:])
-		img.used++
-		i = int32(img.used)
-		img.table[slot] = i
+// page returns the image page holding addr, nil when the image has none.
+// rdlint:hotpath
+func (img *Image) page(addr int64) *imagePage {
+	slot := uint64(addr>>imageShift - img.base)
+	if slot >= uint64(len(img.table)) {
+		return nil
 	}
-	p := img.pages[i-1]
-	w := addr & imageMask
-	p.words[w] = v
-	p.present[w>>6] |= 1 << (w & 63)
+	if i := img.table[slot]; i != 0 {
+		return img.pages[i-1]
+	}
+	return nil
+}
+
+// pageFor returns the image page holding addr, adding an empty one when
+// the image has none. addr must lie in the span Reset sized.
+func (img *Image) pageFor(addr int64) *imagePage {
+	slot := addr>>imageShift - img.base
+	if i := img.table[slot]; i != 0 {
+		return img.pages[i-1]
+	}
+	if img.used == len(img.pages) {
+		img.pages = append(img.pages, new(imagePage))
+	}
+	// Only presence needs clearing on reuse: a word is never read before
+	// set marks it present and writes it.
+	p := img.pages[img.used]
+	clear(p.present[:])
+	img.used++
+	img.table[slot] = int32(img.used)
+	return p
 }
 
 // Range calls f on every word in the image in ascending address order,

@@ -10,30 +10,69 @@ import (
 	"rdramstream/internal/stream"
 )
 
-// randomAliasingKernel builds a kernel whose streams alias or partly
-// overlap: a few vectors at random (sometimes overlapping, sometimes far
-// apart) bases, streams offset into them with strides 1–8, and write
-// streams that sometimes read-modify-write a read stream's exact
-// elements, as daxpy's y does.
-func randomAliasingKernel(r *rand.Rand) *stream.Kernel {
-	n := 1 + r.Intn(400)
+// stripeGeometries are FuzzMapUnmap's 18 geometries — 8, 6 or 16 banks,
+// 128-, 64- or 256-word pages, on one chip or split over two — plus a
+// four-chip channel of 32 banks. Their stripes (Banks × PageWords words)
+// are smaller than, equal to and larger than a 1024-word image page, and
+// some are not aligned to one.
+func stripeGeometries() []rdram.Geometry {
+	var gs []rdram.Geometry
+	for raw := 0; raw < 18; raw++ {
+		gs = append(gs, rdram.Geometry{
+			Banks:            []int{8, 6, 16}[raw%3],
+			PageWords:        []int{128, 64, 256}[raw/3%3],
+			PagesPerBank:     64,
+			DevicesOnChannel: []int{0, 2}[raw/9%2],
+		})
+	}
+	return append(gs, rdram.Geometry{Banks: 32, PageWords: 128, PagesPerBank: 64, DevicesOnChannel: 4})
+}
+
+// randomAliasingKernel builds a caller-made kernel over geometry g whose
+// streams alias or partly overlap: one to six read streams and one to
+// three write streams offset into a few vectors at random (sometimes
+// overlapping, sometimes far apart) bases, and write streams that
+// sometimes read-modify-write a read stream's exact elements, as daxpy's
+// y does. Strides run 1–16, with some longer than a stripe, some
+// negative and some zero, which RunKernel's caller-built kernels allow.
+func randomAliasingKernel(r *rand.Rand, g rdram.Geometry) *stream.Kernel {
+	capacity := int64(g.Banks) * int64(g.PagesPerBank) * int64(g.PageWords)
+	stripe := int64(g.Banks * g.PageWords)
+	n := 1 + r.Intn(300)
 	vecs := make([]int64, 1+r.Intn(3))
 	for i := range vecs {
-		if r.Intn(4) == 0 {
-			vecs[i] = r.Int63n(1 << 20)
-		} else {
-			vecs[i] = r.Int63n(4096)
+		vecs[i] = r.Int63n(capacity)
+		if r.Intn(4) != 0 {
+			vecs[i] %= 4096
 		}
 	}
 	newStream := func(mode stream.Mode) stream.Stream {
-		return stream.Stream{
-			Base:   vecs[r.Intn(len(vecs))] + r.Int63n(16),
-			Stride: 1 + r.Int63n(8),
-			Length: n,
-			Mode:   mode,
+		var stride int64
+		switch c := r.Intn(10); {
+		case c < 7:
+			stride = 1 + r.Int63n(16)
+		case c == 7:
+			stride = stripe + 1 + r.Int63n(stripe)
+		case c == 8:
+			stride = -1 - r.Int63n(16)
 		}
+		extent := int64(n-1) * stride
+		if extent < 0 {
+			extent = -extent
+		}
+		if extent >= capacity { // too long for the device: shrink the stride
+			stride = stride / (extent/capacity + 1)
+			extent = int64(n-1) * max(stride, -stride)
+		}
+		base := min(vecs[r.Intn(len(vecs))]+r.Int63n(16), capacity-1)
+		if stride >= 0 {
+			base = min(base, capacity-1-extent)
+		} else {
+			base = max(base, extent)
+		}
+		return stream.Stream{Base: base, Stride: stride, Length: n, Mode: mode}
 	}
-	nr, nw := 1+r.Intn(3), 1+r.Intn(2)
+	nr, nw := 1+r.Intn(6), 1+r.Intn(3)
 	k := &stream.Kernel{Name: "aliasing"}
 	for i := 0; i < nr; i++ {
 		s := newStream(stream.Read)
@@ -78,58 +117,83 @@ func refStoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[
 }
 
 // TestStoreValuesMatchesMapReference checks the image-backed StoreValues
-// against the map reference over random aliasing kernels: the same value
-// at every stored address, and absent everywhere else — at every stream
-// address and its neighbours, and outside the kernel's span. Images are
-// released and reused across cases, as in a sweep.
+// against the map reference over random aliasing kernels on every stripe
+// shape. Images are released and reused across cases, as in a sweep.
 func TestStoreValuesMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	cfg := rdram.DefaultConfig()
-	for c := 0; c < 300; c++ {
-		k := randomAliasingKernel(r)
-		m := addrmap.MustNew(addrmap.Scheme(r.Intn(2)), cfg.Geometry, 4)
-		dev := rdram.NewDevice(cfg)
-		lo, hi := k.Streams[0].Addr(0), k.Streams[0].Addr(0)
-		for _, st := range k.Streams {
-			for i := 0; i < st.Length; i++ {
-				addr := st.Addr(i)
-				lo, hi = min(lo, addr), max(hi, addr)
-				loc := m.Map(addr)
-				dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, uint64(r.Intn(1024)))
-			}
-		}
+	geoms := stripeGeometries()
+	for c := 0; c < 380; c++ {
+		cfg.Geometry = geoms[c%len(geoms)]
+		k := randomAliasingKernel(r, cfg.Geometry)
+		m := addrmap.MustNew(addrmap.Scheme(r.Intn(2)), cfg.Geometry, 2<<r.Intn(4))
+		checkStoreValues(t, fmt.Sprintf("case %d", c), rdram.NewDevice(cfg), m, k, r)
+	}
+}
 
-		ref := refStoreValues(dev, m, k)
-		img := StoreValues(dev, m, k)
-		n := 0
-		img.Range(func(addr int64, v uint64) bool {
-			if want, ok := ref[addr]; !ok || v != want {
-				t.Fatalf("case %d: image holds %#x at %d, reference %#x (stored %v)", c, v, addr, want, ok)
+// TestStoreValuesManyStripes replays a kernel whose twelve streams sit in
+// twelve different stripes, more than a Cursor holds, so every chunk
+// evicts stripes that other streams are still walking.
+func TestStoreValuesManyStripes(t *testing.T) {
+	cfg := rdram.DefaultConfig()
+	r := rand.New(rand.NewSource(2))
+	for _, scheme := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
+		m := addrmap.MustNew(scheme, cfg.Geometry, 4)
+		bases := make([]int64, 12)
+		for i := range bases {
+			bases[i] = int64(i)*5*int64(m.StripeWords()) + int64(i)*7
+		}
+		k := stream.MultiStream(11, 1, bases, 3000, 1)
+		checkStoreValues(t, scheme.String(), rdram.NewDevice(cfg), m, k, r)
+	}
+}
+
+// checkStoreValues fills every stream address of dev with a random word
+// and compares StoreValues with the map reference: the same value at
+// every stored address, and absent everywhere else — at every stream
+// address and its neighbours, and outside the kernel's span.
+func checkStoreValues(t *testing.T, name string, dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, r *rand.Rand) {
+	t.Helper()
+	lo, hi := k.Streams[0].Addr(0), k.Streams[0].Addr(0)
+	for _, st := range k.Streams {
+		for i := 0; i < st.Length; i++ {
+			addr := st.Addr(i)
+			lo, hi = min(lo, addr), max(hi, addr)
+			loc := m.Map(addr)
+			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, uint64(r.Intn(1024)))
+		}
+	}
+
+	ref := refStoreValues(dev, m, k)
+	img := StoreValues(dev, m, k)
+	defer img.Release()
+	n := 0
+	img.Range(func(addr int64, v uint64) bool {
+		if want, ok := ref[addr]; !ok || v != want {
+			t.Fatalf("%s: image holds %#x at %d, reference %#x (stored %v)", name, v, addr, want, ok)
+		}
+		n++
+		return true
+	})
+	if n != len(ref) {
+		t.Fatalf("%s: image holds %d words, reference %d", name, n, len(ref))
+	}
+	probe := func(addr int64) {
+		v, ok := img.Get(addr)
+		want, wantOK := ref[addr]
+		if ok != wantOK || v != want {
+			t.Fatalf("%s: Get(%d) = %#x, %v; reference %#x, %v", name, addr, v, ok, want, wantOK)
+		}
+	}
+	for _, st := range k.Streams {
+		for i := 0; i < st.Length; i++ {
+			for d := int64(-2); d <= 2; d++ {
+				probe(st.Addr(i) + d)
 			}
-			n++
-			return true
-		})
-		if n != len(ref) {
-			t.Fatalf("case %d: image holds %d words, reference %d", c, n, len(ref))
 		}
-		probe := func(addr int64) {
-			v, ok := img.Get(addr)
-			want, wantOK := ref[addr]
-			if ok != wantOK || v != want {
-				t.Fatalf("case %d: Get(%d) = %#x, %v; reference %#x, %v", c, addr, v, ok, want, wantOK)
-			}
-		}
-		for _, st := range k.Streams {
-			for i := 0; i < st.Length; i++ {
-				for d := int64(-2); d <= 2; d++ {
-					probe(st.Addr(i) + d)
-				}
-			}
-		}
-		for _, addr := range []int64{-1, lo - 1, lo - imagePageWords, hi + 1, hi + imagePageWords, hi + 1<<30} {
-			probe(addr)
-		}
-		img.Release()
+	}
+	for _, addr := range []int64{-1, lo - 1, lo - imagePageWords, hi + 1, hi + imagePageWords, hi + 1<<30} {
+		probe(addr)
 	}
 }
 

@@ -35,22 +35,22 @@ func (e *RejectError) Error() string {
 // controllers' fault path — controllers with their own scheduler (the SMC)
 // instead track per-FIFO retry times so rejections don't block unrelated
 // streams. On a device with no injector Attempt never rejects and Issue is
-// exactly Do.
-func Issue(dev *rdram.Device, at int64, req rdram.Request) (rdram.Result, error) {
-	backoff := int64(dev.Config().Timing.TPack)
+// exactly Do. Like Attempt, Issue takes the request and fills the result
+// by pointer: it is the straight-line controllers' per-packet call.
+func Issue(dev *rdram.Device, at int64, req *rdram.Request, res *rdram.Result) error {
+	backoff := int64(dev.TPack())
 	if backoff <= 0 {
 		backoff = 4
 	}
 	t := at
-	var res rdram.Result
 	for attempt := 1; attempt <= MaxIssueAttempts; attempt++ {
-		if dev.Attempt(t, &req, &res) {
-			return res, nil
+		if dev.Attempt(t, req, res) {
+			return nil
 		}
 		t += backoff
 		backoff *= 2
 	}
-	return rdram.Result{}, &RejectError{
+	return &RejectError{
 		Bank: req.Bank, Row: req.Row, Col: req.Col, Write: req.Write,
 		At: at, Attempts: MaxIssueAttempts,
 	}

@@ -32,7 +32,8 @@ func TestIssueCleanDeviceMatchesDo(t *testing.T) {
 	a, b := mk(), mk()
 	req := rdram.Request{Bank: 2, Row: 5, Col: 7}
 	want := a.Do(100, req)
-	got, err := Issue(b, 100, req)
+	var got rdram.Result
+	err := Issue(b, 100, &req, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,8 @@ func TestIssueCleanDeviceMatchesDo(t *testing.T) {
 func TestIssueRetriesWithBackoff(t *testing.T) {
 	dev := rdram.NewDevice(rdram.DefaultConfig())
 	dev.Faults = &scriptedInjector{rejects: 3}
-	res, err := Issue(dev, 0, rdram.Request{Bank: 0, Row: 0, Col: 0})
+	var res rdram.Result
+	err := Issue(dev, 0, &rdram.Request{Bank: 0, Row: 0, Col: 0}, &res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,8 @@ func TestIssueRetriesWithBackoff(t *testing.T) {
 func TestIssueGivesUp(t *testing.T) {
 	dev := rdram.NewDevice(rdram.DefaultConfig())
 	dev.Faults = &scriptedInjector{rejects: 1 << 30}
-	_, err := Issue(dev, 50, rdram.Request{Bank: 3, Row: 1, Col: 2, Write: true})
+	var res rdram.Result
+	err := Issue(dev, 50, &rdram.Request{Bank: 3, Row: 1, Col: 2, Write: true}, &res)
 	var re *RejectError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RejectError", err)

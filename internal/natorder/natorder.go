@@ -296,17 +296,18 @@ func (s *sim) fetchLine(line, at int64, autoPre bool, dst []int64) ([]int64, err
 	base := line * int64(s.cfg.LineWords)
 	starts := dst[:0]
 	var complete int64
+	var res rdram.Result
 	for p := 0; p < packets; p++ {
 		loc := s.mem.Loc(base + int64(p*rdram.WordsPerPacket))
-		res, err := engine.Issue(s.dev, at, rdram.Request{
+		req := rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 			AutoPrecharge: autoPre && p == packets-1,
-		})
-		if err != nil {
+		}
+		if err := engine.Issue(s.dev, at, &req, &res); err != nil {
 			return nil, err
 		}
 		if p == 0 {
-			s.advanceCursor(res)
+			s.advanceCursor(&res)
 			// Miss service latency as the processor sees it: request
 			// presented (before the outstanding-transaction gate) to first
 			// word forwarded.
@@ -329,28 +330,28 @@ func (s *sim) writeLine(line, at int64, autoPre bool, storeVals *engine.Image) e
 	packets := s.cfg.LineWords / rdram.WordsPerPacket
 	base := line * int64(s.cfg.LineWords)
 	var complete int64
+	var res rdram.Result
 	for p := 0; p < packets; p++ {
 		addr := base + int64(p*rdram.WordsPerPacket)
 		loc := s.mem.Loc(addr)
-		var data [rdram.WordsPerPacket]uint64
-		for w := range data {
+		req := rdram.Request{
+			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
+			Write:         true,
+			AutoPrecharge: autoPre && p == packets-1,
+		}
+		for w := range req.Data {
 			a := addr + int64(w)
 			if v, ok := storeVals.Get(a); ok {
-				data[w] = v
+				req.Data[w] = v
 			} else {
-				data[w] = s.mem.Peek(a)
+				req.Data[w] = s.mem.Peek(a)
 			}
 		}
-		res, err := engine.Issue(s.dev, at, rdram.Request{
-			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-			Write: true, Data: data,
-			AutoPrecharge: autoPre && p == packets-1,
-		})
-		if err != nil {
+		if err := engine.Issue(s.dev, at, &req, &res); err != nil {
 			return err
 		}
 		if p == 0 {
-			s.advanceCursor(res)
+			s.advanceCursor(&res)
 		}
 		complete = res.DataEnd
 	}
@@ -360,7 +361,7 @@ func (s *sim) writeLine(line, at int64, autoPre bool, storeVals *engine.Image) e
 
 // advanceCursor records the first command time of a transaction: the next
 // natural-order request may not be presented to the memory before it.
-func (s *sim) advanceCursor(res rdram.Result) {
+func (s *sim) advanceCursor(res *rdram.Result) {
 	first := res.ColIssue
 	if res.ActIssue >= 0 {
 		first = res.ActIssue

@@ -182,6 +182,10 @@ func (d *Device) ChargeStall(c telemetry.StallCause, n int64) {
 // PacketsPerPage is the number of DATA packets held by one page.
 func (d *Device) PacketsPerPage() int { return d.packetsPerPage }
 
+// TPack returns t_PACK, the cycles one packet occupies a bus, without
+// copying the configuration the way Config does.
+func (d *Device) TPack() int { return d.cfg.Timing.TPack }
+
 func (d *Device) checkAddr(bank, row, col int) {
 	g := d.cfg.Geometry
 	if bank < 0 || bank >= g.Banks || row < 0 || row >= g.PagesPerBank ||

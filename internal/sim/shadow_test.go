@@ -16,12 +16,23 @@ import (
 // TestVerifyFailureNamesLowestAddress corrupts device words between a
 // controller run and verify: the check must fail, name the lowest
 // corrupted address whatever order the corruption happened in, and
-// produce the same message on every repetition.
+// produce the same message on every repetition — on the paper's PI part,
+// and under CLI on a two-chip channel, whose 16-bank stripe spans two
+// image pages.
 func TestVerifyFailureNamesLowestAddress(t *testing.T) {
-	sc := Scenario{
+	pi := Scenario{
 		KernelName: "daxpy", N: 2048, Scheme: addrmap.PI, Mode: SMC,
 		FIFODepth: 64, Placement: stream.Staggered, Seed: 5,
 	}.withDefaults()
+	cli := pi
+	cli.Scheme = addrmap.CLI
+	cli.Device.Geometry.Banks *= 2
+	cli.Device.Geometry.DevicesOnChannel = 2
+	t.Run("PI", func(t *testing.T) { checkVerifyNamesLowest(t, pi) })
+	t.Run("CLI-2chip", func(t *testing.T) { checkVerifyNamesLowest(t, cli) })
+}
+
+func checkVerifyNamesLowest(t *testing.T, sc Scenario) {
 	k, err := BuildKernel(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -112,30 +123,69 @@ func refVerify(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, shadow ma
 	return nil
 }
 
-// randomAliasingKernel builds a caller-made kernel whose streams alias or
-// partly overlap: a few vectors at random (sometimes overlapping, sometimes
-// far apart) bases, streams offset into them with strides 1–8, and write
-// streams that sometimes read-modify-write a read stream's exact elements,
-// as daxpy's y does.
-func randomAliasingKernel(r *rand.Rand) *stream.Kernel {
-	n := 1 + r.Intn(400)
+// stripeGeometries are FuzzMapUnmap's 18 geometries — 8, 6 or 16 banks,
+// 128-, 64- or 256-word pages, on one chip or split over two — plus a
+// four-chip channel of 32 banks. Their stripes (Banks × PageWords words)
+// are smaller than, equal to and larger than a 1024-word image page, and
+// some are not aligned to one.
+func stripeGeometries() []rdram.Geometry {
+	var gs []rdram.Geometry
+	for raw := 0; raw < 18; raw++ {
+		gs = append(gs, rdram.Geometry{
+			Banks:            []int{8, 6, 16}[raw%3],
+			PageWords:        []int{128, 64, 256}[raw/3%3],
+			PagesPerBank:     64,
+			DevicesOnChannel: []int{0, 2}[raw/9%2],
+		})
+	}
+	return append(gs, rdram.Geometry{Banks: 32, PageWords: 128, PagesPerBank: 64, DevicesOnChannel: 4})
+}
+
+// randomAliasingKernel builds a caller-made kernel over geometry g whose
+// streams alias or partly overlap: one to six read streams and one to
+// three write streams offset into a few vectors at random (sometimes
+// overlapping, sometimes far apart) bases, and write streams that
+// sometimes read-modify-write a read stream's exact elements, as daxpy's
+// y does. Strides run 1–16, with some longer than a stripe, some
+// negative and some zero, which RunKernel's caller-built kernels allow.
+func randomAliasingKernel(r *rand.Rand, g rdram.Geometry) *stream.Kernel {
+	capacity := int64(g.Banks) * int64(g.PagesPerBank) * int64(g.PageWords)
+	stripe := int64(g.Banks * g.PageWords)
+	n := 1 + r.Intn(300)
 	vecs := make([]int64, 1+r.Intn(3))
 	for i := range vecs {
-		if r.Intn(4) == 0 {
-			vecs[i] = r.Int63n(1 << 20)
-		} else {
-			vecs[i] = r.Int63n(4096)
+		vecs[i] = r.Int63n(capacity)
+		if r.Intn(4) != 0 {
+			vecs[i] %= 4096
 		}
 	}
 	newStream := func(mode stream.Mode) stream.Stream {
-		return stream.Stream{
-			Base:   vecs[r.Intn(len(vecs))] + r.Int63n(16),
-			Stride: 1 + r.Int63n(8),
-			Length: n,
-			Mode:   mode,
+		var stride int64
+		switch c := r.Intn(10); {
+		case c < 7:
+			stride = 1 + r.Int63n(16)
+		case c == 7:
+			stride = stripe + 1 + r.Int63n(stripe)
+		case c == 8:
+			stride = -1 - r.Int63n(16)
 		}
+		extent := int64(n-1) * stride
+		if extent < 0 {
+			extent = -extent
+		}
+		if extent >= capacity { // too long for the device: shrink the stride
+			stride = stride / (extent/capacity + 1)
+			extent = int64(n-1) * max(stride, -stride)
+		}
+		base := min(vecs[r.Intn(len(vecs))]+r.Int63n(16), capacity-1)
+		if stride >= 0 {
+			base = min(base, capacity-1-extent)
+		} else {
+			base = max(base, extent)
+		}
+		return stream.Stream{Base: base, Stride: stride, Length: n, Mode: mode}
 	}
-	nr, nw := 1+r.Intn(3), 1+r.Intn(2)
+	nr, nw := 1+r.Intn(6), 1+r.Intn(3)
 	k := &stream.Kernel{Name: "aliasing"}
 	for i := 0; i < nr; i++ {
 		s := newStream(stream.Read)
@@ -185,18 +235,22 @@ func imageWords(img *engine.Image) int {
 }
 
 // TestSeedVerifyMatchesMapReference checks the shadow image against the
-// map-backed reference over random aliasing kernels: the same device
-// image, the same number of rng draws, and the same verdict — including
-// the failure message when device words are corrupted after the run.
+// map-backed reference over random aliasing kernels on every stripe
+// shape: the same device image, the same number of rng draws, and the
+// same verdict — including the failure message when device words are
+// corrupted after the run.
 func TestSeedVerifyMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	cfg := rdram.DefaultConfig()
+	geoms := stripeGeometries()
 	var scr scratch // one image reused across cases, as in a sweep
 	failures := 0
-	for c := 0; c < 300; c++ {
-		k := randomAliasingKernel(r)
+	const cases = 380
+	for c := 0; c < cases; c++ {
+		cfg.Geometry = geoms[c%len(geoms)]
+		k := randomAliasingKernel(r, cfg.Geometry)
 		scheme := addrmap.Scheme(r.Intn(2))
-		m := addrmap.MustNew(scheme, cfg.Geometry, 4)
+		m := addrmap.MustNew(scheme, cfg.Geometry, 2<<r.Intn(4))
 		s := r.Int63n(1000)
 
 		got, ref := rdram.NewDevice(cfg), rdram.NewDevice(cfg)
@@ -233,8 +287,8 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 		}
 		assertSameImage(t, c, got, ref, m, k)
 	}
-	if failures == 0 || failures == 300 {
-		t.Errorf("%d of 300 cases failed verification; want a mix", failures)
+	if failures == 0 || failures == cases {
+		t.Errorf("%d of %d cases failed verification; want a mix", failures, cases)
 	}
 }
 
@@ -245,7 +299,7 @@ func assertSameImage(t *testing.T, c int, a, b *rdram.Device, m *addrmap.Mapper,
 	for _, st := range k.Streams {
 		for i := 0; i < st.Length; i++ {
 			for _, addr := range []int64{st.Addr(i) - 1, st.Addr(i), st.Addr(i) + 1} {
-				if addr < 0 {
+				if addr < 0 || addr >= m.CapacityWords() {
 					continue
 				}
 				loc := m.Map(addr)
@@ -271,6 +325,8 @@ func TestShadowResetEmptiesImage(t *testing.T) {
 	narrow := &stream.Kernel{Streams: []stream.Stream{{Base: 5000, Stride: 2, Length: 100}}}
 	empty := &stream.Kernel{Streams: []stream.Stream{{Base: 7, Stride: 1}}}
 	kernels := []*stream.Kernel{wide, narrow, wide, empty, narrow}
+	cfg := rdram.DefaultConfig()
+	m := addrmap.MustNew(addrmap.PI, cfg.Geometry, 4)
 	for _, k := range kernels {
 		img.Reset(k)
 		if n := imageWords(&img); n != 0 {
@@ -285,10 +341,7 @@ func TestShadowResetEmptiesImage(t *testing.T) {
 				}
 			}
 		}
-		for _, st := range k.Streams {
-			for i := 0; i < st.Length; i++ {
-				img.Set(st.Addr(i), uint64(i))
-			}
-		}
+		var draws uint64
+		img.Seed(rdram.NewDevice(cfg), m, k, func() uint64 { draws++; return draws })
 	}
 }

@@ -65,6 +65,7 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 		at := window.Admit(0)
 		base := line * lw
 		var complete int64
+		var res rdram.Result
 		for p := 0; p < packets; p++ {
 			addr := base + int64(p*rdram.WordsPerPacket)
 			loc := mem.Loc(addr)
@@ -83,8 +84,7 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 					}
 				}
 			}
-			res, err := engine.Issue(dev, at, req)
-			if err != nil {
+			if err := engine.Issue(dev, at, &req, &res); err != nil {
 				return err
 			}
 			complete = res.DataEnd

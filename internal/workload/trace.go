@@ -199,14 +199,15 @@ func (ti *traceIssuer) issue(t txn) error {
 	at := ti.window.Admit(0)
 	base := t.line * int64(ti.lineWords)
 	var complete int64
+	var res rdram.Result
 	for p := 0; p < ti.packets; p++ {
 		loc := ti.mem.Loc(base + int64(p*rdram.WordsPerPacket))
-		res, err := engine.Issue(ti.dev, at, rdram.Request{
+		req := rdram.Request{
 			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
 			Write:         t.write,
 			AutoPrecharge: ti.autoPre && p == ti.packets-1,
-		})
-		if err != nil {
+		}
+		if err := engine.Issue(ti.dev, at, &req, &res); err != nil {
 			return err
 		}
 		complete = res.DataEnd
