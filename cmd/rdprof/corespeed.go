@@ -11,10 +11,10 @@
 // silently eroding. Only the multi-ms scenarios are time-gated — the
 // long streams, timing-only and verified (under PI and CLI) for each of
 // the SMC and natural order, timing-only for the conventional
-// controller, and a reordered trace replay: at several ms/run their
-// min-of-N timing is stable on shared CI runners, where the sub-ms
-// scenarios are not. Allocation counts are exact, so every row is
-// allocation-gated.
+// controller, and a reordered trace replay under PI and under CLI: at
+// several ms/run their min-of-N timing is stable on shared CI runners,
+// where the sub-ms scenarios are not. Allocation counts are exact, so
+// every row is allocation-gated.
 package main
 
 import (
@@ -57,6 +57,11 @@ const (
 	// cacheline under CLI) and whose seed, golden replay, store capture
 	// and verify moved one word at a time.
 	runCursorCommit = "22f3daf"
+	// stripeLocCommit is the parent of the per-line trace replay, whose
+	// Cursor.Loc looked addresses up in its stripe cache, whose replay
+	// mapped and built a request per packet, and whose reorder window
+	// scanned for row hits under CLI, where auto-precharge leaves none.
+	stripeLocCommit = "71c709d"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -177,6 +182,20 @@ func coreCases() []coreCase {
 			baseline: guardCommit, beforeNs: 2_938_800, beforeAl: 44,
 			gate: true,
 		},
+		{
+			name: "TraceReplayKVCacheCLI",
+			desc: "llm-kvcache n=65536 ctxrows=32 seed 7, CLI/smc fifo=64 reordered replay",
+			sc: rdramstream.Scenario{
+				Workload: &rdramstream.TraceSpec{Program: &rdramstream.TraceProgram{
+					Name: "llm-kvcache", Seed: 7, Phases: []rdramstream.TracePhase{
+						{Pattern: "llm-kvcache", Accesses: 65536, ContextRows: 32},
+					},
+				}},
+				Scheme: rdramstream.CLI, Mode: rdramstream.SMC, FIFODepth: 64,
+			},
+			baseline: stripeLocCommit, beforeNs: 4_445_744, beforeAl: 44,
+			gate: true,
+		},
 	}
 }
 
@@ -257,12 +276,16 @@ func runCoreBench(iters int, outPath string) {
 			"conventional and trace-replay rows were first timed (regression " +
 			"guards, no speedup pinned); " + runCursorCommit + " has a memory " +
 			"cursor that maps once per run of contiguous words and a " +
-			"word-at-a-time seed, golden replay, store capture and verify. " +
+			"word-at-a-time seed, golden replay, store capture and verify; " +
+			stripeLocCommit + " has a memory cursor that looks each address " +
+			"up in its stripe cache and a trace replay that maps and builds a " +
+			"request per packet and scans for row hits under CLI. " +
 			"after = current build, with the page-table functional store, one " +
 			"paged word image for seed/verify and store capture, a memory " +
-			"cursor that maps once per stripe (row r of every bank), a " +
-			"functional harness that walks stripes in chunks, and an SMC " +
-			"that plans packets on demand. ns/op is the min wall time over the " +
+			"cursor whose Loc is arithmetic and whose stripes cache pages " +
+			"only, a functional harness that walks stripes in chunks, an SMC " +
+			"that plans packets on demand, and a trace replay that maps once " +
+			"per line transaction. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
 			"delta per run after a pool-warming iteration, the fewest of three " +
 			"runs with the collector paused. See docs/PERFORMANCE.md.",

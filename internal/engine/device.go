@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
@@ -8,18 +10,21 @@ import (
 )
 
 // cursorStripes is how many stripes a Cursor holds: one per stream of a
-// walk that interleaves streams (StoreValues' loads, natural order's
-// lines), with room for the paper's seven-read, one-write experiment.
+// walk that interleaves streams (StoreValues' loads, the write-line
+// read-merges of natural order and the conventional controller), with
+// room for the paper's seven-read, one-write experiment.
 const cursorStripes = 8
 
 // Cursor maps word addresses to device locations and reads and writes
-// device memory by word address without advancing time. Its unit is the
-// stripe, row r of every bank (addrmap.Mapper.Stripe): it pays for the
-// address map once per stripe, finds each word in it by index arithmetic
-// (Mapper.InStripe), and fetches a bank's page from the device on the
-// first data access to it, so banks a walk never reads or writes get no
-// page. It holds the last few stripes, replacing the least recently used,
-// so walks that interleave several streams keep each one's. On a
+// device memory by word address without advancing time. Loc is pure
+// arithmetic: the address's stripe, row r of every bank
+// (addrmap.Mapper.Stripe), then its bank and word by index arithmetic
+// (Mapper.InStripe), with no lookup, so a walk that jumps anywhere pays
+// the same. The stripes a Cursor holds cache pages only: Peek and the
+// walks (seg, chunk) fetch a bank's page from the device on the first
+// data access to it, so banks a walk never reads or writes get no page.
+// It holds the last few stripes, replacing the least recently used, so
+// walks that interleave several streams keep each one's pages. On a
 // timing-only device Peek returns 0. A Cursor is a value: the zero value
 // is unusable, NewCursor builds one, and a copy must not be used once the
 // original has touched data (the two would share page slots).
@@ -129,12 +134,13 @@ func (c *Cursor) seg(s *cursorStripe, addr int64) []uint64 {
 	return c.page(s, bank)[w : w+n]
 }
 
-// Loc returns addr's device location, as Mapper.Map does.
+// Loc returns addr's device location, as Mapper.Map does, and panics
+// with the mapper's message on an address outside the device.
 // rdlint:hotpath
 func (c *Cursor) Loc(addr int64) addrmap.Loc {
-	s := c.find(addr)
-	bank, w, _ := c.m.InStripe(int(addr - s.lo))
-	return addrmap.Loc{Bank: bank, Row: s.row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket}
+	row, off := c.m.Stripe(addr)
+	bank, w, _ := c.m.InStripe(off)
+	return addrmap.Loc{Bank: bank, Row: row, Col: w / rdram.WordsPerPacket, Word: w % rdram.WordsPerPacket}
 }
 
 // Peek returns the word stored at addr.
@@ -203,10 +209,13 @@ var packetKinds = [...]struct {
 // (the Direct RDRAM supports four): a transaction may not be presented
 // before the one `limit` positions back has completed. Completion times
 // live in a fixed ring of limit entries — only the last limit matter, and
-// the append-forever slice this replaced grew with the run length.
+// the append-forever slice this replaced grew with the run length. The
+// ring starts full of math.MinInt64, completions that bind nothing, so
+// Admit needs no count of completions, and a wrap index picks the slot
+// without a division.
 type Window struct {
-	done []int64 // ring: done[n%limit] completed transaction n-limit
-	n    int     // transactions completed so far
+	done []int64 // ring of the last limit completion times
+	next int     // slot of the oldest completion, which the next overwrites
 }
 
 // NewWindow builds a window admitting up to limit concurrent transactions;
@@ -215,21 +224,24 @@ func NewWindow(limit int) *Window {
 	if limit <= 0 {
 		panic("engine: Window limit must be positive")
 	}
-	return &Window{done: make([]int64, limit)}
+	w := &Window{done: make([]int64, limit)}
+	for i := range w.done {
+		w.done[i] = math.MinInt64
+	}
+	return w
 }
 
 // Admit returns the earliest time a new transaction may be presented, no
 // earlier than at.
 func (w *Window) Admit(at int64) int64 {
-	if w.n >= len(w.done) {
-		at = max(at, w.done[w.n%len(w.done)])
-	}
-	return at
+	return max(at, w.done[w.next])
 }
 
 // Complete records an admitted transaction's completion time. Calls must
 // be in admission order.
 func (w *Window) Complete(t int64) {
-	w.done[w.n%len(w.done)] = t
-	w.n++
+	w.done[w.next] = t
+	if w.next++; w.next == len(w.done) {
+		w.next = 0
+	}
 }

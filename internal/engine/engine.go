@@ -8,11 +8,12 @@
 //   - the matched-bandwidth CPU front-end (FrontEnd) that walks a kernel's
 //     accesses in natural order at one element per t_PACK/w_p cycles;
 //   - the outstanding-transaction pipeline window (Window) of the
-//     conventional controllers;
+//     conventional controllers, a ring with a wrap index;
 //   - the memory Cursor, whose unit is the stripe (row r of every bank:
-//     Banks × PageWords consecutive addresses under both interleavings),
-//     mapped once and then indexed; the controllers map packets and
-//     read-merge words through it;
+//     Banks × PageWords consecutive addresses under both interleavings):
+//     Loc maps an address by stripe arithmetic alone, and the last few
+//     stripes are held to cache their pages for Peek and the walks; the
+//     controllers and trace replay map through it and read-merge words;
 //   - the paged word image (Image) and the functional harness's walks
 //     over it, which move a chunk of elements — all inside one stripe
 //     and one image page — per lookup: Seed fills the device and the

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -61,6 +62,34 @@ func TestWindow(t *testing.T) {
 	if at := w.Admit(0); at != 20 {
 		t.Errorf("Admit(0) after third completion = %d, want 20", at)
 	}
+
+	// Random Admit/Complete sequences for limits 1–8, spanning many wraps
+	// of the ring, against the plain modulo ring: transaction n waits for
+	// the completion of transaction n−limit, kept in slot n % limit.
+	t.Run("modulo reference", func(t *testing.T) {
+		r := rand.New(rand.NewSource(9))
+		for limit := 1; limit <= 8; limit++ {
+			w := NewWindow(limit)
+			done := make([]int64, limit)
+			now := int64(0)
+			for n := 0; n < 20*limit+50; n++ {
+				at := now + r.Int63n(40) - 10
+				want := at
+				if n >= limit {
+					want = max(at, done[n%limit])
+				}
+				if got := w.Admit(at); got != want {
+					t.Fatalf("limit %d, transaction %d: Admit(%d) = %d, want %d", limit, n, at, got, want)
+				}
+				// Completion times wander, not always increasing, as packet
+				// times do under retries and reordering.
+				c := want + r.Int63n(30)
+				done[n%limit] = c
+				w.Complete(c)
+				now = max(now, want)
+			}
+		}
+	})
 
 	defer func() {
 		if recover() == nil {

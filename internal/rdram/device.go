@@ -88,9 +88,12 @@ type Device struct {
 
 	// Derived constants hoisted from the configuration at construction so
 	// the per-access path does no geometry arithmetic: packetsPerPage for
-	// checkAddr, and each bank's chip index (bankState.chip) for the
+	// checkAddr, tRAS for every precharge (Timing.TRAS has a value
+	// receiver, and calling it through &d.cfg.Timing copies the whole
+	// struct), and each bank's chip index (bankState.chip) for the
 	// per-chip t_RR and write-retire state.
 	packetsPerPage int
+	tRAS           int64
 
 	// stats holds the device-wide counters; the per-bank operation counts
 	// live in bankState.ops. idleCause is the controller's declared reason
@@ -125,6 +128,7 @@ func NewDevice(cfg Config) *Device {
 		anyAct:         make([]bool, cfg.Geometry.Devices()),
 		pendingRetire:  make([]bool, cfg.Geometry.Devices()),
 		packetsPerPage: cfg.Geometry.PageWords / WordsPerPacket,
+		tRAS:           int64(cfg.Timing.TRAS()),
 	}
 	for b := range d.banks {
 		d.banks[b].chip = b / cfg.Geometry.BanksPerDevice()
@@ -187,10 +191,10 @@ func (d *Device) PacketsPerPage() int { return d.packetsPerPage }
 func (d *Device) TPack() int { return d.cfg.Timing.TPack }
 
 func (d *Device) checkAddr(bank, row, col int) {
-	g := d.cfg.Geometry
+	g := &d.cfg.Geometry
 	if bank < 0 || bank >= g.Banks || row < 0 || row >= g.PagesPerBank ||
 		col < 0 || col >= d.packetsPerPage {
-		panic(fmt.Sprintf("rdram: address out of range: bank=%d row=%d col=%d (geometry %+v)", bank, row, col, g))
+		panic(fmt.Sprintf("rdram: address out of range: bank=%d row=%d col=%d (geometry %+v)", bank, row, col, *g))
 	}
 }
 
@@ -224,7 +228,7 @@ func (d *Device) prechargeAt(b int, at int64, occupyBus bool) int64 {
 	tp = max(tp, bk.lastColEnd-int64(t.TCPOL))
 	// The row must have been active for at least t_RAS.
 	if bk.everActed {
-		tp = max(tp, bk.lastAct+int64(t.TRAS()))
+		tp = max(tp, bk.lastAct+d.tRAS)
 	}
 	if occupyBus {
 		d.rowBusFree = tp + int64(t.TPack)
@@ -310,7 +314,7 @@ func (d *Device) AccessReadyAt(bank, row int, at int64) int64 {
 		// Page conflict: precharge first.
 		pre := max(ready, bk.lastColEnd-int64(t.TCPOL))
 		if bk.everActed {
-			pre = max(pre, bk.lastAct+int64(t.TRAS()))
+			pre = max(pre, bk.lastAct+d.tRAS)
 		}
 		ready = pre + int64(t.TRP)
 	} else {
@@ -372,7 +376,7 @@ func (d *Device) maybeRefresh(at int64) {
 		// Refresh the next due row; the row address is immaterial to
 		// timing, so refresh row 0.
 		act := d.activateAt(b, 0, when)
-		d.prechargeAt(b, act+int64(d.cfg.Timing.TRAS()), true)
+		d.prechargeAt(b, act+d.tRAS, true)
 		d.banks[b].open = false
 		d.stats.Refreshes++
 	}

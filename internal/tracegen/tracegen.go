@@ -248,16 +248,19 @@ func genPhase(rng *rand.Rand, ph Phase, out []workload.TraceAccess) []workload.T
 
 // emitBurst appends up to burst consecutive words at pos (wrapping
 // within the footprint), stopping at the phase's remaining budget, and
-// returns the extended slice.
-func emitBurst(ph Phase, out []workload.TraceAccess, pos int64, burst int, write bool, remain int) []workload.TraceAccess {
+// returns the extended slice. A burst is no longer than the footprint
+// (validate), so it wraps at most once: one modulo per burst, then a
+// compare per word.
+func emitBurst(ph *Phase, out []workload.TraceAccess, pos int64, burst int, write bool, remain int) []workload.TraceAccess {
 	if burst > remain {
 		burst = remain
 	}
-	for w := int64(0); w < int64(burst); w++ {
-		out = append(out, workload.TraceAccess{
-			Addr:  ph.Start + (pos+w)%ph.FootprintWords,
-			Write: write,
-		})
+	off := pos % ph.FootprintWords
+	for w := 0; w < burst; w++ {
+		out = append(out, workload.TraceAccess{Addr: ph.Start + off, Write: write})
+		if off++; off == ph.FootprintWords {
+			off = 0
+		}
 	}
 	return out
 }
@@ -268,7 +271,7 @@ func genStrided(rng *rand.Rand, ph Phase, out []workload.TraceAccess) []workload
 	pos := int64(0)
 	for emitted := 0; emitted < ph.Accesses; {
 		write := rng.Float64() < ph.WriteFraction
-		out = emitBurst(ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
+		out = emitBurst(&ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
 		emitted += min(ph.BurstWords, ph.Accesses-emitted)
 		pos = (pos + ph.StrideWords) % ph.FootprintWords
 	}
@@ -283,7 +286,7 @@ func genChase(rng *rand.Rand, ph Phase, out []workload.TraceAccess) []workload.T
 	for emitted := 0; emitted < ph.Accesses; {
 		pos := rng.Int63n(ph.FootprintWords)
 		write := rng.Float64() < ph.WriteFraction
-		out = emitBurst(ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
+		out = emitBurst(&ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
 		emitted += min(ph.BurstWords, ph.Accesses-emitted)
 	}
 	return out
@@ -305,7 +308,7 @@ func genHotRow(rng *rand.Rand, ph Phase, out []workload.TraceAccess) []workload.
 			pos = rng.Int63n(ph.FootprintWords)
 		}
 		write := rng.Float64() < ph.WriteFraction
-		out = emitBurst(ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
+		out = emitBurst(&ph, out, pos, ph.BurstWords, write, ph.Accesses-emitted)
 		emitted += min(ph.BurstWords, ph.Accesses-emitted)
 	}
 	return out

@@ -30,7 +30,8 @@ type TraceOptions struct {
 	Outstanding int
 	// Reorder enables SMC-style access reordering: within a sliding
 	// window of pending line transactions, row hits issue before row
-	// misses, bounded by a deferral limit so no transaction starves.
+	// misses. The window bounds the wait: no transaction is passed over
+	// more than Window-1 times, so none starves.
 	// Off, transactions issue in trace order — the natural-order
 	// baseline.
 	Reorder bool
@@ -70,94 +71,42 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 	}
 	engine.Attach(dev, opt.Telemetry, telemetry.StallNoRequest)
 
-	// Coalesce the word stream into line transactions through a one-line
-	// buffer: consecutive same-line accesses are absorbed; the first
-	// access's op decides the transaction's direction.
+	// Check every address before the device sees any.
 	capacity := mapper.CapacityWords()
-	var txns []txn
-	lastLine := int64(-1)
 	for i, a := range accs {
 		if a.Addr < 0 || a.Addr >= capacity {
 			return engine.Result{}, fmt.Errorf("workload: trace access %d address %d exceeds device capacity %d", i, a.Addr, capacity)
 		}
-		line := a.Addr / int64(opt.LineWords)
-		if line == lastLine {
-			continue
-		}
-		lastLine = line
-		txns = append(txns, txn{line: line, write: a.Write})
 	}
 
 	autoPre := opt.Scheme == addrmap.CLI
 	ti := &traceIssuer{
-		dev:       dev,
-		mem:       engine.NewCursor(dev, mapper),
-		window:    engine.NewWindow(outstanding),
-		lineWords: opt.LineWords,
-		packets:   opt.LineWords / rdram.WordsPerPacket,
-		autoPre:   autoPre,
+		dev:     dev,
+		mem:     engine.NewCursor(dev, mapper),
+		window:  engine.NewWindow(outstanding),
+		packets: opt.LineWords / rdram.WordsPerPacket,
+		autoPre: autoPre,
 	}
 
-	if !opt.Reorder {
-		for _, t := range txns {
-			if err := ti.issue(t); err != nil {
+	// Coalesce the word stream into line transactions through a one-line
+	// buffer: consecutive same-line accesses are absorbed; the first
+	// access's op decides the transaction's direction. Under CLI
+	// auto-precharge closes every row behind its line, so the reordering
+	// scheduler never sees an open row to chase and issues in trace
+	// order: the in-order loop is the same schedule without the scan.
+	lw := int64(opt.LineWords)
+	if !opt.Reorder || autoPre {
+		var buf lineBuffer
+		for _, a := range accs {
+			if !buf.next(a.Addr, lw) {
+				continue
+			}
+			if err := ti.issue(ti.mem.Loc(buf.lo), a.Write); err != nil {
 				return engine.Result{}, err
 			}
 		}
-	} else {
-		// Row-hit-first reordering over a sliding window, the SMC's bank
-		// heuristic applied to an arbitrary trace. The scheduler keeps its
-		// own open-row model (auto-precharge closes the row, so under CLI
-		// it degenerates to trace order, which is correct — there are no
-		// row hits to chase). Deterministic: a pure function of the
-		// transaction list, no randomness, no map iteration.
-		w := opt.Window
-		if w <= 0 {
-			w = 32
-		}
-		maxDefer := 4 * w
-		banks := make([]int, len(txns))
-		rows := make([]int, len(txns))
-		for i, t := range txns {
-			loc := ti.mem.Loc(t.line * int64(opt.LineWords))
-			banks[i], rows[i] = loc.Bank, loc.Row
-		}
-		open := make([]int, dev.Config().Geometry.Banks)
-		for b := range open {
-			open[b] = -1
-		}
-		issued := make([]bool, len(txns))
-		defers := make([]int, len(txns))
-		head := 0
-		for remaining := len(txns); remaining > 0; remaining-- {
-			for head < len(txns) && issued[head] {
-				head++
-			}
-			end := min(head+w, len(txns))
-			pick := head
-			if defers[head] < maxDefer {
-				for i := head; i < end; i++ {
-					if !issued[i] && open[banks[i]] == rows[i] {
-						pick = i
-						break
-					}
-				}
-			}
-			for i := head; i < pick; i++ {
-				if !issued[i] {
-					defers[i]++
-				}
-			}
-			issued[pick] = true
-			if err := ti.issue(txns[pick]); err != nil {
-				return engine.Result{}, err
-			}
-			if autoPre {
-				open[banks[pick]] = -1
-			} else {
-				open[banks[pick]] = rows[pick]
-			}
-		}
+	} else if err := ti.reorder(accs, lw, opt.Window, dev.Config().Geometry.Banks); err != nil {
+		return engine.Result{}, err
 	}
 
 	st := dev.Stats()
@@ -171,47 +120,127 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 	return res, nil
 }
 
-// txn is one coalesced cacheline transaction of a trace.
+// lineBuffer is the one-line buffer trace accesses coalesce through:
+// the line's words are addresses [lo, hi), empty when lo == hi. Only an
+// access outside the buffered line pays to find its line, and a
+// power-of-two line (every line the paper uses) pays a mask, not a
+// division.
+type lineBuffer struct{ lo, hi int64 }
+
+// next reports whether addr starts a new transaction, one outside the
+// buffered line, and if so buffers addr's lw-word line.
+func (b *lineBuffer) next(addr, lw int64) bool {
+	if addr >= b.lo && addr < b.hi {
+		return false
+	}
+	if lw&(lw-1) == 0 {
+		b.lo = addr &^ (lw - 1)
+	} else {
+		b.lo = addr - addr%lw
+	}
+	b.hi = b.lo + lw
+	return true
+}
+
+// txn is one coalesced cacheline transaction of a reordered trace: where
+// its first packet lives, its direction, and whether it has issued.
 type txn struct {
-	line  int64
-	write bool
+	loc    addrmap.Loc
+	write  bool
+	issued bool
 }
 
 // traceIssuer carries the per-transaction issue state so the inner
 // loop is a named method the allocation lint can police, instead of a
 // closure. Trace replay and the generated workloads of Run share it.
 type traceIssuer struct {
-	dev       *rdram.Device
-	mem       engine.Cursor // packet locations
-	window    *engine.Window
-	lineWords int
-	packets   int
-	autoPre   bool
+	dev     *rdram.Device
+	mem     engine.Cursor // line locations
+	window  *engine.Window
+	packets int
+	autoPre bool
 }
 
-// issue services one line transaction packet by packet: admit into the
-// outstanding-access window, issue each packet through the engine's
-// retry loop, and record the completion time. This runs once per
+// issue services one line transaction whose first packet is at loc:
+// admit into the outstanding-access window, issue each packet through
+// the engine's retry loop, and record the completion time. A line never
+// leaves its page under either scheme, so its packets are loc's
+// successive columns and one mapping serves them all. This runs once per
 // transaction for the whole trace — the replay inner loop.
 //
 // rdlint:hotpath
-func (ti *traceIssuer) issue(t txn) error {
+func (ti *traceIssuer) issue(loc addrmap.Loc, write bool) error {
 	at := ti.window.Admit(0)
-	base := t.line * int64(ti.lineWords)
-	var complete int64
+	req := rdram.Request{Bank: loc.Bank, Row: loc.Row, Col: loc.Col, Write: write}
+	last := loc.Col + ti.packets - 1
 	var res rdram.Result
-	for p := 0; p < ti.packets; p++ {
-		loc := ti.mem.Loc(base + int64(p*rdram.WordsPerPacket))
-		req := rdram.Request{
-			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-			Write:         t.write,
-			AutoPrecharge: ti.autoPre && p == ti.packets-1,
-		}
+	for ; req.Col <= last; req.Col++ {
+		req.AutoPrecharge = ti.autoPre && req.Col == last
 		if err := engine.Issue(ti.dev, at, &req, &res); err != nil {
 			return err
 		}
-		complete = res.DataEnd
 	}
-	ti.window.Complete(complete)
+	ti.window.Complete(res.DataEnd)
+	return nil
+}
+
+// reorder issues the line transactions of accs row-hit-first, the
+// SMC's bank heuristic applied to an arbitrary trace: each issue takes
+// the first transaction in the window — the oldest unissued one (the
+// head) and those up to window-1 (0 = 32) places after it — whose row is
+// open in its bank, or the head when none is. The scheduler keeps its own
+// open-row model of banks banks; the caller takes the auto-precharge
+// case, where it has no row hits to chase, to the in-order loop.
+// Deterministic: a pure function of the transaction list, no randomness,
+// no map iteration.
+//
+// The window also bounds starvation: a transaction is passed over only
+// by picks from the window it heads or trails, which lie within the
+// window-1 places after it, so it waits out at most window-1 issues and
+// needs no separate deferral limit.
+func (ti *traceIssuer) reorder(accs []TraceAccess, lw int64, window, banks int) error {
+	// Count the transactions first, so the list is allocated once at its
+	// size.
+	n := 0
+	var buf lineBuffer
+	for _, a := range accs {
+		if buf.next(a.Addr, lw) {
+			n++
+		}
+	}
+	txns := make([]txn, 0, n)
+	buf = lineBuffer{}
+	for _, a := range accs {
+		if buf.next(a.Addr, lw) {
+			txns = append(txns, txn{loc: ti.mem.Loc(buf.lo), write: a.Write})
+		}
+	}
+	w := window
+	if w <= 0 {
+		w = 32
+	}
+	open := make([]int, banks)
+	for b := range open {
+		open[b] = -1
+	}
+	head := 0
+	for remaining := len(txns); remaining > 0; remaining-- {
+		for head < len(txns) && txns[head].issued {
+			head++
+		}
+		pick := head
+		for i, end := head, min(head+w, len(txns)); i < end; i++ {
+			if t := &txns[i]; !t.issued && open[t.loc.Bank] == t.loc.Row {
+				pick = i
+				break
+			}
+		}
+		t := &txns[pick]
+		t.issued = true
+		if err := ti.issue(t.loc, t.write); err != nil {
+			return err
+		}
+		open[t.loc.Bank] = t.loc.Row
+	}
 	return nil
 }

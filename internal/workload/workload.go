@@ -123,16 +123,16 @@ func Run(dev *rdram.Device, cfg Config) (Result, error) {
 	}
 
 	ti := &traceIssuer{
-		dev:       dev,
-		mem:       engine.NewCursor(dev, mapper),
-		window:    engine.NewWindow(outstanding),
-		lineWords: cfg.LineWords,
-		packets:   cfg.LineWords / rdram.WordsPerPacket,
-		autoPre:   cfg.Scheme == addrmap.CLI,
+		dev:     dev,
+		mem:     engine.NewCursor(dev, mapper),
+		window:  engine.NewWindow(outstanding),
+		packets: cfg.LineWords / rdram.WordsPerPacket,
+		autoPre: cfg.Scheme == addrmap.CLI,
 	}
+	lw := int64(cfg.LineWords)
 	for i := 0; i < cfg.Requests; i++ {
-		line := nextLine(i)
-		if err := ti.issue(txn{line: line, write: rng.Float64() >= cfg.ReadFraction}); err != nil {
+		loc := ti.mem.Loc(nextLine(i) * lw)
+		if err := ti.issue(loc, rng.Float64() >= cfg.ReadFraction); err != nil {
 			return Result{}, err
 		}
 	}
