@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
@@ -10,9 +8,9 @@ import (
 )
 
 // cursorStripes is how many stripes a Cursor holds: one per stream of a
-// walk that interleaves streams (StoreValues' loads, the write-line
-// read-merges of natural order and the conventional controller), with
-// room for the paper's seven-read, one-write experiment.
+// walk that interleaves streams (StoreValues' loads, the line issuer's
+// write read-merges), with room for the paper's seven-read, one-write
+// experiment.
 const cursorStripes = 8
 
 // Cursor maps word addresses to device locations and reads and writes
@@ -203,45 +201,4 @@ var packetKinds = [...]struct {
 	rdram.TraceRetire:    {telemetry.ColBus, "RET"},
 	rdram.TraceReadData:  {telemetry.DataBus, "DATA rd"},
 	rdram.TraceWriteData: {telemetry.DataBus, "DATA wr"},
-}
-
-// Window models the device's bounded pipeline of outstanding transactions
-// (the Direct RDRAM supports four): a transaction may not be presented
-// before the one `limit` positions back has completed. Completion times
-// live in a fixed ring of limit entries — only the last limit matter, and
-// the append-forever slice this replaced grew with the run length. The
-// ring starts full of math.MinInt64, completions that bind nothing, so
-// Admit needs no count of completions, and a wrap index picks the slot
-// without a division.
-type Window struct {
-	done []int64 // ring of the last limit completion times
-	next int     // slot of the oldest completion, which the next overwrites
-}
-
-// NewWindow builds a window admitting up to limit concurrent transactions;
-// limit must be positive.
-func NewWindow(limit int) *Window {
-	if limit <= 0 {
-		panic("engine: Window limit must be positive")
-	}
-	w := &Window{done: make([]int64, limit)}
-	for i := range w.done {
-		w.done[i] = math.MinInt64
-	}
-	return w
-}
-
-// Admit returns the earliest time a new transaction may be presented, no
-// earlier than at.
-func (w *Window) Admit(at int64) int64 {
-	return max(at, w.done[w.next])
-}
-
-// Complete records an admitted transaction's completion time. Calls must
-// be in admission order.
-func (w *Window) Complete(t int64) {
-	w.done[w.next] = t
-	if w.next++; w.next == len(w.done) {
-		w.next = 0
-	}
 }

@@ -3,17 +3,25 @@
 // policies. It holds everything the controller implementations used to
 // duplicate privately —
 //
-//   - the common Result type and the bandwidth math (PercentPeak,
-//     PercentAttainable, EffectiveMBps) computed in exactly one place;
+//   - the common Result type, built by NewResult for every controller,
+//     and the bandwidth math (PercentPeak, PercentAttainable,
+//     EffectiveMBps) computed in exactly one place;
 //   - the matched-bandwidth CPU front-end (FrontEnd) that walks a kernel's
 //     accesses in natural order at one element per t_PACK/w_p cycles;
-//   - the outstanding-transaction pipeline window (Window) of the
-//     conventional controllers, a ring with a wrap index;
+//   - the line issuer (Lines), the one cacheline-transaction path: natural
+//     order, the conventional controller, trace replay and the Crisp
+//     workloads issue every line through it. A line is mapped once,
+//     and the issuer steps the column across its packets,
+//     auto-precharges the last under a closed page, fills write packets
+//     from the store image with a read-merge of the words no stream
+//     stores, retries each packet through Issue, and gates lines on the
+//     outstanding-transaction pipeline window (Window), a ring with a
+//     wrap index;
 //   - the memory Cursor, whose unit is the stripe (row r of every bank:
 //     Banks × PageWords consecutive addresses under both interleavings):
 //     Loc maps an address by stripe arithmetic alone, and the last few
 //     stripes are held to cache their pages for Peek and the walks; the
-//     controllers and trace replay map through it and read-merge words;
+//     line issuer and the SMC map through it;
 //   - the paged word image (Image) and the functional harness's walks
 //     over it, which move a chunk of elements — all inside one stripe
 //     and one image page — per lookup: Seed fills the device and the
@@ -39,10 +47,10 @@ import (
 	"rdramstream/internal/rdram"
 )
 
-// Result is the common outcome every controller reports. Controllers fill
-// the raw counters (Cycles, UsefulWords, TransferredWords, Device, and any
-// controller-specific extras) and call Finalize, which derives the
-// bandwidth figures identically for every policy.
+// Result is the common outcome every controller reports. Controllers
+// build it with NewResult from the run's length, its useful words and
+// the device's counters, which derives the bandwidth figures identically
+// for every policy, and add any controller-specific extras.
 type Result struct {
 	// Cycles is the total simulated time in 400 MHz interface cycles.
 	Cycles int64 `json:"Cycles"`
@@ -86,9 +94,25 @@ func PercentOfPeak(words, cycles int64, peakCyclesPerWord float64) float64 {
 	return 100 * float64(words) * peakCyclesPerWord / float64(cycles)
 }
 
+// NewResult is the Result of a run over dev that lasted cycles and
+// consumed useful words: the device's counters, every DATA packet's
+// words as TransferredWords, finalized. Every controller builds its
+// Result here.
+func NewResult(dev *rdram.Device, cycles, useful int64) Result {
+	st := dev.Stats()
+	r := Result{
+		Cycles:           cycles,
+		UsefulWords:      useful,
+		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
+		Device:           st,
+	}
+	r.Finalize(dev.Config().Timing.CyclesPerWordPeak())
+	return r
+}
+
 // Finalize derives PercentPeak, PercentAttainable, and EffectiveMBps from
-// the raw counters. Every controller calls it; no bandwidth math lives
-// anywhere else.
+// the raw counters. NewResult calls it; no bandwidth math lives anywhere
+// else.
 func (r *Result) Finalize(peakCyclesPerWord float64) {
 	if r.Cycles <= 0 {
 		return

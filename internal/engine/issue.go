@@ -31,12 +31,12 @@ func (e *RejectError) Error() string {
 
 // Issue presents req to the device, retrying with bounded exponential
 // backoff when the fault injector rejects it: the first retry waits one
-// packet time (t_PACK), doubling per attempt. This is the straight-line
-// controllers' fault path — controllers with their own scheduler (the SMC)
+// packet time (t_PACK), doubling per attempt. This is the line issuer's
+// (Lines) fault path — controllers with their own scheduler (the SMC)
 // instead track per-FIFO retry times so rejections don't block unrelated
 // streams. On a device with no injector Attempt never rejects and Issue is
 // exactly Do. Like Attempt, Issue takes the request and fills the result
-// by pointer: it is the straight-line controllers' per-packet call.
+// by pointer: it is the line issuer's per-packet call.
 func Issue(dev *rdram.Device, at int64, req *rdram.Request, res *rdram.Result) error {
 	backoff := int64(dev.TPack())
 	if backoff <= 0 {

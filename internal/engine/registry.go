@@ -32,9 +32,6 @@ type Options struct {
 	// Cache, when non-nil, puts a real set-associative cache in front of
 	// controllers that support one.
 	Cache *cache.Config
-	// Outstanding caps the pipelined transactions in flight (0 = device
-	// limit).
-	Outstanding int
 	// Telemetry, when non-nil, instruments the run (see Attach).
 	Telemetry *telemetry.Collector
 	// WatchdogLimit is the forward-progress bound, in cycles: a controller

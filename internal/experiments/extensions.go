@@ -237,7 +237,7 @@ func CrispEfficiency() (*Table, error) {
 					return nil, err
 				}
 				row = append(row, f1(res.PercentPeak))
-				lastHit = res.HitRate
+				lastHit = res.Device.HitRate()
 			}
 			row = append(row, f2(lastHit))
 			t.Rows = append(t.Rows, row)

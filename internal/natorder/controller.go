@@ -20,7 +20,6 @@ func (controller) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options) (
 		LineWords:     opt.LineWords,
 		WriteAllocate: opt.WriteAllocate,
 		Cache:         opt.Cache,
-		Outstanding:   opt.Outstanding,
 		Telemetry:     opt.Telemetry,
 	})
 }

@@ -120,35 +120,24 @@ type Result = engine.Result
 // functional contents are read and written, so callers can verify the
 // computation afterwards.
 func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
-	if cfg.LineWords <= 0 || cfg.LineWords%rdram.WordsPerPacket != 0 {
-		return Result{}, fmt.Errorf("natorder: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, cfg.LineWords)
-	}
-	if dev.Config().Geometry.PageWords%cfg.LineWords != 0 {
-		return Result{}, fmt.Errorf("natorder: page size %d not a multiple of line size %d", dev.Config().Geometry.PageWords, cfg.LineWords)
-	}
 	if err := k.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Outstanding < 0 || cfg.Outstanding > rdram.MaxOutstanding {
-		return Result{}, fmt.Errorf("natorder: Outstanding %d out of [0,%d]", cfg.Outstanding, rdram.MaxOutstanding)
-	}
-	if cfg.Outstanding == 0 {
-		cfg.Outstanding = rdram.MaxOutstanding
-	}
-	mapper, err := addrmap.New(cfg.Scheme, dev.Config().Geometry, cfg.LineWords)
-	if err != nil {
+	s := &sim{lw: int64(cfg.LineWords)}
+	var err error
+	if s.lines, err = engine.NewLines(dev, cfg.Scheme, cfg.LineWords, cfg.Outstanding); err != nil {
 		return Result{}, err
 	}
-
-	s := &sim{dev: dev, mem: engine.NewCursor(dev, mapper), cfg: cfg, window: engine.NewWindow(cfg.Outstanding)}
+	s.spare = make([]int64, cfg.LineWords/rdram.WordsPerPacket)
+	s.lines.ClosedPage = cfg.closedPage()
 	// The natural-order processor issues in order: the bus waits on the
 	// previous iteration's operands, not on an absent request stream.
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallDependency)
 
 	// Phase 1: functional execution, recording every store value in an
 	// image (empty on a timing-only device, which stores no data).
-	storeVals := engine.StoreValues(dev, mapper, k)
-	defer storeVals.Release()
+	s.lines.Store = engine.StoreValues(dev, s.lines.Mapper(), k)
+	defer s.lines.Store.Release()
 
 	// Phase 2: timed replay of the cacheline transactions in natural
 	// order.
@@ -161,22 +150,15 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		err = s.runThroughCache(k, cc, storeVals)
+		err = s.runThroughCache(k, cc)
 	} else {
-		err = s.run(k, storeVals)
+		err = s.run(k, cfg.WriteAllocate)
 	}
 	if err != nil {
 		return Result{}, err
 	}
 
-	st := dev.Stats()
-	res := Result{
-		Cycles:           st.LastDataEnd,
-		UsefulWords:      int64(k.Iterations()) * int64(len(k.Streams)),
-		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
-		Device:           st,
-	}
-	res.Finalize(dev.Config().Timing.CyclesPerWordPeak())
+	res := s.lines.Result(int64(k.Iterations()) * int64(len(k.Streams)))
 	if cc != nil {
 		res.CacheHitRate = cc.HitRate()
 		_, _, _, res.DirtyWritebacks = cc.Stats()
@@ -185,12 +167,14 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 }
 
 type sim struct {
-	dev *rdram.Device
-	mem engine.Cursor // packet locations and read-merge words
-	cfg Config
+	lines engine.Lines
+	lw    int64   // line size in words
+	spare []int64 // the packet times of store lines, which nothing reads
 
-	cursor int64          // first-command time of the most recent transaction
-	window *engine.Window // pipeline of outstanding transactions
+	// cursor is the latest first-command time of any transaction: the
+	// next natural-order request may not be presented to the memory
+	// before it.
+	cursor int64
 
 	ctl *telemetry.ControllerProbe // nil when telemetry is off
 }
@@ -202,14 +186,15 @@ type streamState struct {
 	dirty     bool    // write-allocate: line has been stored to
 }
 
-func (s *sim) run(k *stream.Kernel, storeVals *engine.Image) error {
-	autoPre := s.cfg.closedPage()
+func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 	nr := k.ReadStreams()
+	packets := int(s.lw) / rdram.WordsPerPacket
 	states := make([]streamState, len(k.Streams))
+	starts := make([]int64, len(k.Streams)*packets)
 	for i := range states {
 		states[i].line = -1
+		states[i].pktStarts = starts[i*packets : (i+1)*packets]
 	}
-	lw := int64(s.cfg.LineWords)
 
 	// prevDep is the time the previous iteration's operands became
 	// available. The paper's processor issues in order with a window of
@@ -226,16 +211,14 @@ func (s *sim) run(k *stream.Kernel, storeVals *engine.Image) error {
 		for r := 0; r < nr; r++ {
 			st := &states[r]
 			addr := k.Streams[r].Addr(i)
-			line := addr / lw
+			line := addr / s.lw
 			if st.line != line {
 				st.line = line
-				var err error
-				st.pktStarts, err = s.fetchLine(line, max(s.cursor, prevDep), autoPre, st.pktStarts)
-				if err != nil {
+				if err := s.fetch(line, max(s.cursor, prevDep), st.pktStarts); err != nil {
 					return err
 				}
 			}
-			pkt := int(addr%lw) / rdram.WordsPerPacket
+			pkt := int(addr%s.lw) / rdram.WordsPerPacket
 			if ready := st.pktStarts[pkt]; ready > iterDep {
 				iterDep = ready
 			}
@@ -245,37 +228,34 @@ func (s *sim) run(k *stream.Kernel, storeVals *engine.Image) error {
 		// evicted one).
 		for w := nr; w < len(k.Streams); w++ {
 			st := &states[w]
-			addr := k.Streams[w].Addr(i)
-			line := addr / lw
+			line := k.Streams[w].Addr(i) / s.lw
 			if st.line == line {
 				continue
 			}
 			prev := st.line
 			st.line = line
-			if s.cfg.WriteAllocate {
-				if prev >= 0 && st.dirty {
-					if err := s.writeLine(prev, s.cursor, autoPre, storeVals); err != nil {
-						return err
-					}
-				}
-				var err error
-				st.pktStarts, err = s.fetchLine(line, max(s.cursor, iterDep), autoPre, st.pktStarts)
-				if err != nil {
+			if !writeAllocate {
+				if err := s.store(line, max(s.cursor, iterDep)); err != nil {
 					return err
 				}
-				st.dirty = true
-			} else {
-				if err := s.writeLine(line, max(s.cursor, iterDep), autoPre, storeVals); err != nil {
+				continue
+			}
+			if prev >= 0 && st.dirty {
+				if err := s.store(prev, s.cursor); err != nil {
 					return err
 				}
 			}
+			if err := s.fetch(line, max(s.cursor, iterDep), st.pktStarts); err != nil {
+				return err
+			}
+			st.dirty = true
 		}
 		prevDep = iterDep
 	}
-	if s.cfg.WriteAllocate {
+	if writeAllocate {
 		for w := nr; w < len(k.Streams); w++ {
 			if st := &states[w]; st.line >= 0 && st.dirty {
-				if err := s.writeLine(st.line, s.cursor, autoPre, storeVals); err != nil {
+				if err := s.store(st.line, s.cursor); err != nil {
 					return err
 				}
 			}
@@ -284,92 +264,30 @@ func (s *sim) run(k *stream.Kernel, storeVals *engine.Image) error {
 	return nil
 }
 
-// fetchLine reads every packet of a cacheline and returns each packet's
-// DataStart (the linefill-forwarding availability times), appending into
-// dst's backing so each stream reuses one buffer for the whole run.
+// fetch reads a cacheline, presented at at, writing each packet's
+// DataStart (the linefill-forwarding availability times) into starts.
 // Transient device rejections under fault injection are retried with
 // bounded backoff (engine.Issue); exhausting the retries fails the run.
-func (s *sim) fetchLine(line, at int64, autoPre bool, dst []int64) ([]int64, error) {
-	reqAt := at
-	at = s.window.Admit(at)
-	packets := s.cfg.LineWords / rdram.WordsPerPacket
-	base := line * int64(s.cfg.LineWords)
-	starts := dst[:0]
-	var complete int64
-	var res rdram.Result
-	for p := 0; p < packets; p++ {
-		loc := s.mem.Loc(base + int64(p*rdram.WordsPerPacket))
-		req := rdram.Request{
-			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-			AutoPrecharge: autoPre && p == packets-1,
-		}
-		if err := engine.Issue(s.dev, at, &req, &res); err != nil {
-			return nil, err
-		}
-		if p == 0 {
-			s.advanceCursor(&res)
-			// Miss service latency as the processor sees it: request
-			// presented (before the outstanding-transaction gate) to first
-			// word forwarded.
-			s.ctl.ObserveMissLatency(res.DataStart - reqAt)
-		}
-		starts = append(starts, res.DataStart)
-		complete = res.DataEnd
+func (s *sim) fetch(line, at int64, starts []int64) error {
+	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), false, starts)
+	if err != nil {
+		return err
 	}
-	s.window.Complete(complete)
-	return starts, nil
-}
-
-// writeLine transmits a full cacheline of store data. Words the kernel
-// never stores keep their prior memory contents (read-merge, free of
-// charge, as in the paper's line-granularity store model), read at the
-// packet's device location.
-// rdlint:hotpath
-func (s *sim) writeLine(line, at int64, autoPre bool, storeVals *engine.Image) error {
-	at = s.window.Admit(at)
-	packets := s.cfg.LineWords / rdram.WordsPerPacket
-	base := line * int64(s.cfg.LineWords)
-	var complete int64
-	var res rdram.Result
-	for p := 0; p < packets; p++ {
-		addr := base + int64(p*rdram.WordsPerPacket)
-		loc := s.mem.Loc(addr)
-		req := rdram.Request{
-			Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-			Write:         true,
-			AutoPrecharge: autoPre && p == packets-1,
-		}
-		for w := range req.Data {
-			a := addr + int64(w)
-			if v, ok := storeVals.Get(a); ok {
-				req.Data[w] = v
-			} else {
-				req.Data[w] = s.mem.Peek(a)
-			}
-		}
-		if err := engine.Issue(s.dev, at, &req, &res); err != nil {
-			return err
-		}
-		if p == 0 {
-			s.advanceCursor(&res)
-		}
-		complete = res.DataEnd
-	}
-	s.window.Complete(complete)
+	s.cursor = max(s.cursor, first)
+	// Miss service latency as the processor sees it: request presented
+	// (before the outstanding-transaction gate) to first word forwarded.
+	s.ctl.ObserveMissLatency(starts[0] - at)
 	return nil
 }
 
-// advanceCursor records the first command time of a transaction: the next
-// natural-order request may not be presented to the memory before it.
-func (s *sim) advanceCursor(res *rdram.Result) {
-	first := res.ColIssue
-	if res.ActIssue >= 0 {
-		first = res.ActIssue
+// store transmits a full cacheline of store data, presented at at;
+// words the kernel never stores keep their prior memory contents (the
+// issuer's read-merge).
+func (s *sim) store(line, at int64) error {
+	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), true, s.spare)
+	if err != nil {
+		return err
 	}
-	if res.PreIssue >= 0 {
-		first = res.PreIssue
-	}
-	if first > s.cursor {
-		s.cursor = first
-	}
+	s.cursor = max(s.cursor, first)
+	return nil
 }

@@ -2,7 +2,6 @@ package natorder
 
 import (
 	"rdramstream/internal/cache"
-	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -13,10 +12,9 @@ import (
 // evictions of dirty lines write them back, and the computation ends with
 // a dirty-line sweep. This models the natural-order configuration with the
 // effects the paper's ideal-cache bounds exclude.
-func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals *engine.Image) error {
-	autoPre := s.cfg.closedPage()
+func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache) error {
 	nr := k.ReadStreams()
-	lw := int64(s.cfg.LineWords)
+	packets := int(s.lw) / rdram.WordsPerPacket
 
 	// Linefill-forwarding availability of resident lines: line index ->
 	// DataStart of each of its packets. Evictions drop the entry.
@@ -27,7 +25,7 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals *engi
 		var iterDep int64
 		for si, st := range k.Streams {
 			addr := st.Addr(i)
-			line := addr / lw
+			line := addr / s.lw
 			write := st.Mode == stream.Write
 			gate := prevDep
 			if write {
@@ -35,26 +33,28 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals *engi
 			}
 			res := cc.Access(line, write)
 			if !res.Hit {
-				var dst []int64 // recycle the victim's availability buffer
+				var starts []int64 // recycle the victim's availability buffer
 				if res.Evicted >= 0 {
 					if res.EvictedDirty {
 						// Victim writeback precedes the fill on the bus.
-						if err := s.writeLine(res.Evicted, max(s.cursor, gate), autoPre, storeVals); err != nil {
+						if err := s.store(res.Evicted, max(s.cursor, gate)); err != nil {
 							return err
 						}
 					}
-					dst = ready[res.Evicted]
+					starts = ready[res.Evicted]
 					delete(ready, res.Evicted)
 				}
-				starts, err := s.fetchLine(line, max(s.cursor, gate), autoPre, dst)
-				if err != nil {
+				if starts == nil {
+					starts = make([]int64, packets)
+				}
+				if err := s.fetch(line, max(s.cursor, gate), starts); err != nil {
 					return err
 				}
 				ready[line] = starts
 			}
 			if si < nr {
 				if starts, ok := ready[line]; ok {
-					pkt := int(addr%lw) / rdram.WordsPerPacket
+					pkt := int(addr%s.lw) / rdram.WordsPerPacket
 					if t := starts[pkt]; t > iterDep {
 						iterDep = t
 					}
@@ -65,7 +65,7 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache, storeVals *engi
 	}
 	// Final writeback sweep of everything still dirty.
 	for _, line := range cc.FlushDirty() {
-		if err := s.writeLine(line, s.cursor, autoPre, storeVals); err != nil {
+		if err := s.store(line, s.cursor); err != nil {
 			return err
 		}
 	}

@@ -203,15 +203,8 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 	lastData := dev.Stats().LastDataEnd
 	cycles := max(s.fe.Time(), lastData)
 	dev.ChargeStall(telemetry.StallCPUTail, cycles-lastData)
-	st := dev.Stats()
-	res := Result{
-		Cycles:           cycles,
-		UsefulWords:      int64(k.Iterations()) * int64(len(k.Streams)),
-		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
-		CPUStallCycles:   s.fe.StallCycles(),
-		Device:           st,
-	}
-	res.Finalize(dev.Config().Timing.CyclesPerWordPeak())
+	res := engine.NewResult(dev, cycles, int64(k.Iterations())*int64(len(k.Streams)))
+	res.CPUStallCycles = s.fe.StallCycles()
 	if col := cfg.Telemetry; col != nil {
 		col.Controller.CPUStallCycles = s.fe.StallCycles()
 	}

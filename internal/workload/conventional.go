@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
-	"rdramstream/internal/addrmap"
 	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
@@ -24,20 +21,10 @@ func init() { engine.Register(conventional{}) }
 func (conventional) Name() string { return "conventional" }
 
 func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options) (engine.Result, error) {
-	if opt.LineWords <= 0 || opt.LineWords%rdram.WordsPerPacket != 0 {
-		return engine.Result{}, fmt.Errorf("workload: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, opt.LineWords)
-	}
 	if err := k.Validate(); err != nil {
 		return engine.Result{}, err
 	}
-	outstanding := opt.Outstanding
-	if outstanding <= 0 {
-		outstanding = rdram.MaxOutstanding
-	}
-	if outstanding > rdram.MaxOutstanding {
-		return engine.Result{}, fmt.Errorf("workload: Outstanding %d exceeds device limit %d", outstanding, rdram.MaxOutstanding)
-	}
-	mapper, err := addrmap.New(opt.Scheme, dev.Config().Geometry, opt.LineWords)
+	lines, err := engine.NewLines(dev, opt.Scheme, opt.LineWords, 0)
 	if err != nil {
 		return engine.Result{}, err
 	}
@@ -45,73 +32,29 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 
 	// Phase 1: functional execution, recording every store value so the
 	// device image is exact and callers can verify the computation.
-	storeVals := engine.StoreValues(dev, mapper, k)
-	defer storeVals.Release()
+	lines.Store = engine.StoreValues(dev, lines.Mapper(), k)
+	defer lines.Store.Release()
 
 	// Phase 2: timed replay at line granularity in program order, each
 	// stream filtered through its own one-line buffer, transactions
 	// admitted as fast as the pipeline window allows.
-	autoPre := opt.Scheme == addrmap.CLI
-	window := engine.NewWindow(outstanding)
 	lw := int64(opt.LineWords)
-	packets := opt.LineWords / rdram.WordsPerPacket
-	lines := make([]int64, len(k.Streams))
-	for i := range lines {
-		lines[i] = -1
+	current := make([]int64, len(k.Streams))
+	for i := range current {
+		current[i] = -1
 	}
 	nr := k.ReadStreams()
-	mem := engine.NewCursor(dev, mapper)
-	doLine := func(line int64, write bool) error {
-		at := window.Admit(0)
-		base := line * lw
-		var complete int64
-		var res rdram.Result
-		for p := 0; p < packets; p++ {
-			addr := base + int64(p*rdram.WordsPerPacket)
-			loc := mem.Loc(addr)
-			req := rdram.Request{
-				Bank: loc.Bank, Row: loc.Row, Col: loc.Col,
-				Write:         write,
-				AutoPrecharge: autoPre && p == packets-1,
-			}
-			if write {
-				for w := range req.Data {
-					a := addr + int64(w)
-					if v, ok := storeVals.Get(a); ok {
-						req.Data[w] = v
-					} else {
-						req.Data[w] = mem.Peek(a)
-					}
-				}
-			}
-			if err := engine.Issue(dev, at, &req, &res); err != nil {
-				return err
-			}
-			complete = res.DataEnd
-		}
-		window.Complete(complete)
-		return nil
-	}
 	for i := 0; i < k.Iterations(); i++ {
 		for s := range k.Streams {
 			line := k.Streams[s].Addr(i) / lw
-			if lines[s] == line {
+			if current[s] == line {
 				continue
 			}
-			lines[s] = line
-			if err := doLine(line, s >= nr); err != nil {
+			current[s] = line
+			if _, err := lines.Issue(0, lines.Loc(line*lw), s >= nr, nil); err != nil {
 				return engine.Result{}, err
 			}
 		}
 	}
-
-	st := dev.Stats()
-	res := engine.Result{
-		Cycles:           st.LastDataEnd,
-		UsefulWords:      int64(k.Iterations()) * int64(len(k.Streams)),
-		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
-		Device:           st,
-	}
-	res.Finalize(dev.Config().Timing.CyclesPerWordPeak())
-	return res, nil
+	return lines.Result(int64(k.Iterations()) * int64(len(k.Streams))), nil
 }

@@ -26,7 +26,7 @@ type TraceOptions struct {
 	Scheme    addrmap.Scheme
 	LineWords int
 	// Outstanding is the request pipeline depth (0 = the Direct RDRAM
-	// limit of four).
+	// limit of four; a depth outside [0, 4] is an error).
 	Outstanding int
 	// Reorder enables SMC-style access reordering: within a sliding
 	// window of pending line transactions, row hits issue before row
@@ -55,37 +55,18 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 	if len(accs) == 0 {
 		return engine.Result{}, fmt.Errorf("workload: empty trace")
 	}
-	if opt.LineWords <= 0 || opt.LineWords%rdram.WordsPerPacket != 0 {
-		return engine.Result{}, fmt.Errorf("workload: bad LineWords %d", opt.LineWords)
-	}
-	outstanding := opt.Outstanding
-	if outstanding <= 0 {
-		outstanding = rdram.MaxOutstanding
-	}
-	if outstanding > rdram.MaxOutstanding {
-		return engine.Result{}, fmt.Errorf("workload: Outstanding %d exceeds device limit %d", outstanding, rdram.MaxOutstanding)
-	}
-	mapper, err := addrmap.New(opt.Scheme, dev.Config().Geometry, opt.LineWords)
+	lines, err := engine.NewLines(dev, opt.Scheme, opt.LineWords, opt.Outstanding)
 	if err != nil {
 		return engine.Result{}, err
 	}
 	engine.Attach(dev, opt.Telemetry, telemetry.StallNoRequest)
 
 	// Check every address before the device sees any.
-	capacity := mapper.CapacityWords()
+	capacity := lines.Mapper().CapacityWords()
 	for i, a := range accs {
 		if a.Addr < 0 || a.Addr >= capacity {
 			return engine.Result{}, fmt.Errorf("workload: trace access %d address %d exceeds device capacity %d", i, a.Addr, capacity)
 		}
-	}
-
-	autoPre := opt.Scheme == addrmap.CLI
-	ti := &traceIssuer{
-		dev:     dev,
-		mem:     engine.NewCursor(dev, mapper),
-		window:  engine.NewWindow(outstanding),
-		packets: opt.LineWords / rdram.WordsPerPacket,
-		autoPre: autoPre,
 	}
 
 	// Coalesce the word stream into line transactions through a one-line
@@ -95,29 +76,20 @@ func ReplayTrace(dev *rdram.Device, opt TraceOptions, accs []TraceAccess) (engin
 	// scheduler never sees an open row to chase and issues in trace
 	// order: the in-order loop is the same schedule without the scan.
 	lw := int64(opt.LineWords)
-	if !opt.Reorder || autoPre {
+	if !opt.Reorder || lines.ClosedPage {
 		var buf lineBuffer
 		for _, a := range accs {
 			if !buf.next(a.Addr, lw) {
 				continue
 			}
-			if err := ti.issue(ti.mem.Loc(buf.lo), a.Write); err != nil {
+			if _, err := lines.Issue(0, lines.Loc(buf.lo), a.Write, nil); err != nil {
 				return engine.Result{}, err
 			}
 		}
-	} else if err := ti.reorder(accs, lw, opt.Window, dev.Config().Geometry.Banks); err != nil {
+	} else if err := reorder(&lines, accs, lw, opt.Window); err != nil {
 		return engine.Result{}, err
 	}
-
-	st := dev.Stats()
-	res := engine.Result{
-		Cycles:           st.LastDataEnd,
-		UsefulWords:      int64(len(accs)),
-		TransferredWords: st.PacketCount() * rdram.WordsPerPacket,
-		Device:           st,
-	}
-	res.Finalize(dev.Config().Timing.CyclesPerWordPeak())
-	return res, nil
+	return lines.Result(int64(len(accs))), nil
 }
 
 // lineBuffer is the one-line buffer trace accesses coalesce through:
@@ -150,55 +122,21 @@ type txn struct {
 	issued bool
 }
 
-// traceIssuer carries the per-transaction issue state so the inner
-// loop is a named method the allocation lint can police, instead of a
-// closure. Trace replay and the generated workloads of Run share it.
-type traceIssuer struct {
-	dev     *rdram.Device
-	mem     engine.Cursor // line locations
-	window  *engine.Window
-	packets int
-	autoPre bool
-}
-
-// issue services one line transaction whose first packet is at loc:
-// admit into the outstanding-access window, issue each packet through
-// the engine's retry loop, and record the completion time. A line never
-// leaves its page under either scheme, so its packets are loc's
-// successive columns and one mapping serves them all. This runs once per
-// transaction for the whole trace — the replay inner loop.
-//
-// rdlint:hotpath
-func (ti *traceIssuer) issue(loc addrmap.Loc, write bool) error {
-	at := ti.window.Admit(0)
-	req := rdram.Request{Bank: loc.Bank, Row: loc.Row, Col: loc.Col, Write: write}
-	last := loc.Col + ti.packets - 1
-	var res rdram.Result
-	for ; req.Col <= last; req.Col++ {
-		req.AutoPrecharge = ti.autoPre && req.Col == last
-		if err := engine.Issue(ti.dev, at, &req, &res); err != nil {
-			return err
-		}
-	}
-	ti.window.Complete(res.DataEnd)
-	return nil
-}
-
-// reorder issues the line transactions of accs row-hit-first, the
-// SMC's bank heuristic applied to an arbitrary trace: each issue takes
-// the first transaction in the window — the oldest unissued one (the
-// head) and those up to window-1 (0 = 32) places after it — whose row is
-// open in its bank, or the head when none is. The scheduler keeps its own
-// open-row model of banks banks; the caller takes the auto-precharge
-// case, where it has no row hits to chase, to the in-order loop.
-// Deterministic: a pure function of the transaction list, no randomness,
-// no map iteration.
+// reorder issues the line transactions of accs through lines
+// row-hit-first, the SMC's bank heuristic applied to an arbitrary trace:
+// each issue takes the first transaction in the window — the oldest
+// unissued one (the head) and those up to window-1 (0 = 32) places after
+// it — whose row is open in its bank, or the head when none is. The
+// scheduler keeps its own open-row model of the device's banks; the caller
+// takes the auto-precharge case, where it has no row hits to chase, to
+// the in-order loop. Deterministic: a pure function of the transaction
+// list, no randomness, no map iteration.
 //
 // The window also bounds starvation: a transaction is passed over only
 // by picks from the window it heads or trails, which lie within the
 // window-1 places after it, so it waits out at most window-1 issues and
 // needs no separate deferral limit.
-func (ti *traceIssuer) reorder(accs []TraceAccess, lw int64, window, banks int) error {
+func reorder(lines *engine.Lines, accs []TraceAccess, lw int64, window int) error {
 	// Count the transactions first, so the list is allocated once at its
 	// size.
 	n := 0
@@ -212,14 +150,14 @@ func (ti *traceIssuer) reorder(accs []TraceAccess, lw int64, window, banks int) 
 	buf = lineBuffer{}
 	for _, a := range accs {
 		if buf.next(a.Addr, lw) {
-			txns = append(txns, txn{loc: ti.mem.Loc(buf.lo), write: a.Write})
+			txns = append(txns, txn{loc: lines.Loc(buf.lo), write: a.Write})
 		}
 	}
 	w := window
 	if w <= 0 {
 		w = 32
 	}
-	open := make([]int, banks)
+	open := make([]int, lines.Mapper().Banks())
 	for b := range open {
 		open[b] = -1
 	}
@@ -237,7 +175,7 @@ func (ti *traceIssuer) reorder(accs []TraceAccess, lw int64, window, banks int) 
 		}
 		t := &txns[pick]
 		t.issued = true
-		if err := ti.issue(t.loc, t.write); err != nil {
+		if _, err := lines.Issue(0, t.loc, t.write, nil); err != nil {
 			return err
 		}
 		open[t.loc.Bank] = t.loc.Row

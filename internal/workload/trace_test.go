@@ -161,6 +161,9 @@ func TestReplayTraceValidation(t *testing.T) {
 	if _, err := ReplayTrace(dev, TraceOptions{Scheme: addrmap.PI, LineWords: 4, Outstanding: rdram.MaxOutstanding + 1}, []TraceAccess{{Addr: 0}}); err == nil {
 		t.Error("expected error for oversized pipeline depth")
 	}
+	if _, err := ReplayTrace(dev, TraceOptions{Scheme: addrmap.PI, LineWords: 4, Outstanding: -1}, []TraceAccess{{Addr: 0}}); err == nil {
+		t.Error("expected error for negative pipeline depth")
+	}
 	if _, err := ReplayTrace(dev, TraceOptions{Scheme: addrmap.PI, LineWords: 4}, []TraceAccess{{Addr: 1 << 60}}); err == nil {
 		t.Error("expected error for out-of-range address")
 	}

@@ -50,55 +50,28 @@ type Config struct {
 	// ReadFraction is the probability a transaction is a read (the rest
 	// are full-line writes). Crisp's multimedia mixes are read-heavy.
 	ReadFraction float64
-	// FootprintLines bounds the address range touched (0 = 1/8 of the
-	// device).
-	FootprintLines int64
-	// Outstanding is the controller's request pipeline depth (0 = the
-	// Direct RDRAM limit of four).
-	Outstanding int
-	Seed        int64
+	Seed         int64
 }
 
-// Result reports the serviced workload's performance.
-type Result struct {
-	Cycles      int64
-	Lines       int64
-	PercentPeak float64 // all transferred words count: these are demanded cachelines
-	HitRate     float64 // device page-hit rate
-	Device      rdram.Stats
-}
-
-// Run services the generated transactions in arrival order, pipelined up
-// to the outstanding limit, with the scheme's precharge policy — the same
-// conventional controller behaviour as the natural-order model but without
+// Run services the generated transactions in arrival order over 1/8 of
+// the device, pipelined up to the Direct RDRAM's four outstanding
+// requests, with the scheme's precharge policy — the same conventional
+// controller behaviour as the natural-order model but without
 // inter-access dependences (independent masters, DMA engines, or a deep
-// miss queue, as in Crisp's experiments).
-func Run(dev *rdram.Device, cfg Config) (Result, error) {
+// miss queue, as in Crisp's experiments). Every line moved is demanded,
+// so the Result's UsefulWords equals its TransferredWords.
+func Run(dev *rdram.Device, cfg Config) (engine.Result, error) {
 	if cfg.Requests <= 0 {
-		return Result{}, fmt.Errorf("workload: Requests must be positive, got %d", cfg.Requests)
-	}
-	if cfg.LineWords <= 0 || cfg.LineWords%rdram.WordsPerPacket != 0 {
-		return Result{}, fmt.Errorf("workload: bad LineWords %d", cfg.LineWords)
+		return engine.Result{}, fmt.Errorf("workload: Requests must be positive, got %d", cfg.Requests)
 	}
 	if cfg.ReadFraction < 0 || cfg.ReadFraction > 1 {
-		return Result{}, fmt.Errorf("workload: ReadFraction %v out of [0,1]", cfg.ReadFraction)
+		return engine.Result{}, fmt.Errorf("workload: ReadFraction %v out of [0,1]", cfg.ReadFraction)
 	}
-	mapper, err := addrmap.New(cfg.Scheme, dev.Config().Geometry, cfg.LineWords)
+	lines, err := engine.NewLines(dev, cfg.Scheme, cfg.LineWords, 0)
 	if err != nil {
-		return Result{}, err
+		return engine.Result{}, err
 	}
-	outstanding := cfg.Outstanding
-	if outstanding <= 0 {
-		outstanding = rdram.MaxOutstanding
-	}
-	footprint := cfg.FootprintLines
-	if footprint <= 0 {
-		footprint = mapper.CapacityWords() / int64(cfg.LineWords) / 8
-	}
-	maxLines := mapper.CapacityWords() / int64(cfg.LineWords)
-	if footprint > maxLines {
-		footprint = maxLines
-	}
+	footprint := lines.Mapper().CapacityWords() / int64(cfg.LineWords) / 8
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	linesPerPage := int64(dev.Config().Geometry.PageWords / cfg.LineWords)
@@ -122,28 +95,13 @@ func Run(dev *rdram.Device, cfg Config) (Result, error) {
 		}
 	}
 
-	ti := &traceIssuer{
-		dev:     dev,
-		mem:     engine.NewCursor(dev, mapper),
-		window:  engine.NewWindow(outstanding),
-		packets: cfg.LineWords / rdram.WordsPerPacket,
-		autoPre: cfg.Scheme == addrmap.CLI,
-	}
 	lw := int64(cfg.LineWords)
 	for i := 0; i < cfg.Requests; i++ {
-		loc := ti.mem.Loc(nextLine(i) * lw)
-		if err := ti.issue(loc, rng.Float64() >= cfg.ReadFraction); err != nil {
-			return Result{}, err
+		loc := lines.Loc(nextLine(i) * lw)
+		if _, err := lines.Issue(0, loc, rng.Float64() >= cfg.ReadFraction, nil); err != nil {
+			return engine.Result{}, err
 		}
 	}
-
 	st := dev.Stats()
-	res := Result{
-		Cycles:  st.LastDataEnd,
-		Lines:   int64(cfg.Requests),
-		HitRate: st.HitRate(),
-		Device:  st,
-	}
-	res.PercentPeak = engine.PercentOfPeak(st.PacketCount()*rdram.WordsPerPacket, res.Cycles, dev.Config().Timing.CyclesPerWordPeak())
-	return res, nil
+	return engine.NewResult(dev, st.LastDataEnd, st.PacketCount()*rdram.WordsPerPacket), nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 )
 
@@ -14,7 +15,7 @@ func channel(devices int) rdram.Config {
 	return cfg
 }
 
-func run(t *testing.T, devCfg rdram.Config, cfg Config) Result {
+func run(t *testing.T, devCfg rdram.Config, cfg Config) engine.Result {
 	t.Helper()
 	if cfg.LineWords == 0 {
 		cfg.LineWords = 4
@@ -29,6 +30,10 @@ func run(t *testing.T, devCfg rdram.Config, cfg Config) Result {
 	res, err := Run(dev, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every line a generated workload moves is demanded.
+	if res.UsefulWords != res.TransferredWords || res.TransferredWords != res.Device.PacketCount()*rdram.WordsPerPacket {
+		t.Errorf("useful %d, transferred %d words for %d packets", res.UsefulWords, res.TransferredWords, res.Device.PacketCount())
 	}
 	return res
 }
@@ -64,8 +69,8 @@ func TestSequentialPIRunsNearPeak(t *testing.T) {
 	if res.PercentPeak < 90 {
 		t.Errorf("sequential PI = %.1f%%, want near peak", res.PercentPeak)
 	}
-	if res.HitRate < 0.9 {
-		t.Errorf("hit rate = %.2f", res.HitRate)
+	if res.Device.HitRate() < 0.9 {
+		t.Errorf("hit rate = %.2f", res.Device.HitRate())
 	}
 }
 
@@ -76,8 +81,8 @@ func TestRandomSingleDeviceIsMediocre(t *testing.T) {
 	if res.PercentPeak > 85 {
 		t.Errorf("random single-device = %.1f%%, expected clearly below peak", res.PercentPeak)
 	}
-	if res.HitRate > 0.6 {
-		t.Errorf("random hit rate = %.2f, expected low", res.HitRate)
+	if res.Device.HitRate() > 0.6 {
+		t.Errorf("random hit rate = %.2f, expected low", res.Device.HitRate())
 	}
 }
 
@@ -99,8 +104,8 @@ func TestManyDevicesLiftRandomEfficiency(t *testing.T) {
 func TestHotPagesBenefitFromOpenPagePolicy(t *testing.T) {
 	hotPI := run(t, rdram.DefaultConfig(), Config{Pattern: HotPages, Scheme: addrmap.PI})
 	randPI := run(t, rdram.DefaultConfig(), Config{Pattern: RandomUniform, Scheme: addrmap.PI})
-	if hotPI.HitRate <= randPI.HitRate {
-		t.Errorf("hot-page hit rate %.2f should exceed uniform %.2f", hotPI.HitRate, randPI.HitRate)
+	if hotPI.Device.HitRate() <= randPI.Device.HitRate() {
+		t.Errorf("hot-page hit rate %.2f should exceed uniform %.2f", hotPI.Device.HitRate(), randPI.Device.HitRate())
 	}
 	if hotPI.PercentPeak <= randPI.PercentPeak {
 		t.Errorf("hot pages %.1f%% should beat uniform %.1f%% under open-page", hotPI.PercentPeak, randPI.PercentPeak)
@@ -116,14 +121,5 @@ func TestDeterministicBySeed(t *testing.T) {
 	c := run(t, rdram.DefaultConfig(), Config{Pattern: RandomUniform, Scheme: addrmap.PI, Seed: 43})
 	if a.Cycles == c.Cycles {
 		t.Error("different seeds produced identical runs (suspicious)")
-	}
-}
-
-func TestFootprintClamped(t *testing.T) {
-	cfg := rdram.DefaultConfig()
-	cfg.Geometry.PagesPerBank = 2 // tiny device
-	res := run(t, cfg, Config{Pattern: RandomUniform, Scheme: addrmap.CLI, FootprintLines: 1 << 40, Requests: 500})
-	if res.Lines != 500 {
-		t.Errorf("lines = %d", res.Lines)
 	}
 }
