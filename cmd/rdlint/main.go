@@ -1,10 +1,9 @@
 // Command rdlint runs the repo's static-analysis suite — the
-// per-function checks (determinism, maprange, stallcause, nilprobe,
-// wiretag) and the dataflow tier built on the module call graph
-// (canoncheck, lockcheck, ctxcheck, hotalloc) — over every package named
-// by its arguments (./... by default). It exits 0 when the tree is
-// clean, 1 when any finding survives the allowlist, and 2 on usage or
-// load errors. See docs/STATIC_ANALYSIS.md.
+// per-function checks (determinism, maprange, wiretag) and the dataflow
+// tier built on the module call graph (canoncheck, lockcheck, ctxcheck,
+// hotalloc) — over every package named by its arguments (./... by
+// default). It exits 0 when the tree is clean, 1 on any finding, and 2
+// on usage or load errors. See docs/STATIC_ANALYSIS.md.
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"rdramstream/internal/lint"
 	"rdramstream/internal/version"
@@ -39,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut     = fs.Bool("json", false, "emit findings as a JSON array instead of file:line lines")
 		runList     = fs.String("run", "", "comma-separated analyzers to run (default: all)")
-		allowPath   = fs.String("allow", "", "allowlist file (default: <module root>/rdlint.allow, if present)")
 		statsOut    = fs.Bool("stats", false, "print a JSON run summary (per-analyzer findings and wall time, call-graph size) to stderr")
 		showVersion = fs.Bool("version", false, "print the build identity stamp and exit")
 	)
@@ -89,17 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "rdlint:", err)
 		return 2
 	}
-	path, optional := filepath.Join(root, "rdlint.allow"), true
-	if *allowPath != "" {
-		path, optional = *allowPath, false
-	}
-	allow, err := lint.LoadAllowlist(path, optional)
-	if err != nil {
-		fmt.Fprintln(stderr, "rdlint:", err)
-		return 2
-	}
-
-	diags, stale, stats := lint.RunWithStats(pkgs, analyzers, allow)
+	diags, stats := lint.Run(pkgs, analyzers)
 	if *statsOut {
 		enc := json.NewEncoder(stderr)
 		enc.SetIndent("", "  ")
@@ -107,10 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "rdlint:", err)
 			return 2
 		}
-	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "rdlint: stale allowlist entry %s:%d (%s %s): suppresses nothing — remove it\n",
-			path, e.Line, e.Analyzer, e.Path)
 	}
 	if *jsonOut {
 		rows := make([]jsonDiagnostic, len(diags))

@@ -53,7 +53,7 @@ func loadSynth(t *testing.T, insert string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("loading synthetic module: %v", err)
 	}
-	diags, _ := Run(pkgs, []*Analyzer{CanonCheck}, nil)
+	diags, _ := Run(pkgs, []*Analyzer{CanonCheck})
 	return diags
 }
 

@@ -34,6 +34,19 @@ var corePackages = map[string]bool{
 	// (Run): schedules must be pure functions of the access list (or
 	// seed) and options.
 	"workload": true,
+	// Everything else a run executes: address mapping, the processor and
+	// cache models, stream layout, the loop compiler, the FPM controllers,
+	// the analytic bounds, the always-on stall attribution and probes,
+	// and the protocol checker behind -check.
+	"addrmap":   true,
+	"analytic":  true,
+	"cache":     true,
+	"compiler":  true,
+	"cpu":       true,
+	"fpm":       true,
+	"stream":    true,
+	"telemetry": true,
+	"trace":     true,
 }
 
 // bannedFuncs maps fully qualified function names to the reason they are

@@ -33,6 +33,10 @@ func TestDeterminism(t *testing.T) {
 			dirs: []string{"determinism/tracegen"},
 		},
 		{
+			name: "telemetry is core: probe events carry simulated cycles, never the wall clock",
+			dirs: []string{"determinism/telemetry"},
+		},
+		{
 			name: "both together still only flag the core",
 			dirs: []string{"determinism", "determinism/clock"},
 		},

@@ -24,10 +24,9 @@ var fixtureDirs = []string{
 	"determinism/obs",
 	"determinism/shard",
 	"determinism/smc",
+	"determinism/telemetry",
 	"determinism/tracegen",
 	"maprange",
-	"stallcause",
-	"nilprobe",
 	"wiretag",
 	"canoncheck",
 	"lockcheck",
@@ -137,7 +136,7 @@ func runFixtureCases(t *testing.T, a *Analyzer, cases []fixtureCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pkgs := fixturePkgs(t, tc.dirs...)
-			diags, _ := Run(pkgs, []*Analyzer{a}, nil)
+			diags, _ := Run(pkgs, []*Analyzer{a})
 			want := wantMarkers(t, pkgs)
 			for _, d := range diags {
 				if d.Analyzer != a.Name {

@@ -1,10 +1,10 @@
 package lint
 
-// The shared dataflow substrate the second-generation analyzers build
-// on: a whole-module call graph with reachability and fixpoint
-// propagation (generalizing maprange's writer-set), a declaration index
-// for named types (shared with wiretag's closure walk), and the marker
-// helpers for the rdlint:* doc-comment annotations. Everything here is
+// The shared dataflow substrate the analyzers build on: a whole-module
+// call graph with reachability and fixpoint propagation (maprange's
+// writer set, ctxcheck's blockers), a declaration index for named types
+// (wiretag's closure walk, canoncheck's roots), and the marker helpers
+// for the rdlint:* doc-comment annotations. Everything here is
 // stdlib-only and deterministic: indexes are built by walking packages,
 // files, and declarations in slice order, never by ranging over maps
 // where order could leak into diagnostics.

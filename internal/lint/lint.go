@@ -1,11 +1,13 @@
 // Package lint is rdlint's engine: a stdlib-only static-analysis driver
 // (go/parser + go/types, no external dependencies) that loads every
-// package in the module and runs a suite of repo-specific analyzers. The
-// suite encodes the invariants the reproduction's headline numbers rest
-// on — bit-for-bit deterministic runs, exact stall-cause attribution, the
-// nil-safe probe contract, and a drift-proof wire format — so violations
-// are caught at lint time instead of surfacing as corrupted cache keys or
-// golden-test churn. See docs/STATIC_ANALYSIS.md for the catalogue.
+// package in the module and runs a suite of repo-specific analyzers. Each
+// analyzer holds an invariant the reproduction's numbers rest on that no
+// plain test can hold over the whole tree: runs that are pure functions
+// of their scenario (determinism, maprange), a drift-proof wire format
+// (wiretag), a complete cache key (canoncheck), mutex discipline
+// (lockcheck), cancellation plumbing (ctxcheck) and an allocation-free
+// hot path (hotalloc). docs/STATIC_ANALYSIS.md audits each one against
+// the tests: what it holds, what it has caught, and why it stays.
 package lint
 
 import (
@@ -35,8 +37,7 @@ func (d Diagnostic) String() string {
 // maprange's writer-function set) need the whole picture, and per-package
 // analyses simply iterate.
 type Analyzer struct {
-	// Name is the identifier used in diagnostics, -run filters, and
-	// allowlist entries.
+	// Name is the identifier used in diagnostics and -run filters.
 	Name string
 	// Doc is a one-line description for usage output and docs.
 	Doc string
@@ -45,12 +46,12 @@ type Analyzer struct {
 	Run func(pkgs []*Package) []Diagnostic
 }
 
-// All returns the full suite in stable order: the five first-generation
-// per-function/type checks, then the four dataflow-tier analyzers built
-// on the shared call-graph substrate (see graph.go).
+// All returns the full suite in stable order: the three per-function and
+// per-type checks, then the four dataflow-tier analyzers built on the
+// shared call-graph substrate (see graph.go).
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism, MapRange, StallCauseCheck, NilProbe, WireTag,
+		Determinism, MapRange, WireTag,
 		CanonCheck, LockCheck, CtxCheck, HotAlloc,
 	}
 }
@@ -89,10 +90,9 @@ func Select(names string) ([]*Analyzer, error) {
 
 // AnalyzerStat is one analyzer's row in the -stats summary.
 type AnalyzerStat struct {
-	Name       string  `json:"name"`
-	Findings   int     `json:"findings"`
-	Suppressed int     `json:"suppressed"`
-	ElapsedMS  float64 `json:"elapsed_ms"`
+	Name      string  `json:"name"`
+	Findings  int     `json:"findings"`
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // RunStats summarizes one driver invocation for `rdlint -stats` and the
@@ -107,17 +107,10 @@ type RunStats struct {
 	Analyzers      []AnalyzerStat `json:"analyzers"`
 }
 
-// Run executes the analyzers over the packages, suppresses findings the
-// allowlist covers, and returns the rest sorted by position. The second
-// result lists allowlist entries that matched nothing — stale entries the
-// caller should surface so the list stays tight. allow may be nil.
-func Run(pkgs []*Package, analyzers []*Analyzer, allow *Allowlist) ([]Diagnostic, []AllowEntry) {
-	diags, stale, _ := RunWithStats(pkgs, analyzers, allow)
-	return diags, stale
-}
-
-// RunWithStats is Run plus the timing/size summary behind -stats.
-func RunWithStats(pkgs []*Package, analyzers []*Analyzer, allow *Allowlist) ([]Diagnostic, []AllowEntry, *RunStats) {
+// Run executes the analyzers over the packages and returns their
+// findings sorted by position, with the timing and size summary behind
+// `rdlint -stats`.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunStats) {
 	start := time.Now()
 	stats := &RunStats{Packages: len(pkgs)}
 	for _, p := range pkgs {
@@ -129,18 +122,16 @@ func RunWithStats(pkgs []*Package, analyzers []*Analyzer, allow *Allowlist) ([]D
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		aStart := time.Now()
-		st := AnalyzerStat{Name: a.Name}
-		for _, d := range a.Run(pkgs) {
-			d.Analyzer = a.Name
-			if allow.covers(d) {
-				st.Suppressed++
-				continue
-			}
-			st.Findings++
-			diags = append(diags, d)
+		found := a.Run(pkgs)
+		for i := range found {
+			found[i].Analyzer = a.Name
 		}
-		st.ElapsedMS = float64(time.Since(aStart).Microseconds()) / 1000
-		stats.Analyzers = append(stats.Analyzers, st)
+		diags = append(diags, found...)
+		stats.Analyzers = append(stats.Analyzers, AnalyzerStat{
+			Name:      a.Name,
+			Findings:  len(found),
+			ElapsedMS: float64(time.Since(aStart).Microseconds()) / 1000,
+		})
 	}
 	stats.AnalysisMS = float64(time.Since(start).Microseconds()) / 1000
 	sort.Slice(diags, func(i, j int) bool {
@@ -156,7 +147,7 @@ func RunWithStats(pkgs []*Package, analyzers []*Analyzer, allow *Allowlist) ([]D
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags, allow.stale(), stats
+	return diags, stats
 }
 
 // pos converts a node position for diagnostics.

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -14,11 +13,11 @@ func TestSelect(t *testing.T) {
 		wantErr string
 	}{
 		{name: "empty selects the full suite", arg: "", want: []string{
-			"determinism", "maprange", "stallcause", "nilprobe", "wiretag",
+			"determinism", "maprange", "wiretag",
 			"canoncheck", "lockcheck", "ctxcheck", "hotalloc"}},
 		{name: "single analyzer", arg: "wiretag", want: []string{"wiretag"}},
-		{name: "comma list preserves order", arg: "nilprobe,determinism", want: []string{"nilprobe", "determinism"}},
-		{name: "spaces tolerated", arg: " maprange , stallcause ", want: []string{"maprange", "stallcause"}},
+		{name: "comma list preserves order", arg: "hotalloc,determinism", want: []string{"hotalloc", "determinism"}},
+		{name: "spaces tolerated", arg: " maprange , wiretag ", want: []string{"maprange", "wiretag"}},
 		{name: "unknown analyzer rejected", arg: "gofmt", wantErr: `unknown analyzer "gofmt"`},
 		{name: "only commas selects nothing", arg: ",,", wantErr: "selected no analyzers"},
 	}
@@ -48,12 +47,16 @@ func TestSelect(t *testing.T) {
 
 func TestRunSortsAndStampsDiagnostics(t *testing.T) {
 	pkgs := fixturePkgs(t, "determinism", "maprange")
-	diags, stale := Run(pkgs, []*Analyzer{MapRange, Determinism}, nil)
-	if len(stale) != 0 {
-		t.Errorf("nil allowlist produced %d stale entries", len(stale))
-	}
+	diags, stats := Run(pkgs, []*Analyzer{MapRange, Determinism})
 	if len(diags) == 0 {
 		t.Fatal("expected findings from the fixture packages")
+	}
+	counted := 0
+	for _, st := range stats.Analyzers {
+		counted += st.Findings
+	}
+	if counted != len(diags) {
+		t.Errorf("stats count %d findings, Run returned %d", counted, len(diags))
 	}
 	for i, d := range diags {
 		if d.Analyzer == "" {
@@ -67,88 +70,6 @@ func TestRunSortsAndStampsDiagnostics(t *testing.T) {
 			(prev.Pos.Filename == d.Pos.Filename && prev.Pos.Line > d.Pos.Line) {
 			t.Errorf("diagnostics out of order: %s before %s", prev, d)
 		}
-	}
-}
-
-func TestParseAllowlist(t *testing.T) {
-	cases := []struct {
-		name    string
-		src     string
-		entries int
-		wantErr string
-	}{
-		{
-			name:    "comments and blanks ignored",
-			src:     "# header\n\nwiretag internal/sim/sim.go # pinned elsewhere\n",
-			entries: 1,
-		},
-		{
-			name:    "message substring captured",
-			src:     "maprange cmd/rdprof/main.go Stalls # sorted by value just below\n",
-			entries: 1,
-		},
-		{
-			name:    "justification required",
-			src:     "wiretag internal/sim/sim.go\n",
-			wantErr: "needs a '# justification'",
-		},
-		{
-			name:    "empty justification rejected",
-			src:     "wiretag internal/sim/sim.go #   \n",
-			wantErr: "needs a '# justification'",
-		},
-		{
-			name:    "unknown analyzer rejected",
-			src:     "speling internal/sim/sim.go # oops\n",
-			wantErr: `unknown analyzer "speling"`,
-		},
-		{
-			name:    "path required",
-			src:     "wiretag # why\n",
-			wantErr: "at least 'analyzer path-suffix'",
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			al, err := ParseAllowlist(tc.src, "test.allow")
-			if tc.wantErr != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("error = %v, want containing %q", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(al.entries) != tc.entries {
-				t.Fatalf("parsed %d entries, want %d", len(al.entries), tc.entries)
-			}
-		})
-	}
-}
-
-func TestAllowlistSuppressesAndReportsStale(t *testing.T) {
-	pkgs := fixturePkgs(t, "determinism")
-	src := strings.Join([]string{
-		`determinism testdata/src/determinism/determinism.go time.Now # fixture: wall clock is the point`,
-		`determinism testdata/src/determinism/determinism.go os.Getenv # fixture: env read is the point`,
-		`wiretag internal/sim/sim.go # never matches anything here`,
-	}, "\n")
-	al, err := ParseAllowlist(src, "test.allow")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, stale := Run(pkgs, []*Analyzer{Determinism}, al)
-	for _, d := range diags {
-		if strings.Contains(d.Message, "time.Now") || strings.Contains(d.Message, "os.Getenv") {
-			t.Errorf("allowlisted finding survived: %s", d)
-		}
-	}
-	if len(diags) == 0 {
-		t.Error("the rand finding should not be suppressed")
-	}
-	if len(stale) != 1 || stale[0].Analyzer != "wiretag" {
-		t.Errorf("stale = %+v, want exactly the wiretag entry", stale)
 	}
 }
 
@@ -175,10 +96,9 @@ func TestExpandSkipsTestdataUnlessTargeted(t *testing.T) {
 	}
 }
 
-// TestShippedTreeClean is satellite enforcement: the full module must
-// pass the suite with the checked-in allowlist, and that allowlist must
-// carry no stale entries. Skipped under -short (it type-checks the whole
-// module).
+// TestShippedTreeClean lints the whole module in-process: the shipped
+// tree must produce no findings. Skipped under -short (it type-checks
+// the whole module).
 func TestShippedTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check; run without -short")
@@ -195,15 +115,8 @@ func TestShippedTreeClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allow, err := LoadAllowlist(filepath.Join(root, "rdlint.allow"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, stale := Run(pkgs, All(), allow)
+	diags, _ := Run(pkgs, All())
 	for _, d := range diags {
 		t.Errorf("shipped tree finding: %s", d)
-	}
-	for _, e := range stale {
-		t.Errorf("stale allowlist entry (line %d): %s %s # %s", e.Line, e.Analyzer, e.Path, e.Justification)
 	}
 }

@@ -217,76 +217,23 @@ func callWrites(p *Package, call *ast.CallExpr, writers map[*types.Func]bool) (s
 }
 
 // buildWriterSet computes the module functions that (transitively) write
-// output, by a fixpoint over the static call graph. It is what lets the
-// analyzer see through helpers: a loop calling emit(...) is as ordered as
-// one calling fmt.Println directly.
+// output: those that call a write sink directly, closed upward over the
+// module call graph. It is what lets the analyzer see through helpers: a
+// loop calling emit(...) is as ordered as one calling fmt.Println
+// directly.
 func buildWriterSet(pkgs []*Package) map[*types.Func]bool {
-	type declInfo struct {
-		pkg  *Package
-		body *ast.BlockStmt
-	}
-	decls := make(map[*types.Func]declInfo)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = declInfo{pkg: p, body: fd.Body}
+	g := buildCallGraph(pkgs)
+	direct := make(map[*types.Func]bool)
+	for _, fn := range g.order {
+		site := g.funcs[fn]
+		ast.Inspect(site.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if _, writes := callWrites(site.pkg, call, nil); writes {
+					direct[fn] = true
 				}
 			}
-		}
-	}
-	writers := make(map[*types.Func]bool)
-	// callees[f] lists module functions f calls; seeded with direct sinks.
-	callees := make(map[*types.Func][]*types.Func)
-	for fn, di := range decls {
-		ast.Inspect(di.body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if m, ok := di.pkg.Info.Uses[sel.Sel].(*types.Func); ok {
-					if sig, okSig := m.Type().(*types.Signature); okSig && sig.Recv() != nil && writeMethods[m.Name()] {
-						writers[fn] = true
-						return true
-					}
-				}
-			}
-			callee := qualifiedFunc(di.pkg, call)
-			if callee == nil {
-				return true
-			}
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() == nil && writeFuncs[callee.Pkg().Path()+"."+callee.Name()] {
-				writers[fn] = true
-				return true
-			}
-			if _, inModule := decls[callee]; inModule {
-				callees[fn] = append(callees[fn], callee)
-			}
-			return true
+			return !direct[fn]
 		})
 	}
-	// Propagate writer-ness up the call graph to a fixpoint. Iteration
-	// order over the maps cannot affect the final set (the transfer is
-	// monotone), only how many passes it takes.
-	for changed := true; changed; {
-		changed = false
-		for fn, cs := range callees {
-			if writers[fn] {
-				continue
-			}
-			for _, c := range cs {
-				if writers[c] {
-					writers[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return writers
+	return g.propagateUp(direct, nil)
 }

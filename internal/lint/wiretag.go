@@ -56,46 +56,10 @@ var wireRoots = []struct{ pkg, typ string }{
 	{"workload", "TraceAccess"},
 }
 
-// typeDecl records what the analyzer needs from a named type's
-// declaration site: its doc comment (for the rdlint:wire marker) and,
-// by its presence in the index, that the type is declared in the loaded
-// module.
-type typeDecl struct {
-	doc string
-}
-
 func runWireTag(pkgs []*Package) []Diagnostic {
-	// Index every named type declared in the loaded packages, so closure
-	// members can be traced back to their AST for positions and doc
-	// comments, and so the walk stays within the module.
-	decls := make(map[*types.TypeName]typeDecl)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				gd, ok := d.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					tn, ok := p.Info.Defs[ts.Name].(*types.TypeName)
-					if !ok {
-						continue
-					}
-					doc := ""
-					if ts.Doc != nil {
-						doc = ts.Doc.Text()
-					} else if gd.Doc != nil {
-						doc = gd.Doc.Text()
-					}
-					decls[tn] = typeDecl{doc: doc}
-				}
-			}
-		}
-	}
+	// The declaration index traces closure members back to their doc
+	// comments and keeps the walk within the module.
+	decls := buildTypeIndex(pkgs)
 
 	// Seed the worklist: fixed roots plus marker-tagged structs, found by
 	// walking files (not the decls map) for deterministic order.
@@ -146,7 +110,7 @@ func runWireTag(pkgs []*Package) []Diagnostic {
 			if jsonTagName(st.Tag(j)) == "-" {
 				continue // explicitly off the wire; don't recurse
 			}
-			seed(namedStructBehind(f.Type(), decls))
+			seed(namedStructIn(f.Type(), decls))
 		}
 	}
 
@@ -177,34 +141,6 @@ func runWireTag(pkgs []*Package) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// namedStructBehind unwraps pointers, slices, arrays, and map values to a
-// named struct type declared in the loaded packages.
-func namedStructBehind(t types.Type, decls map[*types.TypeName]typeDecl) *types.TypeName {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Slice:
-			t = u.Elem()
-		case *types.Array:
-			t = u.Elem()
-		case *types.Map:
-			t = u.Elem()
-		case *types.Named:
-			if _, ok := u.Underlying().(*types.Struct); !ok {
-				return nil
-			}
-			tn := u.Obj()
-			if _, declared := decls[tn]; !declared {
-				return nil // outside the loaded module: nothing to check
-			}
-			return tn
-		default:
-			return nil
-		}
-	}
 }
 
 // checkWireStruct validates one wire struct's field tags against its AST.
