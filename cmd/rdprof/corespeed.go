@@ -284,8 +284,9 @@ func runCoreBench(iters int, outPath string) {
 			"paged word image for seed/verify and store capture, a memory " +
 			"cursor whose Loc is arithmetic and whose stripes cache pages " +
 			"only, a functional harness that walks stripes in chunks, an SMC " +
-			"that plans packets on demand, and a trace replay that maps once " +
-			"per line transaction. ns/op is the min wall time over the " +
+			"that plans packets on demand, mapping once per interleave unit, " +
+			"behind a timing-only processor front end, and a trace replay " +
+			"that maps once per line transaction. ns/op is the min wall time over the " +
 			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
 			"delta per run after a pool-warming iteration, the fewest of three " +
 			"runs with the collector paused. See docs/PERFORMANCE.md.",

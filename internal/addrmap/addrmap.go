@@ -100,21 +100,22 @@ type Mapper struct {
 // lineWords is the cacheline size in 64-bit words (the paper's L_c); it is
 // required for CLI and must divide the page size. The paper's modeling
 // assumptions (§4.1) require the cacheline to be a whole number of packets
-// and the page a whole number of cachelines.
-func New(scheme Scheme, g rdram.Geometry, lineWords int) (*Mapper, error) {
+// and the page a whole number of cachelines. The mapper is a value, so a
+// run that holds it in a struct of its own builds it without allocating.
+func New(scheme Scheme, g rdram.Geometry, lineWords int) (Mapper, error) {
 	if err := g.Validate(); err != nil {
-		return nil, err
+		return Mapper{}, err
 	}
 	if err := scheme.Validate(); err != nil {
-		return nil, err
+		return Mapper{}, err
 	}
 	if lineWords <= 0 || lineWords%rdram.WordsPerPacket != 0 {
-		return nil, fmt.Errorf("addrmap: lineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, lineWords)
+		return Mapper{}, fmt.Errorf("addrmap: lineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, lineWords)
 	}
 	if g.PageWords%lineWords != 0 {
-		return nil, fmt.Errorf("addrmap: page size %d words is not a multiple of the cacheline %d", g.PageWords, lineWords)
+		return Mapper{}, fmt.Errorf("addrmap: page size %d words is not a multiple of the cacheline %d", g.PageWords, lineWords)
 	}
-	m := &Mapper{
+	m := Mapper{
 		scheme:       scheme,
 		banks:        g.Banks,
 		pageWords:    g.PageWords,
@@ -139,7 +140,7 @@ func New(scheme Scheme, g rdram.Geometry, lineWords int) (*Mapper, error) {
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // MustNew is New for configurations known statically; it panics on error.
-func MustNew(scheme Scheme, g rdram.Geometry, lineWords int) *Mapper {
+func MustNew(scheme Scheme, g rdram.Geometry, lineWords int) Mapper {
 	m, err := New(scheme, g, lineWords)
 	if err != nil {
 		panic(err)

@@ -25,7 +25,7 @@ func TestCursorLocMatchesMap(t *testing.T) {
 					continue
 				}
 				m := addrmap.MustNew(scheme, g, lw)
-				cur := NewCursor(rdram.NewDevice(rdram.Config{Timing: rdram.DefaultTiming(), Geometry: g}), m)
+				cur := NewCursor(rdram.NewDevice(rdram.Config{Timing: rdram.DefaultTiming(), Geometry: g}), &m)
 				name := fmt.Sprintf("%d banks × %d words %v line %d", g.Banks, g.PageWords, scheme, lw)
 				stripe, capacity := int64(m.StripeWords()), m.CapacityWords()
 				var addrs []int64

@@ -25,10 +25,12 @@ const cursorStripes = 8
 // walks that interleave several streams keep each one's pages. On a
 // timing-only device Peek returns 0. A Cursor is a value: the zero value
 // is unusable, NewCursor builds one, and a copy must not be used once the
-// original has touched data (the two would share page slots).
+// original has touched data (the two would share page slots). It holds
+// its mapper by value, so a run that embeds a Cursor builds no mapper of
+// its own on the heap.
 type Cursor struct {
 	dev     *rdram.Device
-	m       *addrmap.Mapper
+	m       addrmap.Mapper
 	stripes [cursorStripes]cursorStripe
 	last    int    // the stripe the latest address fell in, checked first
 	clock   uint64 // stamps stripes for least-recently-used replacement
@@ -47,14 +49,15 @@ type cursorStripe struct {
 	used   uint64 // the cursor's clock when this stripe was last found
 }
 
-// NewCursor builds a cursor over dev's memory under mapper m.
+// NewCursor builds a cursor over dev's memory under a copy of mapper m.
 func NewCursor(dev *rdram.Device, m *addrmap.Mapper) Cursor {
-	return Cursor{dev: dev, m: m}
+	return Cursor{dev: dev, m: *m}
 }
 
-// reset points c at dev and m and empties it, keeping its slab's backing.
+// reset points c at dev and a copy of m and empties it, keeping its
+// slab's backing.
 func (c *Cursor) reset(dev *rdram.Device, m *addrmap.Mapper) {
-	c.dev, c.m = dev, m
+	c.dev, c.m = dev, *m
 	c.stripes = [cursorStripes]cursorStripe{}
 	c.last, c.clock = 0, 0
 	c.slab = c.slab[:0]

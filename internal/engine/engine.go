@@ -6,8 +6,6 @@
 //   - the common Result type, built by NewResult for every controller,
 //     and the bandwidth math (PercentPeak, PercentAttainable,
 //     EffectiveMBps) computed in exactly one place;
-//   - the matched-bandwidth CPU front-end (FrontEnd) that walks a kernel's
-//     accesses in natural order at one element per t_PACK/w_p cycles;
 //   - the line issuer (Lines), the one cacheline-transaction path: natural
 //     order, the conventional controller, trace replay and the Crisp
 //     workloads issue every line through it. A line is mapped once,
@@ -21,7 +19,7 @@
 //     Banks × PageWords consecutive addresses under both interleavings):
 //     Loc maps an address by stripe arithmetic alone, and the last few
 //     stripes are held to cache their pages for Peek and the walks; the
-//     line issuer and the SMC map through it;
+//     line issuer maps through it;
 //   - the paged word image (Image) and the functional harness's walks
 //     over it, which move a chunk of elements — all inside one stripe
 //     and one image page — per lookup: Seed fills the device and the

@@ -108,6 +108,7 @@ func (f fakeController) Run(*rdram.Device, *stream.Kernel, Options) (Result, err
 
 func TestRegistry(t *testing.T) {
 	Register(fakeController{name: "test-fake"})
+	t.Cleanup(func() { unregister("test-fake") })
 	if _, ok := Lookup("test-fake"); !ok {
 		t.Error("registered controller not found")
 	}

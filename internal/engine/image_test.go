@@ -127,7 +127,7 @@ func TestStoreValuesMatchesMapReference(t *testing.T) {
 		cfg.Geometry = geoms[c%len(geoms)]
 		k := randomAliasingKernel(r, cfg.Geometry)
 		m := addrmap.MustNew(addrmap.Scheme(r.Intn(2)), cfg.Geometry, 2<<r.Intn(4))
-		checkStoreValues(t, fmt.Sprintf("case %d", c), rdram.NewDevice(cfg), m, k, r)
+		checkStoreValues(t, fmt.Sprintf("case %d", c), rdram.NewDevice(cfg), &m, k, r)
 	}
 }
 
@@ -144,7 +144,7 @@ func TestStoreValuesManyStripes(t *testing.T) {
 			bases[i] = int64(i)*5*int64(m.StripeWords()) + int64(i)*7
 		}
 		k := stream.MultiStream(11, 1, bases, 3000, 1)
-		checkStoreValues(t, scheme.String(), rdram.NewDevice(cfg), m, k, r)
+		checkStoreValues(t, scheme.String(), rdram.NewDevice(cfg), &m, k, r)
 	}
 }
 
@@ -209,7 +209,8 @@ func TestStoreValuesTimingOnlySkipsReplay(t *testing.T) {
 		{Name: "y", Base: 4096, Stride: 1, Length: 64, Mode: stream.Write},
 	}}
 	k.Compute = func(int, []float64) []float64 { panic("kernel replayed on a timing-only device") }
-	img := StoreValues(dev, addrmap.MustNew(addrmap.PI, cfg.Geometry, 4), k)
+	m := addrmap.MustNew(addrmap.PI, cfg.Geometry, 4)
+	img := StoreValues(dev, &m, k)
 	defer img.Release()
 	img.Range(func(addr int64, _ uint64) bool {
 		t.Fatalf("timing-only image holds address %d", addr)

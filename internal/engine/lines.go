@@ -29,8 +29,7 @@ type Lines struct {
 	Store *Image
 
 	dev     *rdram.Device
-	m       *addrmap.Mapper
-	mem     Cursor
+	mem     Cursor // holds the run's mapper
 	window  Window
 	packets int
 }
@@ -54,15 +53,14 @@ func NewLines(dev *rdram.Device, scheme addrmap.Scheme, lineWords, outstanding i
 	return Lines{
 		ClosedPage: scheme == addrmap.CLI,
 		dev:        dev,
-		m:          m,
-		mem:        NewCursor(dev, m),
+		mem:        NewCursor(dev, &m),
 		window:     NewWindow(outstanding),
 		packets:    lineWords / rdram.WordsPerPacket,
 	}, nil
 }
 
 // Mapper returns the run's address mapper.
-func (l *Lines) Mapper() *addrmap.Mapper { return l.m }
+func (l *Lines) Mapper() *addrmap.Mapper { return &l.mem.m }
 
 // Loc returns the device location of addr, a line's first word (see
 // Cursor.Loc): what Issue takes. Mapping is arithmetic alone, so a
@@ -87,7 +85,7 @@ func (l *Lines) Issue(at int64, loc addrmap.Loc, write bool, starts []int64) (in
 	fill := write && l.Store != nil
 	var base int64 // the line's first word, for the fill
 	if fill {
-		base = l.m.Unmap(loc)
+		base = l.mem.m.Unmap(loc)
 	}
 	var res rdram.Result
 	var first int64

@@ -38,9 +38,8 @@ var canonRoots = []struct{ pkg, typ string }{
 	{"sim", "Scenario"},
 }
 
-func runCanonCheck(pkgs []*Package) []Diagnostic {
+func runCanonCheck(pkgs []*Package, graph *callGraph) []Diagnostic {
 	typeIdx := buildTypeIndex(pkgs)
-	graph := buildCallGraph(pkgs)
 	var diags []Diagnostic
 
 	// Roots, in deterministic file order.

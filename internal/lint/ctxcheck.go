@@ -56,8 +56,7 @@ var ctxSinkMethods = map[string]map[string]string{
 	},
 }
 
-func runCtxCheck(pkgs []*Package) []Diagnostic {
-	graph := buildCallGraph(pkgs)
+func runCtxCheck(pkgs []*Package, graph *callGraph) []Diagnostic {
 
 	// Fixpoint: module functions that have no ctx parameter and
 	// (transitively) reach a blocking sink. Functions that do take a ctx

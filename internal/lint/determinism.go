@@ -34,15 +34,14 @@ var corePackages = map[string]bool{
 	// (Run): schedules must be pure functions of the access list (or
 	// seed) and options.
 	"workload": true,
-	// Everything else a run executes: address mapping, the processor and
-	// cache models, stream layout, the loop compiler, the FPM controllers,
+	// Everything else a run executes: address mapping, the cache model,
+	// stream layout, the loop compiler, the FPM controllers,
 	// the analytic bounds, the always-on stall attribution and probes,
 	// and the protocol checker behind -check.
 	"addrmap":   true,
 	"analytic":  true,
 	"cache":     true,
 	"compiler":  true,
-	"cpu":       true,
 	"fpm":       true,
 	"stream":    true,
 	"telemetry": true,
@@ -80,7 +79,7 @@ var Determinism = &Analyzer{
 	Run:  runDeterminism,
 }
 
-func runDeterminism(pkgs []*Package) []Diagnostic {
+func runDeterminism(pkgs []*Package, _ *callGraph) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		if !corePackages[p.Types.Name()] {

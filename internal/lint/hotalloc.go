@@ -8,7 +8,7 @@ import (
 
 // HotAlloc enforces the hot-path allocation budget: a function marked
 // `rdlint:hotpath` in its doc comment (the device per-access path, the
-// SMC issue loop, the engine front-end, the trace-replay inner loop)
+// SMC issue loop and front end, the trace-replay inner loop)
 // may not contain allocating constructs. The event-driven core refactor
 // pinned the long-vector benchmark at a fixed allocation count
 // (BENCH_core_speed.json); this analyzer turns that number from a
@@ -28,7 +28,7 @@ var HotAlloc = &Analyzer{
 
 const hotPathMarker = "rdlint:hotpath"
 
-func runHotAlloc(pkgs []*Package) []Diagnostic {
+func runHotAlloc(pkgs []*Package, _ *callGraph) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		for _, f := range p.Files {

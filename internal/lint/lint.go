@@ -35,15 +35,17 @@ func (d Diagnostic) String() string {
 // Analyzer is one repo-specific check. Run receives every loaded package
 // at once — module-wide analyses (wiretag's reachability closure,
 // maprange's writer-function set) need the whole picture, and per-package
-// analyses simply iterate.
+// analyses simply iterate — and the module call graph, which lint.Run
+// builds once per invocation and every analyzer shares read-only.
 type Analyzer struct {
 	// Name is the identifier used in diagnostics and -run filters.
 	Name string
 	// Doc is a one-line description for usage output and docs.
 	Doc string
-	// Run reports findings over the loaded packages. Findings must be
-	// produced in a deterministic order (walk files, not maps).
-	Run func(pkgs []*Package) []Diagnostic
+	// Run reports findings over the loaded packages, whose call graph is
+	// g. Findings must be produced in a deterministic order (walk files,
+	// not maps).
+	Run func(pkgs []*Package, g *callGraph) []Diagnostic
 }
 
 // All returns the full suite in stable order: the three per-function and
@@ -122,7 +124,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunStats) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		aStart := time.Now()
-		found := a.Run(pkgs)
+		found := a.Run(pkgs, g)
 		for i := range found {
 			found[i].Analyzer = a.Name
 		}

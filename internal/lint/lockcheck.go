@@ -87,7 +87,7 @@ func mergeFacts(a, b *lockFacts) *lockFacts {
 	return out
 }
 
-func runLockCheck(pkgs []*Package) []Diagnostic {
+func runLockCheck(pkgs []*Package, _ *callGraph) []Diagnostic {
 	var diags []Diagnostic
 	guards := make(map[*types.Var]*types.Var) // guarded field -> mutex field
 

@@ -43,8 +43,8 @@ var sortFuncs = map[string]bool{
 	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
-func runMapRange(pkgs []*Package) []Diagnostic {
-	writers := buildWriterSet(pkgs)
+func runMapRange(pkgs []*Package, g *callGraph) []Diagnostic {
+	writers := buildWriterSet(g)
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -221,8 +221,7 @@ func callWrites(p *Package, call *ast.CallExpr, writers map[*types.Func]bool) (s
 // module call graph. It is what lets the analyzer see through helpers: a
 // loop calling emit(...) is as ordered as one calling fmt.Println
 // directly.
-func buildWriterSet(pkgs []*Package) map[*types.Func]bool {
-	g := buildCallGraph(pkgs)
+func buildWriterSet(g *callGraph) map[*types.Func]bool {
 	direct := make(map[*types.Func]bool)
 	for _, fn := range g.order {
 		site := g.funcs[fn]

@@ -56,7 +56,7 @@ var wireRoots = []struct{ pkg, typ string }{
 	{"workload", "TraceAccess"},
 }
 
-func runWireTag(pkgs []*Package) []Diagnostic {
+func runWireTag(pkgs []*Package, _ *callGraph) []Diagnostic {
 	// The declaration index traces closure members back to their doc
 	// comments and keeps the walk within the module.
 	decls := buildTypeIndex(pkgs)

@@ -47,7 +47,7 @@ func checkVerifyNamesLowest(t *testing.T, sc Scenario) {
 	for rep := 0; rep < 3; rep++ {
 		dev := rdram.NewDevice(sc.Device)
 		m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
-		seed(dev, m, k, sc.Seed, scr.rng(), &scr.image)
+		seed(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
 		if _, err := runController(dev, k, sc); err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func checkVerifyNamesLowest(t *testing.T, sc Scenario) {
 				want = fmt.Sprintf("sim: functional verification failed: address %d: device %#x, golden %#x", lo, v^1, v)
 			}
 		}
-		err := verify(dev, m, k, &scr.image)
+		err := verify(dev, &m, k, &scr.image)
 		if err == nil {
 			t.Fatal("verify passed over a corrupted device")
 		}
@@ -255,8 +255,8 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 
 		got, ref := rdram.NewDevice(cfg), rdram.NewDevice(cfg)
 		rng := scr.rng()
-		seed(got, m, k, s, rng, &scr.image)
-		shadowRef, rngRef := refSeed(ref, m, k, s)
+		seed(got, &m, k, s, rng, &scr.image)
+		shadowRef, rngRef := refSeed(ref, &m, k, s)
 
 		// Same draw count: the generators are at the same position, and
 		// the image holds one word per draw.
@@ -266,10 +266,10 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 		if n := imageWords(&scr.image); n != len(shadowRef) {
 			t.Fatalf("case %d: image holds %d words, reference %d", c, n, len(shadowRef))
 		}
-		assertSameImage(t, c, got, ref, m, k)
+		assertSameImage(t, c, got, ref, &m, k)
 
-		replayOnDevice(got, m, k)
-		replayOnDevice(ref, m, k)
+		replayOnDevice(got, &m, k)
+		replayOnDevice(ref, &m, k)
 		for j := r.Intn(3); j > 0; j-- { // corrupt 0–2 words, on both devices
 			st := k.Streams[r.Intn(len(k.Streams))]
 			loc := m.Map(st.Addr(r.Intn(st.Length)))
@@ -277,15 +277,15 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 				d.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, d.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)+1)
 			}
 		}
-		errGot := verify(got, m, k, &scr.image)
-		errRef := refVerify(ref, m, k, shadowRef)
+		errGot := verify(got, &m, k, &scr.image)
+		errRef := refVerify(ref, &m, k, shadowRef)
 		if fmt.Sprint(errGot) != fmt.Sprint(errRef) {
 			t.Fatalf("case %d: verdict %v, reference %v", c, errGot, errRef)
 		}
 		if errGot != nil {
 			failures++
 		}
-		assertSameImage(t, c, got, ref, m, k)
+		assertSameImage(t, c, got, ref, &m, k)
 	}
 	if failures == 0 || failures == cases {
 		t.Errorf("%d of %d cases failed verification; want a mix", failures, cases)
@@ -342,6 +342,6 @@ func TestShadowResetEmptiesImage(t *testing.T) {
 			}
 		}
 		var draws uint64
-		img.Seed(rdram.NewDevice(cfg), m, k, func() uint64 { draws++; return draws })
+		img.Seed(rdram.NewDevice(cfg), &m, k, func() uint64 { draws++; return draws })
 	}
 }

@@ -406,7 +406,7 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	if sc.SkipVerify {
 		dev.SetTimingOnly(true)
 	} else {
-		seed(dev, mapper, k, sc.Seed, scr.rng(), &scr.image)
+		seed(dev, &mapper, k, sc.Seed, scr.rng(), &scr.image)
 	}
 
 	res, err := runController(dev, k, sc)
@@ -417,7 +417,7 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	finalize(sc.Telemetry, dev, out)
 
 	if !sc.SkipVerify {
-		if err := verify(dev, mapper, k, &scr.image); err != nil {
+		if err := verify(dev, &mapper, k, &scr.image); err != nil {
 			return out, err
 		}
 		out.Verified = true

@@ -67,7 +67,7 @@ func checkReadMerge(t *testing.T, sc Scenario) {
 	dev := rdram.NewDevice(sc.Device)
 	m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
 	var scr scratch
-	seed(dev, m, k, sc.Seed, scr.rng(), &scr.image)
+	seed(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
 
 	touched := make(map[int64]bool)
 	for _, st := range k.Streams {
@@ -97,7 +97,7 @@ func checkReadMerge(t *testing.T, sc Scenario) {
 	if _, err := runController(dev, k, sc); err != nil {
 		t.Fatal(err)
 	}
-	if err := verify(dev, m, k, &scr.image); err != nil {
+	if err := verify(dev, &m, k, &scr.image); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range sentinels {

@@ -9,11 +9,13 @@
 // the MSU services one FIFO at a time, performing as many accesses as
 // possible for the current FIFO before moving on (the paper's round-robin
 // policy), or using one of the extension policies the paper's §6 sketches.
+// The processor's timing never depends on data values, so its model
+// (frontEnd) only moves FIFO heads and a clock; the kernel's arithmetic
+// runs once per iteration, when a write packet carrying it drains.
 package smc
 
 import (
 	"rdramstream/internal/addrmap"
-	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -42,18 +44,31 @@ func (g *group) sameRowAs(o *group) bool {
 // decide on. Direct RDRAM transfers whole 128-bit packets, so the groups
 // are the device accesses the MSU performs for the stream. Planning two
 // groups at a time keeps a FIFO's plan at a fixed size whatever the
-// stream's length, as the SBU's hardware FIFOs are (§3), and maps packets
-// through a cursor that pays the address map once per run.
+// stream's length, as the SBU's hardware FIFOs are (§3).
+//
+// A stream's strides are positive, so its packets only ever move up.
+// The planner maps a packet only when it leaves the interleave unit
+// (addrmap.Mapper.InStripe) the last mapping covered: inside a unit the
+// words are consecutive words of one page, so a packet's column is the
+// unit's first column plus its packet offset. Element addresses advance
+// by the stride.
 type planner struct {
 	st        stream.Stream
-	elem      int // first element not yet in cur or next
+	m         *addrmap.Mapper
+	elem      int   // first element not yet in cur or next
+	addr      int64 // address of element elem
 	cur, next group
-	mem       engine.Cursor
+
+	// The interleave unit last mapped: packets from unitAt up to unitEnd
+	// sit at consecutive columns of page (bank, row) from column col.
+	unitAt, unitEnd int64
+	bank, row, col  int
 }
 
-// reset starts planning st from its first element.
-func (p *planner) reset(st stream.Stream, mem engine.Cursor) {
-	p.st, p.elem, p.mem = st, 0, mem
+// reset starts planning st from its first element, mapping under m.
+func (p *planner) reset(st stream.Stream, m *addrmap.Mapper) {
+	p.st, p.m, p.elem, p.addr = st, m, 0, st.Base
+	p.unitAt, p.unitEnd = 0, 0
 	p.plan(&p.cur)
 	p.plan(&p.next)
 }
@@ -84,23 +99,28 @@ func (p *planner) advance() {
 func (p *planner) plan(g *group) {
 	g.elo = p.elem
 	if p.elem < p.st.Length {
-		pkt := addrmap.PacketAddr(p.st.Addr(p.elem))
-		g.loc = p.mem.Loc(pkt)
-		for n := 0; n < rdram.WordsPerPacket && p.elem < p.st.Length; n++ {
-			addr := p.st.Addr(p.elem)
-			if addrmap.PacketAddr(addr) != pkt {
-				break
-			}
-			g.words[n] = uint8(addr - pkt)
+		pkt := addrmap.PacketAddr(p.addr)
+		if pkt >= p.unitEnd {
+			p.mapUnit(pkt)
+		}
+		g.loc = addrmap.Loc{Bank: p.bank, Row: p.row, Col: p.col + int(pkt-p.unitAt)/rdram.WordsPerPacket}
+		for n := 0; n < rdram.WordsPerPacket && p.elem < p.st.Length && p.addr-pkt < rdram.WordsPerPacket; n++ {
+			g.words[n] = uint8(p.addr - pkt)
 			p.elem++
+			p.addr += p.st.Stride
 		}
 	}
 	g.ehi = p.elem
 }
 
-// packetAddr returns the word address of g's packet, which p planned.
-func (p *planner) packetAddr(g *group) int64 {
-	return p.st.Addr(g.elo) - int64(g.words[0])
+// mapUnit maps packet address pkt and the rest of its interleave unit.
+// It panics with the mapper's message on an address outside the device.
+// rdlint:hotpath
+func (p *planner) mapUnit(pkt int64) {
+	row, off := p.m.Stripe(pkt)
+	bank, w, n := p.m.InStripe(off)
+	p.unitAt, p.unitEnd = pkt, pkt+int64(n)
+	p.bank, p.row, p.col = bank, row, w/rdram.WordsPerPacket
 }
 
 const unscheduled = int64(-1)
@@ -135,13 +155,14 @@ func (f *readFIFO) headAvail() int64 {
 	return f.avail[f.popped]
 }
 
-// writeFIFO is the SBU buffer for one write stream. The CPU pushes store
-// values in order; the MSU drains whole packets to memory.
+// writeFIFO is the SBU buffer for one write stream. The CPU pushes
+// stores in order; the MSU drains whole packets to memory, computing
+// their values as they drain (sim.computeThrough).
 type writeFIFO struct {
 	plan planner // the packets the MSU drains
 
 	pushedAt []int64  // push completion time per element, in order
-	values   []uint64 // pushed values, aligned
+	values   []uint64 // store value per computed element, in order
 	drainAt  []int64  // DataEnd per drained element, in order
 
 	depth int

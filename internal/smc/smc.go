@@ -120,31 +120,59 @@ type work struct {
 
 // simulate is Run, also reporting the scheduler's work counts.
 func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, error) {
-	if cfg.FIFODepth < rdram.WordsPerPacket {
-		return Result{}, work{}, fmt.Errorf("smc: FIFODepth must be at least %d, got %d", rdram.WordsPerPacket, cfg.FIFODepth)
-	}
-	if cfg.LineWords <= 0 || cfg.LineWords%rdram.WordsPerPacket != 0 {
-		return Result{}, work{}, fmt.Errorf("smc: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, cfg.LineWords)
-	}
-	mapper, err := addrmap.New(cfg.Scheme, dev.Config().Geometry, cfg.LineWords)
+	scr := getScratch()
+	defer putScratch(scr)
+	s, err := newSim(dev, k, cfg, scr)
 	if err != nil {
 		return Result{}, work{}, err
 	}
-	fe, err := engine.NewFrontEnd(k, int64(dev.Config().Timing.TPack/rdram.WordsPerPacket))
-	if err != nil {
+	if err := s.run(); err != nil {
 		return Result{}, work{}, err
 	}
 
+	// The run extends past the final DATA packet while the CPU drains the
+	// last FIFO contents; charge that tail so the stall attribution tiles
+	// the full [0, Cycles) idle time.
+	lastData := dev.Stats().LastDataEnd
+	cycles := max(s.fe.time, lastData)
+	dev.ChargeStall(telemetry.StallCPUTail, cycles-lastData)
+	res := engine.NewResult(dev, cycles, int64(s.iters)*int64(s.nstreams))
+	res.CPUStallCycles = s.fe.stall
+	if col := cfg.Telemetry; col != nil {
+		col.Controller.CPUStallCycles = s.fe.stall
+	}
+	return res, s.work, nil
+}
+
+// newSim validates the configuration and the kernel and builds the run's
+// state over dev, its FIFOs drawn from scr.
+func newSim(dev *rdram.Device, k *stream.Kernel, cfg Config, scr *runScratch) (*sim, error) {
+	if cfg.FIFODepth < rdram.WordsPerPacket {
+		return nil, fmt.Errorf("smc: FIFODepth must be at least %d, got %d", rdram.WordsPerPacket, cfg.FIFODepth)
+	}
+	if cfg.LineWords <= 0 || cfg.LineWords%rdram.WordsPerPacket != 0 {
+		return nil, fmt.Errorf("smc: LineWords must be a positive multiple of %d, got %d", rdram.WordsPerPacket, cfg.LineWords)
+	}
+	mapper, err := addrmap.New(cfg.Scheme, dev.Config().Geometry, cfg.LineWords)
+	if err != nil {
+		return nil, err
+	}
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+
 	s := &sim{
-		dev:    dev,
-		mapper: mapper,
-		cfg:    cfg,
-		fe:     fe,
-		k:      k,
-		nr:     k.ReadStreams(),
-		wd:     engine.NewWatchdog(cfg.WatchdogLimit),
-		tPack:  int64(dev.Config().Timing.TPack),
-		tRAC:   int64(dev.Config().Timing.TRAC()),
+		dev:      dev,
+		mapper:   mapper,
+		cfg:      cfg,
+		fe:       frontEnd{xfer: int64(dev.Config().Timing.TPack / rdram.WordsPerPacket)},
+		k:        k,
+		nr:       k.ReadStreams(),
+		nstreams: len(k.Streams),
+		iters:    k.Iterations(),
+		wd:       engine.NewWatchdog(cfg.WatchdogLimit),
+		tPack:    int64(dev.Config().Timing.TPack),
+		tRAC:     int64(dev.Config().Timing.TRAC()),
 	}
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallNoRequest)
 	if col := cfg.Telemetry; col != nil {
@@ -163,8 +191,10 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 	// length zero and only ever appended to, so no zeroing is needed;
 	// every element passes through its FIFO exactly once, so first use
 	// sizes the backing exactly.
-	scr := getScratch()
-	defer putScratch(scr)
+	if cap(scr.in) < s.nr {
+		scr.in = make([]float64, s.nr)
+	}
+	s.in = scr.in[:s.nr]
 	for i, st := range k.Streams {
 		if i < s.nr {
 			if i >= len(scr.reads) {
@@ -176,7 +206,7 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 				f.avail = make([]int64, 0, st.Length)
 				f.values = make([]uint64, 0, st.Length)
 			}
-			f.plan.reset(st, engine.NewCursor(dev, mapper))
+			f.plan.reset(st, &s.mapper)
 		} else {
 			j := i - s.nr
 			if j >= len(scr.writes) {
@@ -189,35 +219,21 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 				f.values = make([]uint64, 0, st.Length)
 				f.drainAt = make([]int64, 0, st.Length)
 			}
-			f.plan.reset(st, engine.NewCursor(dev, mapper))
+			f.plan.reset(st, &s.mapper)
 		}
 	}
 	s.reads, s.writes = scr.reads[:s.nr], scr.writes[:len(k.Streams)-s.nr]
-	if err := s.run(); err != nil {
-		return Result{}, work{}, err
-	}
-
-	// The run extends past the final DATA packet while the CPU drains the
-	// last FIFO contents; charge that tail so the stall attribution tiles
-	// the full [0, Cycles) idle time.
-	lastData := dev.Stats().LastDataEnd
-	cycles := max(s.fe.Time(), lastData)
-	dev.ChargeStall(telemetry.StallCPUTail, cycles-lastData)
-	res := engine.NewResult(dev, cycles, int64(k.Iterations())*int64(len(k.Streams)))
-	res.CPUStallCycles = s.fe.StallCycles()
-	if col := cfg.Telemetry; col != nil {
-		col.Controller.CPUStallCycles = s.fe.StallCycles()
-	}
-	return res, s.work, nil
+	return s, nil
 }
 
 // runScratch is the recyclable per-run state: the FIFO structs with their
-// grown bookkeeping arrays. A sweep's scenarios check one out per run via
-// getScratch; everything is reset by slicing to length zero, never by
-// clearing, so reuse costs nothing.
+// grown bookkeeping arrays, and the kernel's input buffer. A sweep's
+// scenarios check one out per run via getScratch; everything is reset by
+// slicing to length zero, never by clearing, so reuse costs nothing.
 type runScratch struct {
 	reads  []*readFIFO
 	writes []*writeFIFO
+	in     []float64
 }
 
 // idleScratch holds the runScratch sets no run has checked out. It is a
@@ -253,18 +269,23 @@ func putScratch(scr *runScratch) {
 }
 
 type sim struct {
-	dev    *rdram.Device
-	mapper *addrmap.Mapper
-	cfg    Config
-	k      *stream.Kernel
-	nr     int
+	dev      *rdram.Device
+	mapper   addrmap.Mapper // the planners map through it
+	cfg      Config
+	k        *stream.Kernel
+	nr       int // read streams, which come first
+	nstreams int // FIFOs the MSU cycles over, one per stream
+	iters    int
 
 	reads  []*readFIFO
 	writes []*writeFIFO
 
-	// fe is the shared matched-bandwidth processor model; this sim
-	// implements engine.Ports over its FIFOs.
-	fe *engine.FrontEnd
+	fe frontEnd // the matched-bandwidth processor model
+
+	// computed counts the iterations whose kernel arithmetic has run,
+	// and in holds one iteration's loaded values (see computeThrough).
+	computed int
+	in       []float64
 
 	msuTime int64
 	current int // round-robin cursor over all FIFOs (reads then writes)
@@ -290,8 +311,8 @@ type sim struct {
 func (s *sim) run() error {
 	for {
 		s.work.passes++
-		s.fe.Advance(s.msuTime, s)
-		if s.fe.Done() && !s.msuHasWork() {
+		s.feAdvance(s.msuTime)
+		if s.feDone() && !s.msuHasWork() {
 			return nil
 		}
 		if err := s.wd.Check(s.msuTime, s.dumpState); err != nil {
@@ -303,7 +324,7 @@ func (s *sim) run() error {
 		s.work.wakeups++
 		t := s.nextWakeup()
 		if t == unscheduled || t <= s.msuTime {
-			if s.fe.Done() && !s.msuHasWork() {
+			if s.feDone() && !s.msuHasWork() {
 				return nil
 			}
 			return fmt.Errorf("smc: stalled at cycle %d with work remaining (MSU idle, CPU blocked)\n%s", s.msuTime, s.dumpState())
@@ -323,8 +344,8 @@ func (s *sim) run() error {
 // through dumpState and the watchdog diagnostics instead.
 // rdlint:hotpath
 func (s *sim) nextWakeup() int64 {
-	t := s.fe.NextEvent(s)
-	if rt := s.nextRetry(); rt > s.msuTime && (t == engine.Unscheduled || rt < t) {
+	t := s.feNextEvent()
+	if rt := s.nextRetry(); rt > s.msuTime && (t == unscheduled || rt < t) {
 		t = rt
 	}
 	return t
@@ -363,35 +384,9 @@ func (s *sim) dumpState() string {
 		fmt.Fprintf(&b, "  write fifo %d: element %d/%d pushed=%d drained=%d retryAt=%d rejects=%d\n",
 			s.nr+j, f.plan.cur.elo, f.plan.st.Length, len(f.pushedAt), len(f.drainAt), f.retry.at, f.retry.rejects)
 	}
-	fmt.Fprintf(&b, "  cpu: nextEvent=%d wakeup=%d\n", s.fe.NextEvent(s), s.nextWakeup())
+	fmt.Fprintf(&b, "  cpu: nextEvent=%d wakeup=%d\n", s.feNextEvent(), s.nextWakeup())
 	fmt.Fprintf(&b, "  device: nextEvent=%d %v", s.dev.NextEventAt(s.msuTime), s.dev.Stats())
 	return b.String()
-}
-
-// ReadAvail, WriteFree, PopRead, and PushWrite implement engine.Ports: the
-// FIFO heads the front-end drains and fills at matched bandwidth.
-
-func (s *sim) ReadAvail(i int) int64 { return s.reads[i].headAvail() }
-
-func (s *sim) WriteFree(i int) int64 { return s.writes[i-s.nr].slotFreeAt() }
-
-func (s *sim) PopRead(i int, done int64) uint64 {
-	f := s.reads[i]
-	v := f.values[f.popped]
-	f.popped++
-	if s.fprobes != nil {
-		s.fprobes[i].OnDepth(done, f.issued-f.popped)
-	}
-	return v
-}
-
-func (s *sim) PushWrite(i int, v uint64, done int64) {
-	f := s.writes[i-s.nr]
-	f.pushedAt = append(f.pushedAt, done)
-	f.values = append(f.values, v)
-	if s.fprobes != nil {
-		s.fprobes[i].OnDepth(done, len(f.pushedAt)-len(f.drainAt))
-	}
 }
 
 // noteBlocked handles an MSU idle episode [from, until): it declares the
@@ -449,8 +444,16 @@ func (s *sim) msuHasWork() bool {
 	return false
 }
 
-// fifoCount is the number of FIFOs the MSU cycles over.
-func (s *sim) fifoCount() int { return len(s.reads) + len(s.writes) }
+// wrap returns the FIFO after i in the MSU's rotation. Scans step it
+// instead of taking (current+off) % n: the division was a visible share
+// of the issue loop.
+// rdlint:hotpath
+func (s *sim) wrap(i int) int {
+	if i++; i == s.nstreams {
+		return 0
+	}
+	return i
+}
 
 // canService reports whether FIFO i can accept an access right now, and
 // the earliest time the access's data could move. A FIFO backing off after
@@ -478,14 +481,13 @@ func (s *sim) canService(i int) (bool, int64) {
 // run loop advances time so other streams get the bus).
 // rdlint:hotpath
 func (s *sim) issueOne() bool {
-	n := s.fifoCount()
+	n := s.nstreams
 	switch s.cfg.Policy {
 	case BankAware:
 		// Among ready FIFOs, pick the one whose target bank is accessible
 		// soonest; ties go to round-robin order from the cursor.
 		best, bestAt := -1, int64(math.MaxInt64)
-		for off := 0; off < n; off++ {
-			i := (s.current + off) % n
+		for off, i := 0, s.current; off < n; off, i = off+1, s.wrap(i) {
 			ok, at := s.canService(i)
 			if !ok {
 				continue
@@ -507,8 +509,7 @@ func (s *sim) issueOne() bool {
 		// row wins; otherwise fall back to plain rotation order, so a
 		// round of all-misses still progresses.
 		fallback := -1
-		for off := 0; off < n; off++ {
-			i := (s.current + off) % n
+		for off, i := 0, s.current; off < n; off, i = off+1, s.wrap(i) {
 			ok, _ := s.canService(i)
 			if !ok {
 				continue
@@ -530,8 +531,7 @@ func (s *sim) issueOne() bool {
 		s.current = fallback
 		return s.issue(fallback)
 	default: // RoundRobin
-		for off := 0; off < n; off++ {
-			i := (s.current + off) % n
+		for off, i := 0, s.current; off < n; off, i = off+1, s.wrap(i) {
 			if ok, _ := s.canService(i); ok {
 				// Stay on this FIFO: subsequent calls keep servicing it
 				// until it cannot proceed, then the scan moves past it.
@@ -575,14 +575,16 @@ func (s *sim) issue(i int) bool {
 		f := s.writes[i-s.nr]
 		req.Write = true
 		at = max(at, f.drainReady())
-		// Assemble the packet: pushed values where the stream stores,
+		s.computeThrough(g.ehi)
+		// Assemble the packet: computed values where the stream stores,
 		// current memory contents elsewhere (partial packets at stream
-		// edges or non-unit strides). A fully covered packet — the common
-		// unit-stride case — needs no read-merge at all.
+		// edges or non-unit strides), read from the packet's own page. A
+		// fully covered packet — the common unit-stride case — needs no
+		// read-merge at all. A timing-only device has no page and stores
+		// no data.
 		if g.n() < rdram.WordsPerPacket {
-			pkt := p.packetAddr(g)
-			for w := range req.Data {
-				req.Data[w] = p.mem.Peek(pkt + int64(w))
+			if pg := s.dev.Page(g.loc.Bank, g.loc.Row); pg != nil {
+				copy(req.Data[:], pg[g.loc.Col*rdram.WordsPerPacket:])
 			}
 		}
 		for j, w := range g.words[:g.n()] {

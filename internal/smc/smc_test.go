@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rdramstream/internal/addrmap"
-	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -73,12 +72,10 @@ func drain(p *planner) []group {
 }
 
 // plan is the test harness for the planner: every group of s, planned
-// through a fresh planner over a timing-only device.
-func plan(m *addrmap.Mapper, s stream.Stream) []group {
-	dev := rdram.NewDevice(rdram.DefaultConfig())
-	dev.SetTimingOnly(true)
+// through a fresh planner.
+func plan(m addrmap.Mapper, s stream.Stream) []group {
 	var p planner
-	p.reset(s, engine.NewCursor(dev, m))
+	p.reset(s, &m)
 	return drain(&p)
 }
 
@@ -135,12 +132,11 @@ func TestPlanStreamOddBaseSplitsPackets(t *testing.T) {
 // lookahead that ends with the stream.
 func TestPlanStreamRecyclesPlanner(t *testing.T) {
 	m := addrmap.MustNew(addrmap.CLI, rdram.DefaultGeometry(), 4)
-	dev := rdram.NewDevice(rdram.DefaultConfig())
 	var p planner
-	p.reset(stream.Stream{Base: 0, Stride: 1, Length: 64, Mode: stream.Read}, engine.NewCursor(dev, m))
+	p.reset(stream.Stream{Base: 0, Stride: 1, Length: 64, Mode: stream.Read}, &m)
 	p.advance()
 	short := stream.Stream{Base: 1, Stride: 1, Length: 4, Mode: stream.Read}
-	p.reset(short, engine.NewCursor(dev, m))
+	p.reset(short, &m)
 	var groups []group
 	for p.more() {
 		if next := p.lookahead(); (next == nil) != (len(groups) == 2) {
