@@ -82,8 +82,8 @@ func (b *ServiceBackend) CachedOutcome(ctx context.Context, key string) (sim.Out
 	if err := ctx.Err(); err != nil {
 		return sim.Outcome{}, false, err
 	}
-	out, ok := b.Svc.Cache().Peek(key)
-	return out, ok, nil
+	res, ok := b.Svc.Cache().Peek(key)
+	return res.Outcome, ok, nil
 }
 
 // compile-time interface checks

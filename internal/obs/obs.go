@@ -12,7 +12,7 @@
 // package may be imported by those packages. Wall timing lives here and
 // in internal/service; simulated outcomes never depend on it.
 //
-// Three pieces compose:
+// Two pieces compose:
 //
 //   - Trace / Ring (trace.go): one Trace per HTTP request, identified by
 //     a deterministic-format request ID (client-supplied X-Request-ID or
@@ -22,8 +22,6 @@
 //   - Registry (prom.go): monotonic counters, gauges, and fixed-bucket
 //     latency histograms with label sets, rendered in Prometheus text
 //     exposition format (format=0.0.4).
-//   - CheckExposition (promparse.go): a dependency-free validity checker
-//     for the exposition format — the promtool stand-in used by tests.
 package obs
 
 import (

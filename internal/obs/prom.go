@@ -111,6 +111,33 @@ func (l *LatencyHistogram) snapshot() (buckets []telemetry.HistogramBucket, n, s
 	return l.h.Buckets(), l.h.N(), l.h.Sum()
 }
 
+// maxLabels bounds the label set of one series.
+const maxLabels = 4
+
+// seriesKey identifies a series within its family: the label set sorted
+// by key, in a fixed-size array. It is comparable, so a lookup of an
+// existing series neither renders label text nor allocates.
+type seriesKey struct {
+	n      int
+	labels [maxLabels]Label
+}
+
+// keyOf sorts a label set into its series key. More than maxLabels
+// labels is a programming error and panics.
+func keyOf(labels []Label) seriesKey {
+	if len(labels) > maxLabels {
+		panic(fmt.Sprintf("obs: %d labels on one series, at most %d", len(labels), maxLabels))
+	}
+	k := seriesKey{n: len(labels)}
+	copy(k.labels[:], labels)
+	for i := 1; i < k.n; i++ {
+		for j := i; j > 0 && k.labels[j].Key < k.labels[j-1].Key; j-- {
+			k.labels[j], k.labels[j-1] = k.labels[j-1], k.labels[j]
+		}
+	}
+	return k
+}
+
 // series is one labeled instance within a family.
 type series struct {
 	labels string // rendered {k="v",...} suffix, "" for unlabeled
@@ -122,14 +149,15 @@ type series struct {
 // family is one metric name: HELP, TYPE, and its series.
 type family struct {
 	name, help, typ string
-	series          map[string]*series
+	series          map[seriesKey]*series
 }
 
 // Registry is a set of metric families rendered in Prometheus text
 // exposition format. Registration is idempotent — Counter/Histogram
-// return the existing handle for a (name, labels) pair — so hot paths
-// may re-register per request; re-registering a name with a different
-// exposition type panics (a programming error, caught in tests).
+// return the existing handle for a (name, labels) pair, without
+// allocating — so hot paths may re-register per request; re-registering
+// a name with a different exposition type panics (a programming error,
+// caught in tests).
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by mu
@@ -140,18 +168,32 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// familyLocked returns (creating if needed) the named family. The
-// caller must hold r.mu — the Locked suffix is the repo-wide contract
-// rdlint's lockcheck keys on.
-func (r *Registry) familyLocked(name, help, typ string) *family {
+// seriesFor returns (registering on first use) the series for a name
+// and label set; bounds apply to a histogram's first registration. The
+// label text is rendered only then.
+func (r *Registry) seriesFor(name, help, typ string, bounds []int64, labels []Label) *series {
+	key := keyOf(labels)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
+		f = &family{name: name, help: help, typ: typ, series: make(map[seriesKey]*series)}
 		r.families[name] = f
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, typ, f.typ))
 	}
-	return f
+	s, ok := f.series[key]
+	if !ok {
+		s = &series{labels: renderLabels(key.labels[:key.n])}
+		if typ == typeHistogram {
+			s.hist = &LatencyHistogram{h: telemetry.MustHistogram(bounds...)}
+			s.bounds = bounds
+		} else {
+			s.c = &Counter{}
+		}
+		f.series[key] = s
+	}
+	return s
 }
 
 // Counter returns (registering on first use) the counter series for the
@@ -160,16 +202,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	key := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typeCounter)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, c: &Counter{}}
-		f.series[key] = s
-	}
-	return s.c
+	return r.seriesFor(name, help, typeCounter, nil, labels).c
 }
 
 // SetGauge sets a gauge series to v, registering it on first use. Gauges
@@ -179,16 +212,7 @@ func (r *Registry) SetGauge(name, help string, v float64, labels ...Label) {
 	if r == nil {
 		return
 	}
-	key := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typeGauge)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, c: &Counter{}}
-		f.series[key] = s
-	}
-	s.c.set(v)
+	r.seriesFor(name, help, typeGauge, nil, labels).c.set(v)
 }
 
 // SetCounter sets a counter series to an externally accumulated value —
@@ -202,22 +226,14 @@ func (r *Registry) SetCounter(name, help string, v float64, labels ...Label) {
 }
 
 // Histogram returns (registering on first use) the histogram series for
-// the given name, bounds, and label set. Bounds must be ascending; all
-// series of one family should share them (the first registration wins).
+// the given name, bounds, and label set. Bounds must be ascending and are
+// kept, not copied; all series of one family should share them (the
+// first registration wins).
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *LatencyHistogram {
 	if r == nil {
 		return nil
 	}
-	key := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typeHistogram)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, hist: &LatencyHistogram{h: telemetry.MustHistogram(bounds...)}, bounds: bounds}
-		f.series[key] = s
-	}
-	return s.hist
+	return r.seriesFor(name, help, typeHistogram, bounds, labels).hist
 }
 
 // WritePrometheus renders the registry in text exposition format:
@@ -244,16 +260,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		r.mu.Lock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		srs := make([]*series, len(keys))
-		for i, k := range keys {
-			srs[i] = f.series[k]
+		srs := make([]*series, 0, len(f.series))
+		for _, s := range f.series {
+			srs = append(srs, s)
 		}
 		r.mu.Unlock()
+		sort.Slice(srs, func(i, j int) bool { return srs[i].labels < srs[j].labels })
 		for _, s := range srs {
 			switch f.typ {
 			case typeHistogram:
@@ -292,17 +304,15 @@ func withLE(labels, le string) string {
 	return strings.TrimSuffix(labels, "}") + `,le="` + le + `"}`
 }
 
-// renderLabels renders a label set as the canonical {k="v",...} suffix,
-// sorted by key, with label values escaped.
+// renderLabels renders a label set, already sorted by key, as the
+// canonical {k="v",...} suffix with label values escaped.
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, l := range ls {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}

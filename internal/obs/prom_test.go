@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rdramstream/internal/obs/promcheck"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the Prometheus exposition golden file")
@@ -58,7 +60,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Errorf("exposition differs from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
 	// The golden output must itself be a valid exposition.
-	if _, err := CheckExposition(buf.Bytes()); err != nil {
+	if _, err := promcheck.Check(buf.Bytes()); err != nil {
 		t.Errorf("golden exposition does not validate: %v", err)
 	}
 }
@@ -86,7 +88,7 @@ func TestHistogramRenderCumulative(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := CheckExposition(buf.Bytes()); err != nil {
+	if _, err := promcheck.Check(buf.Bytes()); err != nil {
 		t.Errorf("rendered histogram does not validate: %v", err)
 	}
 }
@@ -128,4 +130,40 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x")
 	r.Histogram("x_total", "x", []int64{1})
+}
+
+// Looking up an existing series renders nothing and allocates nothing,
+// so the per-request counter and histogram calls cost a map lookup.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	bounds := DefaultLatencyBoundsUS()
+	route := "POST /v1/simulate"
+	r.Counter("rd_http_requests_total", "h", L("route", route), L("code", "200"))
+	r.Histogram("rd_stage_duration_us", "h", bounds, L("stage", "cache"))
+	if r.Counter("rd_http_requests_total", "h", L("code", "200"), L("route", route)) !=
+		r.Counter("rd_http_requests_total", "h", L("route", route), L("code", "200")) {
+		t.Error("one label set in two orders named two series")
+	}
+	for name, f := range map[string]func(){
+		"Counter": func() {
+			r.Counter("rd_http_requests_total", "h", L("code", "200"), L("route", route)).Inc()
+		},
+		"Histogram": func() {
+			r.Histogram("rd_stage_duration_us", "h", bounds, L("stage", "cache")).Observe(120)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s on an existing series allocated %.0f times, want 0", name, allocs)
+		}
+	}
+}
+
+// More labels than a series key holds is a programming error.
+func TestRegistryTooManyLabelsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("registering five labels did not panic")
+		}
+	}()
+	NewRegistry().Counter("x_total", "x", L("a", "1"), L("b", "2"), L("c", "3"), L("d", "4"), L("e", "5"))
 }

@@ -19,8 +19,9 @@ type diskStore struct {
 	dir string
 }
 
-// diskEntry is the on-disk schema. Key and Version are stored redundantly
-// so an entry is self-describing: a file copied between machines or left
+// diskEntry is the on-disk schema, as load decodes it; save writes the
+// same fields as an Envelope. Key and Version are stored redundantly so
+// an entry is self-describing: a file copied between machines or left
 // behind by an older build identifies itself and is skipped on mismatch.
 type diskEntry struct {
 	Key     string      `json:"key"`
@@ -59,17 +60,19 @@ func (d *diskStore) load(key, vstamp string) (sim.Outcome, bool, error) {
 	return e.Outcome, true, nil
 }
 
-// save writes the entry atomically.
-func (d *diskStore) save(key, vstamp string, out sim.Outcome) error {
-	data, err := json.MarshalIndent(diskEntry{Key: key, Version: vstamp, Outcome: out}, "", "  ")
-	if err != nil {
-		return err
+// save writes the entry atomically: an Envelope of its key and version
+// around the outcome's encoding (Result.JSON), which must not be nil.
+func (d *diskStore) save(key, vstamp string, frag []byte) error {
+	if frag == nil {
+		return ErrNoEncoding
 	}
+	data := Envelope(make([]byte, 0, len(frag)+len(key)+len(vstamp)+64)).
+		Str("key", key).Str("version", vstamp).Outcome(frag)
 	tmp, err := os.CreateTemp(d.dir, "."+key+".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

@@ -22,6 +22,12 @@
 //   - singleflight deduplication: identical scenarios requested
 //     concurrently run once, and every waiter receives the same outcome.
 //
+// An entry keeps its outcome's JSON beside the outcome from its first
+// hit on (Result.JSON): the service's response bodies and the disk entry
+// file are Envelopes around those bytes, so hits after the first never
+// re-encode their outcome. Entries that are never hit, such as a stream
+// of one-off misses, keep no bytes.
+//
 // Determinism contract: the cache stores outcomes by value and never
 // re-derives them, so a hit is the bit pattern the original sim.Run
 // produced. JSON round-trips through the disk store are exact — Go
@@ -36,8 +42,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"rdramstream/internal/sim"
@@ -138,16 +143,28 @@ func (c *Cache) count(f func(*Stats)) {
 	c.statsMu.Unlock()
 }
 
+// Result is one cached outcome with its JSON encoding.
+type Result struct {
+	Outcome sim.Outcome
+	// JSON is Outcome encoded as the fragment an Envelope embeds. An
+	// entry encodes it on its first hit and keeps it, so every later hit
+	// shares the same bytes: they must not be modified. A miss encodes
+	// its own for its response and the disk store. It is nil when
+	// Outcome has no JSON encoding (a NaN or Inf, which outcomes never
+	// carry).
+	JSON []byte
+}
+
 type entry struct {
 	key string
-	out sim.Outcome
+	res Result
 }
 
 // flight is one in-progress simulation shared by all concurrent callers
 // with the same key.
 type flight struct {
 	done chan struct{}
-	out  sim.Outcome
+	res  Result
 	err  error
 }
 
@@ -197,7 +214,8 @@ func (c *Cache) peerFunc() PeerFunc {
 // identically key identically — Mode vs. Controller spelling, omitted vs.
 // explicit defaults, and attached observers all collapse — and the key is
 // independent of field declaration order because the digest input is a
-// sorted field list.
+// field list sorted by name: one "name=value" line per field, written
+// here in name order into one buffer.
 //
 // rdlint:canonconsumer — canoncheck requires every exported Scenario
 // field (transitively) to be named here, folded whole via %+v, or
@@ -208,34 +226,34 @@ func Key(sc sim.Scenario) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fields := []string{
-		fmt.Sprintf("cache=%+v", canon.Cache),
-		fmt.Sprintf("controller=%s", canon.Controller),
-		fmt.Sprintf("device=%+v", canon.Device),
-		fmt.Sprintf("fault=%+v", canon.Fault),
-		fmt.Sprintf("fifoDepth=%d", canon.FIFODepth),
-		fmt.Sprintf("kernel=%s", canon.KernelName),
-		fmt.Sprintf("lineWords=%d", canon.LineWords),
-		fmt.Sprintf("n=%d", canon.N),
-		fmt.Sprintf("placement=%d", int(canon.Placement)),
-		fmt.Sprintf("policy=%d", int(canon.Policy)),
-		fmt.Sprintf("scheme=%d", int(canon.Scheme)),
-		fmt.Sprintf("seed=%d", canon.Seed),
-		fmt.Sprintf("skipVerify=%v", canon.SkipVerify),
-		fmt.Sprintf("speculate=%v", canon.SpeculateActivate),
-		fmt.Sprintf("stride=%d", canon.Stride),
-		// Canonical trace specs carry only the materialized trace's
-		// content digest (and the pipeline depth), so this field is a
-		// fixed-size string however large the trace is — and a program
-		// keys identically to the access list it expands to.
-		fmt.Sprintf("trace=%+v", canon.Workload),
-		fmt.Sprintf("version=%s", version.Stamp()),
-		fmt.Sprintf("watchdog=%d", canon.WatchdogLimit),
-		fmt.Sprintf("writeAllocate=%v", canon.WriteAllocate),
-	}
-	sort.Strings(fields)
-	sum := sha256.Sum256([]byte(strings.Join(fields, "\n")))
-	return hex.EncodeToString(sum[:]), nil
+	b := make([]byte, 0, 1024)
+	b = fmt.Appendf(b, "cache=%+v", canon.Cache)
+	b = append(append(b, "\ncontroller="...), canon.Controller...)
+	b = fmt.Appendf(b, "\ndevice=%+v", canon.Device)
+	b = fmt.Appendf(b, "\nfault=%+v", canon.Fault)
+	b = strconv.AppendInt(append(b, "\nfifoDepth="...), int64(canon.FIFODepth), 10)
+	b = append(append(b, "\nkernel="...), canon.KernelName...)
+	b = strconv.AppendInt(append(b, "\nlineWords="...), int64(canon.LineWords), 10)
+	b = strconv.AppendInt(append(b, "\nn="...), int64(canon.N), 10)
+	b = strconv.AppendInt(append(b, "\nplacement="...), int64(canon.Placement), 10)
+	b = strconv.AppendInt(append(b, "\npolicy="...), int64(canon.Policy), 10)
+	b = strconv.AppendInt(append(b, "\nscheme="...), int64(canon.Scheme), 10)
+	b = strconv.AppendInt(append(b, "\nseed="...), canon.Seed, 10)
+	b = strconv.AppendBool(append(b, "\nskipVerify="...), canon.SkipVerify)
+	b = strconv.AppendBool(append(b, "\nspeculate="...), canon.SpeculateActivate)
+	b = strconv.AppendInt(append(b, "\nstride="...), canon.Stride, 10)
+	// Canonical trace specs carry only the materialized trace's content
+	// digest (and the pipeline depth), so this field is a fixed-size
+	// string however large the trace is — and a program keys identically
+	// to the access list it expands to.
+	b = fmt.Appendf(b, "\ntrace=%+v", canon.Workload)
+	b = append(append(b, "\nversion="...), version.Stamp()...)
+	b = strconv.AppendInt(append(b, "\nwatchdog="...), canon.WatchdogLimit, 10)
+	b = strconv.AppendBool(append(b, "\nwriteAllocate="...), canon.WriteAllocate)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:]), nil
 }
 
 // Get looks the scenario up in memory (and then on disk, promoting a find
@@ -247,8 +265,8 @@ func (c *Cache) Get(sc sim.Scenario) (sim.Outcome, bool, error) {
 	if err != nil {
 		return sim.Outcome{}, false, err
 	}
-	out, ok, _ := c.lookup(context.Background(), key)
-	return out, ok, nil
+	res, ok, _ := c.lookup(context.Background(), key)
+	return res.Outcome, ok, nil
 }
 
 // tier says where a lookup find came from.
@@ -266,42 +284,58 @@ const (
 // disk rescue counts as Hit+PeerHit/DiskHit in one consistent step. ctx
 // bounds only the peer consult (the remote call); memory and disk are
 // local and unconditional.
-func (c *Cache) lookup(ctx context.Context, key string) (out sim.Outcome, ok bool, src tier) {
-	if out, ok := c.memory(key); ok {
-		return out, true, tierMemory
+func (c *Cache) lookup(ctx context.Context, key string) (res Result, ok bool, src tier) {
+	if res, ok := c.memory(key); ok {
+		return res, true, tierMemory
 	}
 	if peer := c.peerFunc(); peer != nil && ctx.Err() == nil {
 		if out, ok := peer(ctx, key); ok {
-			c.store(key, out, false) // a peer holds it durably; promote to memory only
-			return out, true, tierPeer
+			// A peer holds it durably; promote to memory only.
+			res = encoded(out)
+			c.store(key, res)
+			return res, true, tierPeer
 		}
 	}
 	if c.disk == nil {
-		return sim.Outcome{}, false, tierMemory
+		return Result{}, false, tierMemory
 	}
 	out, ok, err := c.disk.load(key, c.vstamp)
 	if err != nil {
 		c.count(func(s *Stats) { s.DiskErrors++ })
-		return sim.Outcome{}, false, tierMemory
+		return Result{}, false, tierMemory
 	}
 	if !ok {
-		return sim.Outcome{}, false, tierMemory
+		return Result{}, false, tierMemory
 	}
-	c.store(key, out, false) // already on disk; promote to memory only
-	return out, true, tierDisk
+	// Already on disk; promote to memory only.
+	res = encoded(out)
+	c.store(key, res)
+	return res, true, tierDisk
 }
 
 // memory looks key up in the in-memory LRU, marking a find most
-// recently used. It touches no counters.
-func (c *Cache) memory(key string) (sim.Outcome, bool) {
+// recently used. A find is a hit: an entry not yet encoded is encoded
+// now, outside the lock, and keeps its bytes. It touches no counters.
+func (c *Cache) memory(key string) (Result, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return sim.Outcome{}, false
+		c.mu.Unlock()
+		return Result{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*entry).out, true
+	e := el.Value.(*entry)
+	res := e.res
+	c.mu.Unlock()
+	if res.JSON == nil {
+		res = encoded(res.Outcome)
+		c.mu.Lock()
+		if e.res.JSON == nil {
+			e.res.JSON = res.JSON
+		}
+		c.mu.Unlock()
+	}
+	return res, true
 }
 
 // Hit looks a key (from Key) up in the in-memory tier only — never the
@@ -310,43 +344,46 @@ func (c *Cache) memory(key string) (sim.Outcome, bool) {
 // the request is classified later by the DoKey that serves it, so
 // Hits, Misses and Dedups still partition the requests. The service
 // calls it at submit time to answer memory hits without queueing them.
-func (c *Cache) Hit(key string) (sim.Outcome, bool) {
-	out, ok := c.memory(key)
+func (c *Cache) Hit(key string) (Result, bool) {
+	res, ok := c.memory(key)
 	if ok {
 		c.count(func(s *Stats) { s.Hits++ })
 	}
-	return out, ok
+	return res, ok
 }
 
 // Peek looks a raw key up in the local tiers only — memory, then disk,
 // never the peer tier — and touches no counters. It is what a server
 // answers peer probes (GET /v1/cache/{key}) from; skipping the peer tier
 // here is what makes probe forwarding loops impossible.
-func (c *Cache) Peek(key string) (sim.Outcome, bool) {
-	if out, ok := c.memory(key); ok {
-		return out, true
+func (c *Cache) Peek(key string) (Result, bool) {
+	if res, ok := c.memory(key); ok {
+		return res, true
 	}
 	if c.disk == nil {
-		return sim.Outcome{}, false
+		return Result{}, false
 	}
 	out, ok, err := c.disk.load(key, c.vstamp)
 	if err != nil || !ok {
-		return sim.Outcome{}, false
+		return Result{}, false
 	}
-	c.store(key, out, false)
-	return out, true
+	res := encoded(out)
+	c.store(key, res)
+	return res, true
 }
 
-// store inserts into the LRU (evicting from the back past capacity) and,
-// when writeDisk is set, persists to the disk store best-effort.
-func (c *Cache) store(key string, out sim.Outcome, writeDisk bool) {
+// store inserts an entry into the LRU, evicting from the back past
+// capacity. An entry already there keeps its encoding if it has one.
+func (c *Cache) store(key string, res Result) {
 	evicted := 0
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		el.Value.(*entry).out = out
+		if e := el.Value.(*entry); e.res.JSON == nil {
+			e.res = res
+		}
 	} else {
-		c.entries[key] = c.order.PushFront(&entry{key: key, out: out})
+		c.entries[key] = c.order.PushFront(&entry{key: key, res: res})
 		for c.order.Len() > c.maxEntries {
 			back := c.order.Back()
 			delete(c.entries, back.Value.(*entry).key)
@@ -360,10 +397,15 @@ func (c *Cache) store(key string, out sim.Outcome, writeDisk bool) {
 		// inside another of the cache's locks.
 		c.count(func(s *Stats) { s.Evictions += int64(evicted) })
 	}
-	if writeDisk && c.disk != nil {
-		if err := c.disk.save(key, c.vstamp, out); err != nil {
-			c.count(func(s *Stats) { s.DiskErrors++ })
-		}
+}
+
+// save persists an encoded outcome to the disk store, best-effort.
+func (c *Cache) save(key string, frag []byte) {
+	if c.disk == nil {
+		return
+	}
+	if err := c.disk.save(key, c.vstamp, frag); err != nil {
+		c.count(func(s *Stats) { s.DiskErrors++ })
 	}
 }
 
@@ -399,14 +441,15 @@ func (c *Cache) Do(ctx context.Context, sc sim.Scenario, run Runner) (sim.Outcom
 	if err != nil {
 		return sim.Outcome{}, false, err
 	}
-	return c.DoKey(ctx, key, sc, run)
+	res, hit, err := c.DoKey(ctx, key, sc, run)
+	return res.Outcome, hit, err
 }
 
 // DoKey is Do for a caller that already holds the scenario's key
 // (Key(sc)), so a request hashes its scenario once however many cache
-// calls it makes.
-func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runner) (sim.Outcome, bool, error) {
-	if out, ok, src := c.lookup(ctx, key); ok {
+// calls it makes. It returns the entry with its encoded outcome.
+func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runner) (Result, bool, error) {
+	if res, ok, src := c.lookup(ctx, key); ok {
 		c.count(func(s *Stats) {
 			s.Hits++
 			switch src {
@@ -416,7 +459,7 @@ func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runn
 				s.DiskHits++
 			}
 		})
-		return out, true, nil
+		return res, true, nil
 	}
 	if run == nil {
 		run = sim.Run
@@ -428,9 +471,9 @@ func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runn
 		c.count(func(s *Stats) { s.Dedups++ })
 		select {
 		case <-fl.done:
-			return fl.out, false, fl.err
+			return fl.res, false, fl.err
 		case <-ctx.Done():
-			return sim.Outcome{}, false, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
+			return Result{}, false, fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 		}
 	}
 	// Re-check memory while still holding flightMu: another leader may
@@ -438,10 +481,10 @@ func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runn
 	// lookup miss and here. Only the in-memory map is consulted — the race
 	// being closed is with an in-process leader, which always stores to
 	// memory, and a disk read is too slow to hold flightMu across.
-	if out, ok := c.memory(key); ok {
+	if res, ok := c.memory(key); ok {
 		c.flightMu.Unlock()
 		c.count(func(s *Stats) { s.Hits++ })
-		return out, true, nil
+		return res, true, nil
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.inflight[key] = fl
@@ -458,11 +501,16 @@ func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runn
 	}()
 
 	c.count(func(s *Stats) { s.Misses++ })
-	fl.out, fl.err = safeRun(run, sc)
-	if fl.err == nil {
-		c.store(key, fl.out, true)
+	out, err := safeRun(run, sc)
+	fl.res, fl.err = Result{Outcome: out}, err
+	if err == nil {
+		// The entry keeps the outcome alone until its first hit; the
+		// encoding made here serves this miss's callers and the disk.
+		c.store(key, fl.res)
+		fl.res = encoded(out)
+		c.save(key, fl.res.JSON)
 	}
-	return fl.out, false, fl.err
+	return fl.res, false, fl.err
 }
 
 // Stats snapshots the counters in one consistent read: every counter

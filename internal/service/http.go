@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"rdramstream/internal/obs"
+	"rdramstream/internal/resultcache"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/telemetry"
 	"rdramstream/internal/version"
@@ -24,7 +25,9 @@ type SweepRequest struct {
 	Scenarios []sim.Scenario `json:"scenarios"`
 }
 
-// SimulateResponse is the body of POST /v1/simulate.
+// SimulateResponse is the body of POST /v1/simulate (and /v1/trace).
+// The server writes it as a resultcache.Envelope of these fields, in
+// this order, around the cache entry's encoded outcome (respond).
 type SimulateResponse struct {
 	JobID string `json:"job_id"`
 	// Cached reports whether the outcome was served from the result cache.
@@ -68,7 +71,8 @@ type RegisterRequest struct {
 
 // CacheEntryResponse is the body of GET /v1/cache/{key}: one result-
 // cache entry looked up by its content address (the peer tier of the
-// layered cache). A miss is a 404.
+// layered cache). A miss is a 404. Like SimulateResponse, the server
+// writes it as an Envelope around the entry's encoded outcome.
 //
 // rdlint:wire — peer cache-probe wire format.
 type CacheEntryResponse struct {
@@ -226,16 +230,37 @@ func (s *Service) instrument(next http.Handler) http.Handler {
 		tr.Finish()
 		o.Reg.Counter("rd_http_requests_total",
 			"HTTP requests by route and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(sw.status))).Inc()
+			obs.L("route", route), obs.L("code", codeLabel(sw.status))).Inc()
 		o.Reg.Histogram("rd_http_request_duration_us",
 			"End-to-end HTTP request latency in microseconds, by route.",
-			obs.DefaultLatencyBoundsUS(), obs.L("route", route)).
+			latencyBoundsUS, obs.L("route", route)).
 			Observe(end.Sub(start).Microseconds())
 	})
 }
 
+// codeLabel is the code label of a status: a constant for every status
+// the handlers write, so counting a request allocates no string.
+func codeLabel(status int) string {
+	switch status {
+	case http.StatusOK:
+		return "200"
+	case http.StatusBadRequest:
+		return "400"
+	case http.StatusNotFound:
+		return "404"
+	case http.StatusUnprocessableEntity:
+		return "422"
+	case http.StatusInternalServerError:
+		return "500"
+	case http.StatusServiceUnavailable:
+		return "503"
+	}
+	return strconv.Itoa(status)
+}
+
 // writeJSON emits one JSON body. Marshal errors cannot occur for our wire
-// types; a broken connection is the client's problem.
+// types; a broken connection is the client's problem. Bodies that carry
+// an outcome are written by writeOutcome instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -246,6 +271,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// newEnvelope starts a response body with room for the encoded outcome
+// frag it will close around.
+func newEnvelope(frag []byte) resultcache.Envelope {
+	return make(resultcache.Envelope, 0, len(frag)+192)
+}
+
+// writeOutcome writes a 200 body: env closed around frag, an entry's
+// encoded outcome, in one Write. The bytes are those writeJSON gives for
+// the wire type env's fields spell out.
+func writeOutcome(w http.ResponseWriter, r *http.Request, env resultcache.Envelope, frag []byte) {
+	if frag == nil {
+		failRequest(w, r, http.StatusInternalServerError, resultcache.ErrNoEncoding)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(env.Outcome(frag))
 }
 
 // failRequest records the error on the request's trace (when one is
@@ -285,6 +329,13 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		failRequest(w, r, http.StatusBadRequest, err)
 		return
 	}
+	s.respond(w, r, sc)
+}
+
+// respond is the tail of /v1/simulate and /v1/trace: it submits one
+// scenario, waits for its result and writes the SimulateResponse body
+// around the cache entry's encoded outcome.
+func (s *Service) respond(w http.ResponseWriter, r *http.Request, sc sim.Scenario) {
 	tr := obs.FromContext(r.Context())
 	tr.AddScenarios(1)
 	job, err := s.SubmitOne(r.Context(), sc)
@@ -305,9 +356,8 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		failRequest(w, r, http.StatusUnprocessableEntity, errors.New(res.Error))
 		return
 	}
-	writeJSON(w, http.StatusOK, SimulateResponse{
-		JobID: job.ID(), Cached: res.Cached, Key: job.Key(0), Outcome: *res.Outcome,
-	})
+	env := newEnvelope(res.encoded).Str("job_id", job.ID()).Bool("cached", res.Cached).Str("key", job.Key(0))
+	writeOutcome(w, r, env, res.encoded)
 	streamEnd := s.obsv.Now()
 	tr.Span(obs.StageStream, streamStart, streamEnd, "")
 	s.observeStage(obs.StageStream, streamEnd.Sub(streamStart))
@@ -377,12 +427,12 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 // metrics.
 func (s *Service) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimSpace(r.PathValue("key"))
-	out, ok := s.cache.Peek(key)
+	res, ok := s.cache.Peek(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: no cached outcome for key %q", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, CacheEntryResponse{Key: key, Outcome: out})
+	writeOutcome(w, r, newEnvelope(res.JSON).Str("key", key), res.JSON)
 }
 
 // handleRequest serves one request trace by ID.

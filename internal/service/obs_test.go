@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rdramstream/internal/obs"
+	"rdramstream/internal/obs/promcheck"
 	"rdramstream/internal/service"
 	"rdramstream/internal/sim"
 )
@@ -236,7 +237,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n, err := obs.CheckExposition(text); err != nil {
+	if n, err := promcheck.Check(text); err != nil {
 		t.Fatalf("exposition invalid after %d samples: %v\n%s", n, err, text)
 	}
 	m := svc.Metrics()

@@ -86,6 +86,10 @@ type ScenarioResult struct {
 	Cached  bool         `json:"cached"`
 	Outcome *sim.Outcome `json:"outcome,omitempty"`
 	Error   string       `json:"error,omitempty"`
+
+	// encoded is Outcome's JSON from the cache entry (resultcache.Result),
+	// which the /v1/simulate and /v1/trace bodies embed as is.
+	encoded []byte
 }
 
 // JobStatus is a point-in-time snapshot of a job.
@@ -309,6 +313,12 @@ func (s *Service) Cache() *resultcache.Cache { return s.cache }
 // its trace ring and metrics registry.
 func (s *Service) Obs() *obs.Observer { return s.obsv }
 
+// latencyBoundsUS are the bounds of every latency histogram the service
+// registers, built once: the registry keeps a family's bounds, so the
+// per-request lookups of an existing series pass this slice, not a fresh
+// one.
+var latencyBoundsUS = obs.DefaultLatencyBoundsUS()
+
 // observeStage records one stage latency into the shared per-stage
 // histogram family. Registry registration is idempotent, so the first
 // observation of a stage creates its series.
@@ -318,7 +328,7 @@ func (s *Service) observeStage(stage obs.Stage, d time.Duration) {
 	}
 	s.obsv.Reg.Histogram("rd_stage_duration_us",
 		"Request-stage latency in microseconds, by pipeline stage.",
-		obs.DefaultLatencyBoundsUS(), obs.L("stage", string(stage))).
+		latencyBoundsUS, obs.L("stage", string(stage))).
 		Observe(d.Microseconds())
 }
 
@@ -364,8 +374,8 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 		if !lookup {
 			continue
 		}
-		if out, ok := s.cache.Hit(key); ok {
-			hits = append(hits, memoryHit{i: i, out: out, start: start, end: s.obsv.Now()})
+		if res, ok := s.cache.Hit(key); ok {
+			hits = append(hits, memoryHit{i: i, res: res, start: start, end: s.obsv.Now()})
 		}
 	}
 	misses := len(scs) - len(hits)
@@ -421,7 +431,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 // with the span of its keying and lookup.
 type memoryHit struct {
 	i          int
-	out        sim.Outcome
+	res        resultcache.Result
 	start, end time.Time
 }
 
@@ -441,7 +451,7 @@ func (s *Service) finishHits(job *Job, scs []sim.Scenario, hits []memoryHit) {
 		tr.Span(obs.StageCache, h.start, h.end, label)
 		s.observeStage(obs.StageCache, h.end.Sub(h.start))
 		tr.AddCacheHit()
-		job.finish(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.out})
+		job.finish(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.res.Outcome, encoded: h.res.JSON})
 	}
 }
 
@@ -592,7 +602,7 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	label := t.sc.Label()
 	var simStart, simEnd time.Time
 	cacheStart := s.obsv.Now()
-	out, cached, err := s.cache.DoKey(t.job.ctx, t.key, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
+	entry, cached, err := s.cache.DoKey(t.job.ctx, t.key, t.sc, func(sc sim.Scenario) (sim.Outcome, error) {
 		simStart = s.obsv.Now()
 		o, e := sim.Run(sc)
 		simEnd = s.obsv.Now()
@@ -617,7 +627,7 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	// /metrics aggregate: hits and deduped followers ran nothing.
 	if !simStart.IsZero() && err == nil {
 		s.obsMu.Lock()
-		for c, cycles := range out.Device.Stalls {
+		for c, cycles := range entry.Outcome.Device.Stalls {
 			s.stalls[c] += cycles
 		}
 		s.obsMu.Unlock()
@@ -626,7 +636,7 @@ func (s *Service) execute(t *task) (res ScenarioResult) {
 	if err != nil {
 		res.Error = err.Error()
 	} else {
-		res.Outcome = &out
+		res.Outcome, res.encoded = &entry.Outcome, entry.JSON
 	}
 	return res
 }

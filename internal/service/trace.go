@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"rdramstream/internal/obs"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/tracegen"
 )
@@ -64,28 +63,5 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		spec.Outstanding = sc.Workload.Outstanding
 	}
 	sc.Workload = &spec
-
-	tr := obs.FromContext(r.Context())
-	tr.AddScenarios(1)
-	job, err := s.SubmitOne(r.Context(), sc)
-	if err != nil {
-		failRequest(w, r, submitStatus(err), err)
-		return
-	}
-	streamStart := s.obsv.Now()
-	res, err := job.WaitResult(r.Context(), 0)
-	if err != nil {
-		failRequest(w, r, http.StatusServiceUnavailable, err)
-		return
-	}
-	if res.Error != "" {
-		failRequest(w, r, http.StatusUnprocessableEntity, errors.New(res.Error))
-		return
-	}
-	writeJSON(w, http.StatusOK, SimulateResponse{
-		JobID: job.ID(), Cached: res.Cached, Key: job.Key(0), Outcome: *res.Outcome,
-	})
-	streamEnd := s.obsv.Now()
-	tr.Span(obs.StageStream, streamStart, streamEnd, "")
-	s.observeStage(obs.StageStream, streamEnd.Sub(streamStart))
+	s.respond(w, r, sc)
 }
