@@ -12,9 +12,11 @@
 //
 // A coordinator shards sweeps across registered workers by cache content
 // key, re-shards around failures, and falls back to local execution when
-// the fleet is empty — it is a strict superset of a plain rdserved. A
-// worker is a plain rdserved that periodically registers its advertised
-// URL with the coordinator.
+// the fleet is empty. Each distributed sweep is a job of its own service,
+// served by the same handler, so it is a strict superset of a plain
+// rdserved: same bodies, statuses, traces and job IDs. A worker is a
+// plain rdserved that periodically registers its advertised URL with the
+// coordinator.
 //
 // API (see docs/SERVICE.md and docs/OBSERVABILITY.md):
 //

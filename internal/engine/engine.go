@@ -33,7 +33,7 @@
 //   - a registry of named controllers (Register/Lookup), the extension
 //     point for new scheduling policies: implement Controller, register it,
 //     and sim.Run/cmd/rdsim reach it by name; and
-//   - a bounded worker pool (Map/RunAll) that the scenario and figure
+//   - a bounded worker pool (Map/MapCtx) that the scenario and figure
 //     sweeps run on, with deterministic, input-ordered results.
 //
 // The packages internal/natorder, internal/smc, and internal/workload

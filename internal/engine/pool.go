@@ -131,11 +131,3 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	}
 	return results, nil
 }
-
-// RunAll executes self-contained simulation jobs — each typically closing
-// over its own scenario and building its own device — on the worker pool,
-// returning the results in input order. It is the engine-level sweep
-// executor; internal/sim wraps it for Scenario lists.
-func RunAll(workers int, jobs []func() (Result, error)) ([]Result, error) {
-	return Map(workers, len(jobs), func(i int) (Result, error) { return jobs[i]() })
-}

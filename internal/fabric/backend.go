@@ -49,31 +49,18 @@ func (b *ServiceBackend) Sweep(ctx context.Context, scs []sim.Scenario, fn func(
 	if err != nil {
 		return service.SweepLine{}, err
 	}
-	cacheHits, failed := 0, 0
 	for i := range scs {
 		res, err := job.WaitResult(ctx, i)
 		if err != nil {
 			return service.SweepLine{}, err
 		}
-		if res.Cached {
-			cacheHits++
-		}
-		if res.Error != "" {
-			failed++
-		}
 		if fn != nil {
-			if err := fn(service.SweepLine{
-				Index: i, Label: res.Label, Cached: res.Cached,
-				Outcome: res.Outcome, Error: res.Error,
-			}); err != nil {
+			if err := fn(res.Line()); err != nil {
 				return service.SweepLine{}, err
 			}
 		}
 	}
-	return service.SweepLine{
-		Done: true, JobID: job.ID(), Total: len(scs),
-		CacheHits: cacheHits, Failed: failed,
-	}, nil
+	return job.Summary(), nil
 }
 
 // CachedOutcome peeks the service's result cache locally (memory or

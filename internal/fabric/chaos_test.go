@@ -207,7 +207,7 @@ func collect(t *testing.T, sw *fabric.Sweep, n int) ([]sim.Outcome, error) {
 	t.Helper()
 	out := make([]sim.Outcome, n)
 	for i := 0; i < n; i++ {
-		l, err := sw.Wait(context.Background(), i)
+		l, err := sw.WaitResult(context.Background(), i)
 		if err != nil {
 			return nil, err
 		}

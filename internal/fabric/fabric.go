@@ -9,7 +9,8 @@
 // the natural shard key, because it sends identical scenarios to the
 // same worker's cache) onto the worker ring (internal/fabric/shard),
 // fans sub-sweeps out over internal/service/client, and lands results
-// into input-order slots.
+// into the slots of a job it opened in its local service, which streams
+// and serves that job like any other.
 //
 // The robustness ladder, in the order a request descends it:
 //
@@ -57,15 +58,18 @@ import (
 	"rdramstream/internal/sim"
 )
 
-// Submission errors, matchable with errors.Is.
+// Submission errors, matchable with errors.Is. They are the service's
+// own, so the service's handler maps them to the statuses a plain
+// rdserved answers.
 var (
-	// ErrSaturated is returned when admission control sheds a sweep; the
-	// HTTP layer maps it to 429 + Retry-After.
-	ErrSaturated = errors.New("fabric: coordinator saturated (too many in-flight sweeps)")
-	// ErrEmptySweep rejects a sweep with no scenarios.
-	ErrEmptySweep = errors.New("fabric: sweep has no scenarios")
-	// ErrClosed rejects submissions after Close.
-	ErrClosed = errors.New("fabric: coordinator closed")
+	// ErrSaturated is returned when admission control sheds a sweep
+	// (HTTP 429 + Retry-After).
+	ErrSaturated = service.ErrSaturated
+	// ErrEmptySweep rejects a sweep with no scenarios (HTTP 400).
+	ErrEmptySweep = service.ErrEmptyJob
+	// ErrClosed rejects submissions and registrations after Close (HTTP
+	// 503).
+	ErrClosed = service.ErrClosed
 )
 
 // Backend is the coordinator's view of one worker. The production
@@ -185,13 +189,12 @@ type Coordinator struct {
 	cfg  Config
 	obsv *obs.Observer
 
-	mu        sync.Mutex
-	workers   map[string]*worker // guarded by mu
-	order     []string           // guarded by mu; sorted addresses, the only iteration order used
-	closed    bool               // guarded by mu
-	inflight  int                // guarded by mu
-	nextSweep int64              // guarded by mu
-	stats     Stats              // guarded by mu
+	mu       sync.Mutex
+	workers  map[string]*worker // guarded by mu
+	order    []string           // guarded by mu; sorted addresses, the only iteration order used
+	closed   bool               // guarded by mu
+	inflight int                // guarded by mu
+	stats    Stats              // guarded by mu
 
 	stopOnce sync.Once
 	stop     chan struct{}

@@ -176,7 +176,7 @@ func TestMidStreamKillReshardsOnlyUnacked(t *testing.T) {
 	}
 	got := make([]sim.Outcome, len(scs))
 	for i := range scs {
-		l, err := sw.Wait(context.Background(), i)
+		l, err := sw.WaitResult(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 	cancel()
 	<-sw.Done() // every slot lands the cancellation cause; no waiter hangs
-	if _, err := sw.Wait(context.Background(), 0); err != nil {
+	if _, err := sw.WaitResult(context.Background(), 0); err != nil {
 		t.Fatalf("Wait after cancel: %v (slots must land, not hang)", err)
 	}
 }
@@ -505,14 +505,14 @@ func TestSimulateThroughFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.co.Simulate(context.Background(), sc)
+	first, err := simulate(f.co, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(mustJSON(t, first.Outcome)) != string(mustJSON(t, direct)) {
 		t.Fatal("fabric simulate outcome diverges from direct sim.Run")
 	}
-	second, err := f.co.Simulate(context.Background(), sc)
+	second, err := simulate(f.co, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,6 +522,23 @@ func TestSimulateThroughFabric(t *testing.T) {
 	if first.Key == "" || first.Key != second.Key {
 		t.Fatalf("content keys diverge: %q vs %q", first.Key, second.Key)
 	}
+}
+
+// simulate runs one scenario through the fabric's Submit and shapes the
+// result like a POST /v1/simulate body.
+func simulate(co *fabric.Coordinator, sc sim.Scenario) (service.SimulateResponse, error) {
+	job, err := co.Submit(context.Background(), []sim.Scenario{sc})
+	if err != nil {
+		return service.SimulateResponse{}, err
+	}
+	res, err := job.WaitResult(context.Background(), 0)
+	if err != nil {
+		return service.SimulateResponse{}, err
+	}
+	if res.Error != "" {
+		return service.SimulateResponse{}, errors.New(res.Error)
+	}
+	return service.SimulateResponse{JobID: job.ID(), Cached: res.Cached, Key: job.Key(0), Outcome: *res.Outcome}, nil
 }
 
 // TestSweepValidationRejectsWhole mirrors the local service's contract:

@@ -1,15 +1,11 @@
 package fabric
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"rdramstream/internal/obs"
 	"rdramstream/internal/service"
-	"rdramstream/internal/sim"
 )
 
 // FleetResponse is the body of GET /v1/fabric/workers: the fleet's
@@ -25,20 +21,23 @@ type FleetResponse struct {
 //
 //	POST /v1/fabric/register  worker registration / liveness refresh
 //	GET  /v1/fabric/workers   fleet health + coordinator stats
-//	POST /v1/sweep            distributed sweep (NDJSON, input order);
-//	                          saturation is 429 + Retry-After
+//	POST /v1/sweep            distributed sweep (NDJSON, input order)
 //	POST /v1/simulate         one scenario through the fabric
 //	GET  /metrics             publishes rd_fabric_* series, then delegates
 //
-// Everything else falls through to the local handler, so a coordinator
-// is a superset of a plain rdserved: same cache peeks, traces, jobs,
-// and health endpoints.
+// The sweep and simulate routes are the local service's own handler with
+// the coordinator as its HandlerOptions.Submit: the coordinator opens the
+// job in that service, so the request is traced, counted and answered
+// (statuses included) as on a plain rdserved, and its job ID is served by
+// GET /v1/jobs/{id}. Everything else falls through to local, so a
+// coordinator is a superset of a plain rdserved.
 func Handler(co *Coordinator, local http.Handler) http.Handler {
+	sweeps := service.NewHandlerWith(co.cfg.Local, service.HandlerOptions{Submit: co.Submit})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/fabric/register", co.handleRegister)
 	mux.HandleFunc("GET /v1/fabric/workers", co.handleWorkers)
-	mux.HandleFunc("POST /v1/sweep", co.handleSweep)
-	mux.HandleFunc("POST /v1/simulate", co.handleSimulate)
+	mux.Handle("POST /v1/sweep", sweeps)
+	mux.Handle("POST /v1/simulate", sweeps)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		co.publishMetrics()
 		local.ServeHTTP(w, r)
@@ -47,50 +46,10 @@ func Handler(co *Coordinator, local http.Handler) http.Handler {
 	return mux
 }
 
-// fabricError is every non-2xx body (same shape as the service API).
-type fabricError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, fabricError{Error: err.Error()})
-}
-
-// decodeStrict decodes one JSON body, rejecting unknown fields.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
-
-// submitStatus maps a StartSweep failure to its HTTP status. Saturation
-// is 429 so clients with retry budgets back off instead of failing.
-func submitStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req service.RegisterRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := service.DecodeStrict(r, &req); err != nil {
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := c.Register(req.Addr); err != nil {
@@ -98,79 +57,18 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrClosed) {
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, err)
+		service.WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, c.fleetResponse())
+	service.WriteJSON(w, http.StatusOK, c.fleetResponse())
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.fleetResponse())
+	service.WriteJSON(w, http.StatusOK, c.fleetResponse())
 }
 
 func (c *Coordinator) fleetResponse() FleetResponse {
 	return FleetResponse{Workers: c.Workers(), Stats: c.Stats()}
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req service.SweepRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sw, err := c.StartSweep(r.Context(), req.Scenarios)
-	if err != nil {
-		status := submitStatus(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		}
-		writeError(w, status, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := 0; i < len(req.Scenarios); i++ {
-		l, err := sw.Wait(r.Context(), i)
-		if err != nil {
-			// The client went away mid-stream; the sweep's own context is
-			// r.Context() too, so the engine unwinds with it.
-			return
-		}
-		l.Index = i
-		enc.Encode(l)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc.Encode(sw.Summary())
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
-
-// retryAfterSeconds is the advisory Retry-After on shed sweeps: long
-// enough for a batch of in-flight sweeps to make progress, short enough
-// that a recovered coordinator refills quickly.
-const retryAfterSeconds = 1
-
-func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var sc sim.Scenario
-	if err := decodeStrict(r, &sc); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := c.Simulate(r.Context(), sc)
-	if err != nil {
-		status := submitStatus(err)
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		}
-		writeError(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // publishMetrics mirrors the coordinator's snapshot into the shared

@@ -5,144 +5,52 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdramstream/internal/fabric/shard"
-	"rdramstream/internal/resultcache"
 	"rdramstream/internal/service"
 	"rdramstream/internal/sim"
 )
 
-// Sweep is one distributed sweep in flight. Results land in input-order
-// slots exactly once each; Wait streams them back in order.
+// Sweep is one distributed sweep in flight: a job the coordinator
+// opened in its local service, whose slots it lands as workers stream
+// rows back. The job answers for the sweep (ID, Done, WaitResult,
+// Status, Summary), so the service's own handlers stream it and serve it
+// at GET /v1/jobs/{id}.
 type Sweep struct {
-	co   *Coordinator
-	id   string
-	scs  []sim.Scenario
-	keys []string
+	*service.Job
+	co  *Coordinator
+	scs []sim.Scenario
 
-	mu        sync.Mutex
-	lines     []*service.SweepLine // guarded by mu
-	landed    int                  // guarded by mu
-	cacheHits int                  // guarded by mu
-	failed    int                  // guarded by mu
-	reshards  int64                // guarded by mu
-	dupes     int64                // guarded by mu; rows arriving for an already-landed slot (dropped)
-
-	ready []chan struct{} // ready[i] closes when lines[i] lands
-	done  chan struct{}   // closes when every line has landed
+	reshards atomic.Int64
+	dupes    atomic.Int64 // rows a worker sent for an already-landed slot (dropped)
 }
-
-// ID returns the sweep's identifier ("fswp-%06d").
-func (sw *Sweep) ID() string { return sw.id }
-
-// Done is closed when every scenario has a terminal line.
-func (sw *Sweep) Done() <-chan struct{} { return sw.done }
 
 // Reshards reports how many scenario re-assignments failover performed.
-func (sw *Sweep) Reshards() int64 {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.reshards
-}
+func (sw *Sweep) Reshards() int64 { return sw.reshards.Load() }
 
-// Duplicates reports rows that arrived for already-landed slots (always
-// dropped; nonzero only if a worker misbehaves).
-func (sw *Sweep) Duplicates() int64 {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.dupes
-}
+// Duplicates reports rows a worker sent for a slot that had already
+// landed (always dropped; nonzero only if a worker misbehaves).
+func (sw *Sweep) Duplicates() int64 { return sw.dupes.Load() }
 
-// Wait blocks until scenario i's line lands (or ctx is done) and returns
-// it. Streaming responses call it for i = 0, 1, 2, … to emit the merged
-// stream in input order.
-func (sw *Sweep) Wait(ctx context.Context, i int) (service.SweepLine, error) {
-	if i < 0 || i >= len(sw.ready) {
-		return service.SweepLine{}, fmt.Errorf("fabric: sweep %s has no scenario %d", sw.id, i)
-	}
-	select {
-	case <-sw.ready[i]:
-		sw.mu.Lock()
-		l := *sw.lines[i]
-		sw.mu.Unlock()
-		return l, nil
-	case <-ctx.Done():
-		return service.SweepLine{}, context.Cause(ctx)
+// landRow lands a worker's row for scenario gi. A late duplicate (a
+// misbehaving worker sending a row for a slot failover already refilled)
+// is counted and dropped, keeping the merged stream duplicate-free by
+// construction.
+func (sw *Sweep) landRow(gi int, l service.SweepLine) {
+	if !sw.Land(gi, service.ScenarioResult{Label: l.Label, Cached: l.Cached, Outcome: l.Outcome, Error: l.Error}) {
+		sw.dupes.Add(1)
 	}
 }
 
-// Summary builds the trailing NDJSON summary line from the landed state.
-func (sw *Sweep) Summary() service.SweepLine {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return service.SweepLine{
-		Done: true, JobID: sw.id, Total: len(sw.scs),
-		CacheHits: sw.cacheHits, Failed: sw.failed,
-	}
-}
-
-// land records scenario gi's terminal line exactly once; late duplicates
-// (a misbehaving worker emitting rows for a slot failover already
-// refilled) are counted and dropped, keeping the merged stream
-// duplicate-free by construction.
-func (sw *Sweep) land(gi int, l service.SweepLine) {
-	l.Index = gi
-	l.Done = false
-	l.JobID = ""
-	sw.mu.Lock()
-	if sw.lines[gi] != nil {
-		sw.dupes++
-		sw.mu.Unlock()
-		return
-	}
-	sw.lines[gi] = &l
-	sw.landed++
-	if l.Cached {
-		sw.cacheHits++
-	}
-	if l.Error != "" {
-		sw.failed++
-	}
-	allDone := sw.landed == len(sw.lines)
-	sw.mu.Unlock()
-	close(sw.ready[gi])
-	if allDone {
-		close(sw.done)
-	}
-}
-
-// landedSet reports which of the given indices already have lines.
-func (sw *Sweep) landedSet(idx []int) map[int]bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	out := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		out[i] = sw.lines[i] != nil
-	}
-	return out
-}
-
-// StartSweep admits and launches a distributed sweep. Scenarios are
-// validated and keyed up front (a malformed sweep is rejected whole);
-// ErrSaturated means admission control shed the request. ctx scopes the
-// whole sweep: when it is canceled, unlanded scenarios fail with its
-// cause so no waiter hangs.
+// StartSweep admits and launches a distributed sweep; ErrSaturated means
+// admission control shed it. Admission comes first, then the local
+// service opens the sweep's job, validating and keying every scenario (a
+// malformed sweep is rejected whole): a shed sweep leaves no job behind.
+// ctx scopes the whole sweep: when it is canceled, unlanded scenarios
+// fail with its cause so no waiter hangs.
 func (c *Coordinator) StartSweep(ctx context.Context, scs []sim.Scenario) (*Sweep, error) {
-	if len(scs) == 0 {
-		return nil, ErrEmptySweep
-	}
-	keys := make([]string, len(scs))
-	for i, sc := range scs {
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("fabric: scenario %d: %w", i, err)
-		}
-		key, err := resultcache.Key(sc)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: scenario %d: %w", i, err)
-		}
-		keys[i] = key
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -154,22 +62,32 @@ func (c *Coordinator) StartSweep(ctx context.Context, scs []sim.Scenario) (*Swee
 		return nil, fmt.Errorf("%w: %d in flight", ErrSaturated, c.cfg.MaxInFlightSweeps)
 	}
 	c.inflight++
-	c.nextSweep++
-	c.stats.Sweeps++
-	id := fmt.Sprintf("fswp-%06d", c.nextSweep)
 	c.mu.Unlock()
 
-	sw := &Sweep{
-		co: c, id: id, scs: scs, keys: keys,
-		lines: make([]*service.SweepLine, len(scs)),
-		ready: make([]chan struct{}, len(scs)),
-		done:  make(chan struct{}),
+	job, err := c.cfg.Local.Open(ctx, scs)
+	c.mu.Lock()
+	if err != nil {
+		c.inflight--
+	} else {
+		c.stats.Sweeps++
 	}
-	for i := range sw.ready {
-		sw.ready[i] = make(chan struct{})
+	c.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
+	sw := &Sweep{Job: job, co: c, scs: scs}
 	go sw.run(ctx)
 	return sw, nil
+}
+
+// Submit starts a distributed sweep and returns its job: the
+// HandlerOptions.Submit of the coordinator's handler.
+func (c *Coordinator) Submit(ctx context.Context, scs []sim.Scenario) (*service.Job, error) {
+	sw, err := c.StartSweep(ctx, scs)
+	if err != nil {
+		return nil, err
+	}
+	return sw.Job, nil
 }
 
 // RunAll runs scs through the fabric and collects the outcomes in input
@@ -183,39 +101,16 @@ func (c *Coordinator) RunAll(ctx context.Context, scs []sim.Scenario) ([]sim.Out
 	}
 	outs := make([]sim.Outcome, len(scs))
 	for i := range scs {
-		l, err := sw.Wait(ctx, i)
+		res, err := sw.WaitResult(ctx, i)
 		if err != nil {
 			return nil, err
 		}
-		if l.Error != "" {
-			return nil, fmt.Errorf("fabric: scenario %d (%s): %s", i, l.Label, l.Error)
+		if res.Error != "" {
+			return nil, fmt.Errorf("fabric: scenario %d (%s): %s", i, res.Label, res.Error)
 		}
-		if l.Outcome == nil {
-			return nil, fmt.Errorf("fabric: scenario %d (%s): line carries no outcome", i, l.Label)
-		}
-		outs[i] = *l.Outcome
+		outs[i] = *res.Outcome
 	}
 	return outs, nil
-}
-
-// Simulate runs one scenario through the fabric (sharded to its owner,
-// with the full failover ladder behind it) and shapes the response like
-// POST /v1/simulate.
-func (c *Coordinator) Simulate(ctx context.Context, sc sim.Scenario) (service.SimulateResponse, error) {
-	sw, err := c.StartSweep(ctx, []sim.Scenario{sc})
-	if err != nil {
-		return service.SimulateResponse{}, err
-	}
-	l, err := sw.Wait(ctx, 0)
-	if err != nil {
-		return service.SimulateResponse{}, err
-	}
-	if l.Error != "" {
-		return service.SimulateResponse{}, fmt.Errorf("fabric: %s", l.Error)
-	}
-	return service.SimulateResponse{
-		JobID: sw.id, Cached: l.Cached, Key: sw.keys[0], Outcome: *l.Outcome,
-	}, nil
 }
 
 // group is one round's work for one destination.
@@ -238,10 +133,7 @@ func (sw *Sweep) run(ctx context.Context) {
 		c.mu.Unlock()
 	}()
 
-	pending := make([]int, len(sw.scs))
-	for i := range pending {
-		pending[i] = i
-	}
+	pending := allIndices(len(sw.scs))
 	attempts := make([]int, len(sw.scs))
 	backoff := c.cfg.RetryBackoff
 
@@ -259,7 +151,7 @@ func (sw *Sweep) run(ctx context.Context) {
 				local = append(local, i)
 				continue
 			}
-			owner, ok := ring.Owner(sw.keys[i])
+			owner, ok := ring.Owner(sw.Key(i))
 			if !ok {
 				local = append(local, i)
 				continue
@@ -301,9 +193,7 @@ func (sw *Sweep) run(ctx context.Context) {
 			attempts[i]++
 		}
 		if len(next) > 0 {
-			sw.mu.Lock()
-			sw.reshards += int64(len(next))
-			sw.mu.Unlock()
+			sw.reshards.Add(int64(len(next)))
 			c.mu.Lock()
 			c.stats.Reshards += int64(len(next))
 			c.mu.Unlock()
@@ -327,17 +217,9 @@ func (sw *Sweep) run(ctx context.Context) {
 	}
 
 	// Canceled mid-flight: land the cancellation cause in every empty
-	// slot so Wait never hangs.
+	// slot so no waiter hangs. Landed slots keep their rows.
 	if err := ctx.Err(); err != nil {
-		cause := context.Cause(ctx)
-		for i := range sw.scs {
-			sw.mu.Lock()
-			landed := sw.lines[i] != nil
-			sw.mu.Unlock()
-			if !landed {
-				sw.land(i, service.SweepLine{Label: sw.scs[i].Label(), Error: cause.Error()})
-			}
-		}
+		sw.landAll(allIndices(len(sw.scs)), context.Cause(ctx))
 	}
 }
 
@@ -364,8 +246,11 @@ func (sw *Sweep) runRemote(ctx context.Context, b Backend, g group) (unackedIdx 
 		if p < 0 || p >= len(g.idx) || acked[p] {
 			return fmt.Errorf("fabric: worker %s emitted bogus row index %d (sub-sweep of %d)", g.addr, p, len(g.idx))
 		}
+		if l.Outcome == nil && l.Error == "" {
+			return fmt.Errorf("fabric: worker %s sent row %d with neither outcome nor error", g.addr, p)
+		}
 		acked[p] = true
-		sw.land(g.idx[p], l)
+		sw.landRow(g.idx[p], l)
 		return nil
 	})
 	c.mu.Lock()
@@ -398,7 +283,7 @@ func unackedOf(idx []int, acked []bool) []int {
 }
 
 // runLocal executes indices on the coordinator's own service — the
-// bottom of the degradation ladder. Every index lands a terminal line:
+// bottom of the degradation ladder. Every index lands a terminal result:
 // local execution is never re-sharded.
 func (sw *Sweep) runLocal(ctx context.Context, idx []int) {
 	c := sw.co
@@ -411,20 +296,30 @@ func (sw *Sweep) runLocal(ctx context.Context, idx []int) {
 	c.mu.Unlock()
 	job, err := c.cfg.Local.Submit(ctx, sub)
 	if err != nil {
-		for _, i := range idx {
-			sw.land(i, service.SweepLine{Label: sw.scs[i].Label(), Error: err.Error()})
-		}
+		sw.landAll(idx, err)
 		return
 	}
 	for p, i := range idx {
 		res, err := job.WaitResult(ctx, p)
 		if err != nil {
-			sw.land(i, service.SweepLine{Label: sw.scs[i].Label(), Error: err.Error()})
-			continue
+			res = service.ScenarioResult{Label: sw.scs[i].Label(), Error: err.Error()}
 		}
-		sw.land(i, service.SweepLine{
-			Label: res.Label, Cached: res.Cached,
-			Outcome: res.Outcome, Error: res.Error,
-		})
+		sw.Land(i, res)
 	}
+}
+
+// landAll lands err in each of the given slots that has not landed yet.
+func (sw *Sweep) landAll(idx []int, err error) {
+	for _, i := range idx {
+		sw.Land(i, service.ScenarioResult{Label: sw.scs[i].Label(), Error: err.Error()})
+	}
+}
+
+// allIndices returns 0, 1, …, n-1.
+func allIndices(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
 }

@@ -183,9 +183,6 @@ func (d *Device) ChargeStall(c telemetry.StallCause, n int64) {
 	}
 }
 
-// PacketsPerPage is the number of DATA packets held by one page.
-func (d *Device) PacketsPerPage() int { return d.packetsPerPage }
-
 // TPack returns t_PACK, the cycles one packet occupies a bus, without
 // copying the configuration the way Config does.
 func (d *Device) TPack() int { return d.cfg.Timing.TPack }

@@ -10,11 +10,11 @@ import (
 	"rdramstream/internal/sim"
 )
 
-// encoded pairs an outcome with its JSON: the indented encoding of an
+// Encode pairs an outcome with its JSON: the indented encoding of an
 // outcome that sits one level deep in an Envelope, nil when it has none
 // (see Result.JSON). It is the one encoder of outcomes for the wire and
 // the disk store.
-func encoded(out sim.Outcome) Result {
+func Encode(out sim.Outcome) Result {
 	res := Result{Outcome: out}
 	b, err := json.MarshalIndent(out, "  ", "  ")
 	if err == nil {

@@ -291,7 +291,7 @@ func (c *Cache) lookup(ctx context.Context, key string) (res Result, ok bool, sr
 	if peer := c.peerFunc(); peer != nil && ctx.Err() == nil {
 		if out, ok := peer(ctx, key); ok {
 			// A peer holds it durably; promote to memory only.
-			res = encoded(out)
+			res = Encode(out)
 			c.store(key, res)
 			return res, true, tierPeer
 		}
@@ -308,7 +308,7 @@ func (c *Cache) lookup(ctx context.Context, key string) (res Result, ok bool, sr
 		return Result{}, false, tierMemory
 	}
 	// Already on disk; promote to memory only.
-	res = encoded(out)
+	res = Encode(out)
 	c.store(key, res)
 	return res, true, tierDisk
 }
@@ -328,7 +328,7 @@ func (c *Cache) memory(key string) (Result, bool) {
 	res := e.res
 	c.mu.Unlock()
 	if res.JSON == nil {
-		res = encoded(res.Outcome)
+		res = Encode(res.Outcome)
 		c.mu.Lock()
 		if e.res.JSON == nil {
 			e.res.JSON = res.JSON
@@ -367,7 +367,7 @@ func (c *Cache) Peek(key string) (Result, bool) {
 	if err != nil || !ok {
 		return Result{}, false
 	}
-	res := encoded(out)
+	res := Encode(out)
 	c.store(key, res)
 	return res, true
 }
@@ -507,7 +507,7 @@ func (c *Cache) DoKey(ctx context.Context, key string, sc sim.Scenario, run Runn
 		// The entry keeps the outcome alone until its first hit; the
 		// encoding made here serves this miss's callers and the disk.
 		c.store(key, fl.res)
-		fl.res = encoded(out)
+		fl.res = Encode(out)
 		c.save(key, fl.res.JSON)
 	}
 	return fl.res, false, fl.err

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,6 +55,14 @@ type SweepLine struct {
 	Failed    int    `json:"failed,omitempty"`
 }
 
+// Line is the result's NDJSON sweep line.
+func (r ScenarioResult) Line() SweepLine {
+	return SweepLine{
+		Index: r.Index, Label: r.Label, Cached: r.Cached,
+		Outcome: r.Outcome, Error: r.Error,
+	}
+}
+
 // HealthResponse is the body of GET /healthz.
 type HealthResponse struct {
 	Status  string `json:"status"`
@@ -91,6 +100,13 @@ type HandlerOptions struct {
 	// default: profiling endpoints expose process internals and belong
 	// behind an explicit flag (rdserved -pprof).
 	PProf bool
+	// Submit, when non-nil, takes Service.Submit's place for POST
+	// /v1/simulate and POST /v1/sweep. A fabric coordinator's handler
+	// (fabric.Handler) sets it to the coordinator, which opens the job in
+	// this service and lands the rows its workers send back, so the job
+	// streams, answers and is traced as a local one is. POST /v1/trace
+	// always submits to the service.
+	Submit func(ctx context.Context, scs []sim.Scenario) (*Job, error)
 }
 
 // NewHandler wires the service's HTTP API with default options:
@@ -117,8 +133,8 @@ func NewHandler(s *Service) http.Handler {
 // NewHandlerWith is NewHandler with explicit options.
 func NewHandlerWith(s *Service, opt HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
+	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) { s.handleSimulate(w, r, opt.Submit) })
+	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) { s.handleSweep(w, r, opt.Submit) })
 	mux.HandleFunc("POST /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
@@ -250,6 +266,8 @@ func codeLabel(status int) string {
 		return "404"
 	case http.StatusUnprocessableEntity:
 		return "422"
+	case http.StatusTooManyRequests:
+		return "429"
 	case http.StatusInternalServerError:
 		return "500"
 	case http.StatusServiceUnavailable:
@@ -258,10 +276,10 @@ func codeLabel(status int) string {
 	return strconv.Itoa(status)
 }
 
-// writeJSON emits one JSON body. Marshal errors cannot occur for our wire
+// WriteJSON emits one JSON body. Marshal errors cannot occur for our wire
 // types; a broken connection is the client's problem. Bodies that carry
 // an outcome are written by writeOutcome instead.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -269,8 +287,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+// WriteError emits the error body every non-2xx response carries.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
 }
 
 // newEnvelope starts a response body with room for the encoded outcome
@@ -280,7 +299,7 @@ func newEnvelope(frag []byte) resultcache.Envelope {
 }
 
 // writeOutcome writes a 200 body: env closed around frag, an entry's
-// encoded outcome, in one Write. The bytes are those writeJSON gives for
+// encoded outcome, in one Write. The bytes are those WriteJSON gives for
 // the wire type env's fields spell out.
 func writeOutcome(w http.ResponseWriter, r *http.Request, env resultcache.Envelope, frag []byte) {
 	if frag == nil {
@@ -296,25 +315,34 @@ func writeOutcome(w http.ResponseWriter, r *http.Request, env resultcache.Envelo
 // attached) and writes the error response.
 func failRequest(w http.ResponseWriter, r *http.Request, status int, err error) {
 	obs.FromContext(r.Context()).SetError(err.Error())
-	writeError(w, status, err)
+	WriteError(w, status, err)
 }
 
-// submitStatus maps a Submit failure to its HTTP status.
-func submitStatus(err error) int {
+// retryAfterSeconds is the advisory Retry-After of a shed submission:
+// long enough for the sweeps in flight to make progress, short enough
+// that a recovered coordinator refills quickly.
+const retryAfterSeconds = "1"
+
+// failSubmit answers a refused submission, the one mapping of submit
+// errors to statuses for a plain server and a fabric coordinator alike:
+// shed load is 429 with Retry-After, a full queue or a closed server 503,
+// and anything else (an empty or invalid sweep) 400.
+func failSubmit(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusBadRequest
 	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
+	case errors.Is(err, ErrSaturated):
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", retryAfterSeconds)
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
+		status = http.StatusServiceUnavailable
 	}
+	failRequest(w, r, status, err)
 }
 
-// decodeStrict decodes one JSON body, rejecting unknown fields so a typo
+// DecodeStrict decodes one JSON body, rejecting unknown fields so a typo
 // in a scenario field fails loudly instead of silently simulating the
 // default.
-func decodeStrict(r *http.Request, v any) error {
+func DecodeStrict(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -323,24 +351,33 @@ func decodeStrict(r *http.Request, v any) error {
 	return nil
 }
 
-func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
+// handleSimulate submits one scenario through submit, or, when it is
+// nil, to the service itself: the direct call keeps a hit's one-scenario
+// slice off the heap.
+func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request, submit func(context.Context, []sim.Scenario) (*Job, error)) {
 	var sc sim.Scenario
-	if err := decodeStrict(r, &sc); err != nil {
+	if err := DecodeStrict(r, &sc); err != nil {
 		failRequest(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.respond(w, r, sc)
+	var job *Job
+	var err error
+	if submit == nil {
+		job, err = s.SubmitOne(r.Context(), sc)
+	} else {
+		job, err = submit(r.Context(), []sim.Scenario{sc})
+	}
+	s.respond(w, r, job, err)
 }
 
-// respond is the tail of /v1/simulate and /v1/trace: it submits one
-// scenario, waits for its result and writes the SimulateResponse body
-// around the cache entry's encoded outcome.
-func (s *Service) respond(w http.ResponseWriter, r *http.Request, sc sim.Scenario) {
+// respond is the tail of /v1/simulate and /v1/trace: it takes the
+// submission of one scenario, waits for its result and writes the
+// SimulateResponse body around the outcome's encoding.
+func (s *Service) respond(w http.ResponseWriter, r *http.Request, job *Job, err error) {
 	tr := obs.FromContext(r.Context())
 	tr.AddScenarios(1)
-	job, err := s.SubmitOne(r.Context(), sc)
 	if err != nil {
-		failRequest(w, r, submitStatus(err), err)
+		failSubmit(w, r, err)
 		return
 	}
 	// The stream span covers the response phase: the wait for the result
@@ -356,24 +393,34 @@ func (s *Service) respond(w http.ResponseWriter, r *http.Request, sc sim.Scenari
 		failRequest(w, r, http.StatusUnprocessableEntity, errors.New(res.Error))
 		return
 	}
-	env := newEnvelope(res.encoded).Str("job_id", job.ID()).Bool("cached", res.Cached).Str("key", job.Key(0))
-	writeOutcome(w, r, env, res.encoded)
+	frag := res.encoded
+	if frag == nil && res.Outcome != nil {
+		// A row a fabric worker sent back carries no cache entry's bytes.
+		frag = resultcache.Encode(*res.Outcome).JSON
+	}
+	env := newEnvelope(frag).Str("job_id", job.ID()).Bool("cached", res.Cached).Str("key", job.Key(0))
+	writeOutcome(w, r, env, frag)
 	streamEnd := s.obsv.Now()
 	tr.Span(obs.StageStream, streamStart, streamEnd, "")
 	s.observeStage(obs.StageStream, streamEnd.Sub(streamStart))
 }
 
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
+// handleSweep submits a sweep through submit (nil: the service) and
+// streams the job's results in input order, then its summary.
+func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request, submit func(context.Context, []sim.Scenario) (*Job, error)) {
 	var req SweepRequest
-	if err := decodeStrict(r, &req); err != nil {
+	if err := DecodeStrict(r, &req); err != nil {
 		failRequest(w, r, http.StatusBadRequest, err)
 		return
 	}
 	tr := obs.FromContext(r.Context())
 	tr.AddScenarios(len(req.Scenarios))
-	job, err := s.Submit(r.Context(), req.Scenarios)
+	if submit == nil {
+		submit = s.Submit
+	}
+	job, err := submit(r.Context(), req.Scenarios)
 	if err != nil {
-		failRequest(w, r, submitStatus(err), err)
+		failSubmit(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -389,19 +436,12 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 			tr.SetError(err.Error())
 			return
 		}
-		enc.Encode(SweepLine{
-			Index: res.Index, Label: res.Label, Cached: res.Cached,
-			Outcome: res.Outcome, Error: res.Error,
-		})
+		enc.Encode(res.Line())
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	st := job.Status()
-	enc.Encode(SweepLine{
-		Done: true, JobID: job.ID(), Total: st.Total,
-		CacheHits: st.CacheHits, Failed: st.Failed,
-	})
+	enc.Encode(job.Summary())
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -414,10 +454,10 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimSpace(r.PathValue("id"))
 	job, err := s.Job(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Status())
+	WriteJSON(w, http.StatusOK, job.Status())
 }
 
 // handleCachePeek answers peer cache probes: a raw content key, looked
@@ -429,7 +469,7 @@ func (s *Service) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimSpace(r.PathValue("key"))
 	res, ok := s.cache.Peek(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no cached outcome for key %q", key))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("service: no cached outcome for key %q", key))
 		return
 	}
 	writeOutcome(w, r, newEnvelope(res.JSON).Str("key", key), res.JSON)
@@ -440,10 +480,10 @@ func (s *Service) handleRequest(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimSpace(r.PathValue("id"))
 	tr, ok := s.obsv.Ring.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown request %q (ring holds the most recent %d)", id, obs.DefaultRingSize))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("service: unknown request %q (ring holds the most recent %d)", id, obs.DefaultRingSize))
 		return
 	}
-	writeJSON(w, http.StatusOK, tr.Record())
+	WriteJSON(w, http.StatusOK, tr.Record())
 }
 
 // handleRequests serves the recent-trace ring, oldest first:
@@ -454,7 +494,7 @@ func (s *Service) handleRequests(w http.ResponseWriter, r *http.Request) {
 	recs := s.obsv.Ring.Recent()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, recs)
+		WriteJSON(w, http.StatusOK, recs)
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		telemetry.WriteJSONL(w, obs.Events(recs))
@@ -462,12 +502,12 @@ func (s *Service) handleRequests(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		telemetry.WriteChromeTrace(w, obs.Events(recs))
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: unknown trace format %q (want json, jsonl, or chrome)", format))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("service: unknown trace format %q (want json, jsonl, or chrome)", format))
 	}
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: version.Stamp()})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok", Version: version.Stamp()})
 }
 
 // handleMetrics serves the Prometheus text exposition, publishing the

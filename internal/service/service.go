@@ -7,7 +7,9 @@
 // per-request cancellation threaded down to the scenario boundary via
 // engine.MapCtx. Scenarios already in the cache's memory tier never
 // enter the queue: Submit answers them itself, so a hit never waits
-// behind a simulation.
+// behind a simulation. Open registers a job without queueing it, for a
+// caller that runs the scenarios elsewhere (the fabric coordinator) and
+// lands their results with Job.Land.
 //
 // The HTTP front end (http.go, served by cmd/rdserved) and the Go client
 // (client subpackage) are thin shells over this type: all queueing,
@@ -65,6 +67,10 @@ var (
 	ErrQueueFull  = errors.New("service: queue full")
 	ErrEmptyJob   = errors.New("service: job has no scenarios")
 	ErrUnknownJob = errors.New("service: unknown job")
+	// ErrSaturated is a submission that admission control shed (a fabric
+	// coordinator's bound on sweeps in flight): HTTP 429 with
+	// Retry-After, so a client with a retry budget backs off.
+	ErrSaturated = errors.New("service: saturated (too many sweeps in flight)")
 )
 
 // State is a job's lifecycle phase.
@@ -106,7 +112,8 @@ type JobStatus struct {
 }
 
 // Job tracks one submission (a single scenario or a whole sweep) through
-// the queue. Results land in input order as scenarios finish.
+// the queue, or through whatever runs the scenarios of a job Open
+// registered. Results land in input order as scenarios finish.
 type Job struct {
 	id   string
 	ctx  context.Context
@@ -126,7 +133,8 @@ type Job struct {
 func (j *Job) ID() string { return j.id }
 
 // Key returns scenario i's content address in the result cache, the
-// key Submit computed once for every cache call the scenario makes.
+// key Submit or Open computed once for every cache call the scenario
+// makes.
 func (j *Job) Key(i int) string { return j.keys[i] }
 
 // Done returns a channel closed when every scenario in the job is
@@ -186,12 +194,26 @@ func (j *Job) markRunning() {
 	j.mu.Unlock()
 }
 
-// finish records scenario i's terminal result exactly once.
-func (j *Job) finish(i int, res ScenarioResult) {
+// Summary is the job's trailing sweep line: its ID and the counts of
+// the results landed so far.
+func (j *Job) Summary() SweepLine {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return SweepLine{
+		Done: true, JobID: j.id, Total: len(j.results),
+		CacheHits: j.cacheHits, Failed: j.failed,
+	}
+}
+
+// Land records scenario i's terminal result. A slot lands once: Land
+// reports false, and changes nothing, for a slot that has already
+// landed. The service lands the jobs Submit queues; the caller of Open
+// lands every slot of its job.
+func (j *Job) Land(i int, res ScenarioResult) bool {
 	j.mu.Lock()
 	if j.results[i] != nil {
 		j.mu.Unlock()
-		return
+		return false
 	}
 	res.Index = i
 	j.results[i] = &res
@@ -211,6 +233,7 @@ func (j *Job) finish(i int, res ScenarioResult) {
 	if allDone {
 		close(j.done)
 	}
+	return true
 }
 
 // task is one scenario of one job, the unit the queue and worker pool
@@ -350,33 +373,9 @@ func (s *Service) SubmitOne(ctx context.Context, sc sim.Scenario) (*Job, error) 
 // context contract; use context.Background() at the call site for a job
 // that should never be canceled.
 func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) {
-	if len(scs) == 0 {
-		return nil, ErrEmptyJob
-	}
-	for i, sc := range scs {
-		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
-		}
-	}
-	// Each scenario is keyed once, here, for every cache call it makes.
-	// The memory tier does no I/O, so it is consulted here too, outside
-	// s.mu; the disk and peer tiers stay on the worker, inside DoKey.
-	keys := make([]string, len(scs))
-	lookup := ctx.Err() == nil
-	var hits []memoryHit
-	for i, sc := range scs {
-		start := s.obsv.Now()
-		key, err := resultcache.Key(sc)
-		if err != nil {
-			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
-		}
-		keys[i] = key
-		if !lookup {
-			continue
-		}
-		if res, ok := s.cache.Hit(key); ok {
-			hits = append(hits, memoryHit{i: i, res: res, start: start, end: s.obsv.Now()})
-		}
+	keys, hits, err := s.keyAll(scs, ctx.Err() == nil)
+	if err != nil {
+		return nil, err
 	}
 	misses := len(scs) - len(hits)
 
@@ -391,22 +390,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 		return nil, fmt.Errorf("%w: %d queued + %d submitted > depth %d",
 			ErrQueueFull, depth, misses, s.queueDepth)
 	}
-	s.nextJob++
-	job := &Job{
-		id:      fmt.Sprintf("job-%06d", s.nextJob),
-		ctx:     ctx,
-		keys:    keys,
-		state:   StateQueued,
-		results: make([]*ScenarioResult, len(scs)),
-		ready:   make([]chan struct{}, len(scs)),
-		done:    make(chan struct{}),
-	}
-	for i := range job.ready {
-		job.ready[i] = make(chan struct{})
-	}
-	s.jobs[job.id] = job
-	s.jobOrder = append(s.jobOrder, job)
-	s.evictJobsLocked()
+	job := s.openLocked(ctx, keys, StateQueued)
 	now := s.obsv.Now()
 	next := 0 // hits are in index order; skip each as the loop reaches it
 	for i, sc := range scs {
@@ -425,6 +409,80 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 		s.finishHits(job, scs, hits)
 	}
 	return job, nil
+}
+
+// Open validates and keys a sweep, as Submit does, and registers it as a
+// running job, but queues nothing: the caller runs the scenarios (the
+// fabric coordinator, across its workers) and lands each result with
+// Job.Land. The job streams, answers GET /v1/jobs/{id} and is retained
+// like any other. It counts as active, and is never evicted, until its
+// last slot lands, so the caller must land every slot, with the error
+// that stopped it if nothing else. ctx is the job's context, as for
+// Submit.
+func (s *Service) Open(ctx context.Context, scs []sim.Scenario) (*Job, error) {
+	keys, _, err := s.keyAll(scs, false)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	return s.openLocked(ctx, keys, StateRunning), nil
+}
+
+// keyAll validates every scenario, then keys each once, for every cache
+// call it makes. With lookup it also consults the memory tier, which
+// does no I/O, so this runs outside s.mu; the disk and peer tiers stay on
+// the worker, inside DoKey.
+func (s *Service) keyAll(scs []sim.Scenario, lookup bool) (keys []string, hits []memoryHit, err error) {
+	if len(scs) == 0 {
+		return nil, nil, ErrEmptyJob
+	}
+	for i, sc := range scs {
+		if err := sc.Validate(); err != nil {
+			return nil, nil, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
+	}
+	keys = make([]string, len(scs))
+	for i, sc := range scs {
+		start := s.obsv.Now()
+		key, err := resultcache.Key(sc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
+		keys[i] = key
+		if !lookup {
+			continue
+		}
+		if res, ok := s.cache.Hit(key); ok {
+			hits = append(hits, memoryHit{i: i, res: res, start: start, end: s.obsv.Now()})
+		}
+	}
+	return keys, hits, nil
+}
+
+// openLocked registers a job over keys in the given starting state.
+// s.mu must be held.
+func (s *Service) openLocked(ctx context.Context, keys []string, state State) *Job {
+	s.nextJob++
+	job := &Job{
+		id:      fmt.Sprintf("job-%06d", s.nextJob),
+		ctx:     ctx,
+		keys:    keys,
+		state:   state,
+		results: make([]*ScenarioResult, len(keys)),
+		ready:   make([]chan struct{}, len(keys)),
+		done:    make(chan struct{}),
+	}
+	for i := range job.ready {
+		job.ready[i] = make(chan struct{})
+	}
+	s.jobs[job.id] = job
+	s.jobOrder = append(s.jobOrder, job)
+	s.evictJobsLocked()
+	return job
 }
 
 // memoryHit is one scenario Submit found in the cache's memory tier,
@@ -451,7 +509,7 @@ func (s *Service) finishHits(job *Job, scs []sim.Scenario, hits []memoryHit) {
 		tr.Span(obs.StageCache, h.start, h.end, label)
 		s.observeStage(obs.StageCache, h.end.Sub(h.start))
 		tr.AddCacheHit()
-		job.finish(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.res.Outcome, encoded: h.res.JSON})
+		job.Land(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.res.Outcome, encoded: h.res.JSON})
 	}
 }
 
@@ -526,7 +584,7 @@ func (s *Service) dispatch() {
 			// so this is cancellation. Everything in the batch that never
 			// reached a terminal state fails now, so no waiter hangs.
 			for _, t := range batch {
-				t.job.finish(t.i, ScenarioResult{Label: t.sc.Label(), Error: err.Error()})
+				t.job.Land(t.i, ScenarioResult{Label: t.sc.Label(), Error: err.Error()})
 			}
 		}
 	}
@@ -571,7 +629,7 @@ func (s *Service) runTask(t *task) {
 	s.busy--
 	s.tasksRun++
 	s.obsMu.Unlock()
-	t.job.finish(t.i, res)
+	t.job.Land(t.i, res)
 }
 
 // execute runs one task through the cache and returns its terminal

@@ -63,5 +63,6 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		spec.Outstanding = sc.Workload.Outstanding
 	}
 	sc.Workload = &spec
-	s.respond(w, r, sc)
+	job, err := s.SubmitOne(r.Context(), sc)
+	s.respond(w, r, job, err)
 }

@@ -33,14 +33,6 @@ func NewMaxSeries(window int64) *Series {
 	return s
 }
 
-// Window returns the bucket width in cycles.
-func (s *Series) Window() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.window
-}
-
 // Len returns the number of buckets observed so far.
 func (s *Series) Len() int {
 	if s == nil {
