@@ -14,29 +14,58 @@
 // controller, and a reordered trace replay under PI and under CLI: at
 // several ms/run their min-of-N timing is stable on shared CI runners,
 // where the sub-ms scenarios are not. Allocation counts are exact, so
-// every row is allocation-gated.
+// every row is allocation-gated. Two rows time a warm cache hit instead
+// of a simulation: through the service in process (BenchmarkServiceHit)
+// and over loopback HTTP with the Go client (BenchmarkHTTPHit). Each of
+// their iterations times thousands or hundreds of hits, and their
+// min-of-N per-hit times stayed within 1.2x across invocations, so they
+// are time-gated too.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
 
 	"rdramstream"
+	"rdramstream/internal/service"
+	"rdramstream/internal/service/client"
 )
 
 // coreCase is one pinned scenario plus its baseline.
 type coreCase struct {
-	name     string
-	desc     string
-	sc       rdramstream.Scenario
+	name string
+	desc string
+	sc   rdramstream.Scenario
+	// hit, when set, replaces sc: it starts a server holding a warm cache
+	// entry and returns one cache hit, the number of hits an iteration
+	// times (a hit takes microseconds) and the function that stops the
+	// server.
+	hit      func() (op func(), reps int, stop func())
 	baseline string // commit the before numbers were measured at
 	beforeNs int64  // min wall ns/run at baseline
 	beforeAl int64  // heap allocations/run at baseline
 	gate     bool   // include in the -check CI regression gate
+}
+
+// open returns the case's timed operation, how many of them one timed
+// iteration runs, and the function that releases what it holds.
+func (c coreCase) open() (op func(), reps int, stop func()) {
+	if c.hit != nil {
+		return c.hit()
+	}
+	return func() {
+		if _, err := rdramstream.Simulate(c.sc); err != nil {
+			fatalf("bench-core: %v", err)
+		}
+	}, 1, func() {}
 }
 
 // The baseline commits of coreCases.
@@ -62,6 +91,10 @@ const (
 	// mapped and built a request per packet, and whose reorder window
 	// scanned for row hits under CLI, where auto-precharge leaves none.
 	stripeLocCommit = "71c709d"
+	// jsonHitCommit is the parent of the allocation-free hit path, whose
+	// /v1/simulate request and response bodies went through
+	// encoding/json and whose one-scenario jobs were built like sweeps.
+	jsonHitCommit = "10f59fe"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -196,7 +229,95 @@ func coreCases() []coreCase {
 			baseline: stripeLocCommit, beforeNs: 4_445_744, beforeAl: 44,
 			gate: true,
 		},
+		{
+			name:     "ServiceHit",
+			desc:     "warm cache hit: Service.SubmitOne + WaitResult, daxpy n=256 PI/smc",
+			hit:      serviceHit,
+			baseline: jsonHitCommit, beforeNs: 6_665, beforeAl: 15,
+			gate: true,
+		},
+		{
+			name:     "HTTPHit",
+			desc:     "warm cache hit: client.Simulate over loopback HTTP, daxpy n=256 PI/smc",
+			hit:      httpHit,
+			baseline: jsonHitCommit, beforeNs: 131_949, beforeAl: 144,
+			gate: true,
+		},
 	}
+}
+
+// hitScenario is the scenario of the hit rows, the one BenchmarkServiceHit
+// and BenchmarkHTTPHit hit.
+var hitScenario = rdramstream.Scenario{
+	KernelName: "daxpy", N: 256, Scheme: rdramstream.PI, Mode: rdramstream.SMC,
+	FIFODepth: 32, Placement: rdramstream.Staggered,
+}
+
+// serviceHit is BenchmarkServiceHit's operation: one memory hit answered
+// at submit, through Service.SubmitOne and Job.WaitResult.
+func serviceHit() (func(), int, func()) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		fatalf("bench-core: %v", err)
+	}
+	ctx := context.Background()
+	hit := func() bool {
+		job, err := svc.SubmitOne(ctx, hitScenario)
+		if err != nil {
+			fatalf("bench-core: %v", err)
+		}
+		res, err := job.WaitResult(ctx, 0)
+		if err == nil && res.Error != "" {
+			err = errors.New(res.Error)
+		}
+		if err != nil {
+			fatalf("bench-core: %v", err)
+		}
+		return res.Cached
+	}
+	hit() // the miss that fills the cache
+	return func() {
+		if !hit() {
+			fatalf("bench-core: a warm service request missed the cache")
+		}
+	}, 2000, func() { svc.Close(ctx) }
+}
+
+// httpHit is BenchmarkHTTPHit's operation: one hit end to end over
+// loopback HTTP, client encode and decode included, on one kept-alive
+// connection.
+func httpHit() (func(), int, func()) {
+	svc, err := service.New(service.Config{Workers: 1})
+	if err != nil {
+		fatalf("bench-core: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fatalf("bench-core: %v", err)
+	}
+	srv := &http.Server{Handler: service.NewHandler(svc)}
+	go srv.Serve(ln)
+	tp := &http.Transport{MaxIdleConnsPerHost: 1, DisableCompression: true}
+	cl := client.New("http://" + ln.Addr().String())
+	cl.HTTPClient = &http.Client{Transport: tp}
+	ctx := context.Background()
+	hit := func() bool {
+		resp, err := cl.Simulate(ctx, hitScenario)
+		if err != nil {
+			fatalf("bench-core: %v", err)
+		}
+		return resp.Cached
+	}
+	hit() // the miss that fills the cache
+	return func() {
+			if !hit() {
+				fatalf("bench-core: a warm HTTP request missed the cache")
+			}
+		}, 200, func() {
+			tp.CloseIdleConnections()
+			srv.Shutdown(ctx)
+			svc.Close(ctx)
+		}
 }
 
 // coreEntry is one before/after comparison in BENCH_core_speed.json.
@@ -219,16 +340,17 @@ type coreReport struct {
 	Note       string      `json:"note"`
 }
 
-// timeCore returns the minimum wall time over iters runs — the
-// least-noise estimator for a deterministic simulation.
-func timeCore(sc rdramstream.Scenario, iters int) int64 {
+// timeCore returns the minimum over iters iterations of the wall time
+// per op of reps back-to-back ops — the least-noise estimator for a
+// deterministic simulation.
+func timeCore(op func(), reps, iters int) int64 {
 	best := int64(0)
 	for i := 0; i < iters; i++ {
 		start := time.Now()
-		if _, err := rdramstream.Simulate(sc); err != nil {
-			fatalf("bench-core: %v", err)
+		for r := 0; r < reps; r++ {
+			op()
 		}
-		d := time.Since(start).Nanoseconds()
+		d := time.Since(start).Nanoseconds() / int64(reps)
 		if best == 0 || d < best {
 			best = d
 		}
@@ -236,26 +358,25 @@ func timeCore(sc rdramstream.Scenario, iters int) int64 {
 	return best
 }
 
-// allocsCore measures heap allocations per run via MemStats deltas: the
-// fewest any of a few runs made, after a warm-up run fills the scratch
-// pools, with the collector paused so a collection cannot empty a pool
-// mid-measurement. That is the steady-state (sweep-loop) count, exact
-// enough for -check to gate on.
-func allocsCore(sc rdramstream.Scenario) int64 {
-	if _, err := rdramstream.Simulate(sc); err != nil {
-		fatalf("bench-core: %v", err)
-	}
+// allocsCore measures heap allocations per op via MemStats deltas (every
+// goroutine's, so a hit's server side counts too): the fewest any of a
+// few runs of reps ops made per op, rounded to the nearest count, after a
+// warm-up op fills the scratch pools, with the collector paused so a
+// collection cannot empty a pool mid-measurement. That is the
+// steady-state (sweep-loop) count, exact enough for -check to gate on.
+func allocsCore(op func(), reps int) int64 {
+	op()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const iters = 3
 	best := int64(-1)
 	for i := 0; i < iters; i++ {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		if _, err := rdramstream.Simulate(sc); err != nil {
-			fatalf("bench-core: %v", err)
+		for r := 0; r < reps; r++ {
+			op()
 		}
 		runtime.ReadMemStats(&m1)
-		if n := int64(m1.Mallocs - m0.Mallocs); best < 0 || n < best {
+		if n := (int64(m1.Mallocs-m0.Mallocs) + int64(reps)/2) / int64(reps); best < 0 || n < best {
 			best = n
 		}
 	}
@@ -279,22 +400,30 @@ func runCoreBench(iters int, outPath string) {
 			"word-at-a-time seed, golden replay, store capture and verify; " +
 			stripeLocCommit + " has a memory cursor that looks each address " +
 			"up in its stripe cache and a trace replay that maps and builds a " +
-			"request per packet and scans for row hits under CLI. " +
+			"request per packet and scans for row hits under CLI; " +
+			jsonHitCommit + " decodes hit request and response bodies with " +
+			"encoding/json and builds one-scenario jobs like sweeps. " +
 			"after = current build, with the page-table functional store, one " +
 			"paged word image for seed/verify and store capture, a memory " +
 			"cursor whose Loc is arithmetic and whose stripes cache pages " +
 			"only, a functional harness that walks stripes in chunks, an SMC " +
 			"that plans packets on demand, mapping once per interleave unit, " +
-			"behind a timing-only processor front end, and a trace replay " +
-			"that maps once per line transaction. ns/op is the min wall time over the " +
-			"timed iterations; allocs/op is the steady-state MemStats.Mallocs " +
-			"delta per run after a pool-warming iteration, the fewest of three " +
-			"runs with the collector paused. See docs/PERFORMANCE.md.",
+			"behind a timing-only processor front end, a trace replay " +
+			"that maps once per line transaction, and a hit path that reads " +
+			"its bodies without encoding/json. ServiceHit and HTTPHit time one " +
+			"warm cache hit, in process and over loopback HTTP; their counts " +
+			"include the server's and the client's allocations. ns/op is the " +
+			"min wall time per op over the timed iterations; allocs/op is the " +
+			"steady-state MemStats.Mallocs delta per op after a pool-warming " +
+			"op, the fewest of three runs with the collector paused. " +
+			"See docs/PERFORMANCE.md.",
 	}
 	for _, c := range coreCases() {
-		timeCore(c.sc, 1) // warm-up
-		ns := timeCore(c.sc, iters)
-		al := allocsCore(c.sc)
+		op, reps, stop := c.open()
+		timeCore(op, reps, 1) // warm-up
+		ns := timeCore(op, reps, iters)
+		al := allocsCore(op, reps)
+		stop()
 		rep.Scenarios = append(rep.Scenarios, coreEntry{
 			Name: c.name, Scenario: c.desc, BaselineCommit: c.baseline,
 			BeforeNsPerOp: c.beforeNs, BeforeAllocsPerOp: c.beforeAl,
@@ -344,8 +473,9 @@ func checkCoreBench(path string, iters int) {
 		if !ok {
 			fatalf("bench-core check: %s missing scenario %s (regenerate with -bench-core)", path, c.name)
 		}
-		timeCore(c.sc, 1) // warm-up
-		ns := timeCore(c.sc, iters)
+		op, reps, stop := c.open()
+		timeCore(op, reps, 1) // warm-up
+		ns := timeCore(op, reps, iters)
 		ratio := float64(ns) / float64(e.AfterNsPerOp)
 		status := "info"
 		if c.gate {
@@ -355,7 +485,8 @@ func checkCoreBench(path string, iters int) {
 				failed = true
 			}
 		}
-		al := allocsCore(c.sc)
+		al := allocsCore(op, reps)
+		stop()
 		alStatus := "ok"
 		if al > e.AfterAllocsPerOp {
 			alStatus = "ALLOC REGRESSION"

@@ -7,6 +7,7 @@ import (
 	"rdramstream/internal/service"
 	"rdramstream/internal/service/client"
 	"rdramstream/internal/sim"
+	"rdramstream/internal/version"
 )
 
 // ClientBackend is the production Backend: one worker reached over the
@@ -15,10 +16,10 @@ type ClientBackend struct {
 	Client *client.Client
 }
 
-// Health probes GET /healthz.
-func (b *ClientBackend) Health(ctx context.Context) error {
-	_, err := b.Client.Health(ctx)
-	return err
+// Health probes GET /healthz and returns the stamp the worker reports.
+func (b *ClientBackend) Health(ctx context.Context) (string, error) {
+	h, err := b.Client.Health(ctx)
+	return h.Version, err
 }
 
 // Sweep streams POST /v1/sweep; the client already hands fn only
@@ -39,8 +40,11 @@ type ServiceBackend struct {
 	Svc *service.Service
 }
 
-// Health always succeeds while the service accepts work.
-func (b *ServiceBackend) Health(ctx context.Context) error { return ctx.Err() }
+// Health always succeeds while the service accepts work, with this
+// build's stamp.
+func (b *ServiceBackend) Health(ctx context.Context) (string, error) {
+	return version.Stamp(), ctx.Err()
+}
 
 // Sweep submits the scenarios as one job and emits lines to fn in input
 // order as results land, mirroring the HTTP stream's contract.

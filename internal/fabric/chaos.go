@@ -65,12 +65,12 @@ func (b *ChaosBackend) active(call int) bool {
 }
 
 // Health fails while the plan is active and FailHealth is set.
-func (b *ChaosBackend) Health(ctx context.Context) error {
+func (b *ChaosBackend) Health(ctx context.Context) (string, error) {
 	b.mu.Lock()
 	sab := b.Plan.FailHealth && b.active(b.sweeps+1)
 	b.mu.Unlock()
 	if sab {
-		return fmt.Errorf("%w: health probe sabotaged", ErrChaosKill)
+		return "", fmt.Errorf("%w: health probe sabotaged", ErrChaosKill)
 	}
 	return b.Inner.Health(ctx)
 }

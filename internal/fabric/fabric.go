@@ -18,7 +18,10 @@
 //     run at once; excess submissions are shed with ErrSaturated
 //     (HTTP 429 + Retry-After) instead of queueing unboundedly.
 //  2. Health: the coordinator heartbeats every worker; one unheard-of
-//     for HeartbeatTimeout is marked dead and leaves the ring.
+//     for HeartbeatTimeout is marked dead and leaves the ring. A worker
+//     whose health answer carries another version.Stamp than the
+//     coordinator's runs another model: it leaves the ring too, until it
+//     answers with the coordinator's stamp.
 //  3. Circuit breakers: BreakerThreshold consecutive failures open a
 //     worker's breaker for BreakerCooldown — the engine.Issue
 //     retry/RejectError discipline applied to workers instead of banks.
@@ -46,6 +49,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"net/url"
 	"sort"
 	"sync"
@@ -56,6 +60,7 @@ import (
 	"rdramstream/internal/service"
 	"rdramstream/internal/service/client"
 	"rdramstream/internal/sim"
+	"rdramstream/internal/version"
 )
 
 // Submission errors, matchable with errors.Is. They are the service's
@@ -76,8 +81,8 @@ var (
 // implementation wraps internal/service/client; tests and the chaos
 // harness substitute in-process backends (ServiceBackend, ChaosBackend).
 type Backend interface {
-	// Health probes liveness.
-	Health(ctx context.Context) error
+	// Health probes liveness and returns the worker's version.Stamp.
+	Health(ctx context.Context) (stamp string, err error)
 	// Sweep streams a scenario list: fn sees one line per scenario in
 	// input order (never the trailing summary). An error means the
 	// worker failed mid-sweep; rows already delivered to fn stand.
@@ -141,6 +146,9 @@ const (
 	WorkerLive        = "live"
 	WorkerDead        = "dead"
 	WorkerBreakerOpen = "breaker_open"
+	// WorkerStale is a worker whose last health answer carried another
+	// version stamp than the coordinator's.
+	WorkerStale = "stale"
 )
 
 // WorkerStatus is one worker's health snapshot (GET /v1/fabric/workers).
@@ -172,6 +180,10 @@ type Stats struct {
 	WorkerFailures int64 `json:"worker_failures"`
 	// PeerHits mirrors the local cache's peer-tier rescues.
 	PeerHits int64 `json:"peer_hits"`
+	// StampMismatches counts health answers that found a worker running
+	// another version stamp than the coordinator, once per change of the
+	// worker's stamp to a foreign one.
+	StampMismatches int64 `json:"stamp_mismatches"`
 }
 
 // worker is the coordinator's book on one registered address.
@@ -182,12 +194,26 @@ type worker struct {
 	consecFails int
 	openUntil   time.Time // breaker open until this instant
 	dead        bool
+	// stamp is the version stamp of the worker's last health answer, ""
+	// until it first answers.
+	stamp string
+}
+
+// eligible reports whether the worker may take shards at now: alive,
+// breaker closed, and not known to run another model than the
+// coordinator's. A worker that has not answered a probe yet is eligible
+// on the strength of its registration.
+func (w *worker) eligible(now time.Time, stamp string) bool {
+	return !w.dead && !now.Before(w.openUntil) && (w.stamp == "" || w.stamp == stamp)
 }
 
 // Coordinator owns the fleet view and the distributed sweep engine.
 type Coordinator struct {
 	cfg  Config
 	obsv *obs.Observer
+	// stamp is this build's version.Stamp, which every eligible worker
+	// must report.
+	stamp string
 
 	mu       sync.Mutex
 	workers  map[string]*worker // guarded by mu
@@ -256,6 +282,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		obsv:     cfg.Obs,
+		stamp:    version.Stamp(),
 		workers:  make(map[string]*worker),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -287,8 +314,9 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) LocalService() *service.Service { return c.cfg.Local }
 
 // Register adds a worker (or refreshes an existing one — registration
-// doubles as a worker-initiated heartbeat). The address must be an
-// absolute http(s) URL.
+// doubles as a worker-initiated heartbeat) and asks it for its version
+// stamp: a worker running another model stays registered but takes no
+// shards. The address must be an absolute http(s) URL.
 func (c *Coordinator) Register(addr string) error {
 	u, err := url.Parse(addr)
 	if err != nil || u.Scheme == "" || u.Host == "" {
@@ -299,23 +327,61 @@ func (c *Coordinator) Register(addr string) error {
 	}
 	addr = u.Scheme + "://" + u.Host
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return ErrClosed
 	}
 	now := c.cfg.Now()
-	if w, ok := c.workers[addr]; ok {
+	w, ok := c.workers[addr]
+	if ok {
 		w.lastSeen = now
 		w.dead = false
+	} else {
+		w = &worker{
+			addr:     addr,
+			backend:  c.cfg.Dial(addr),
+			lastSeen: now,
+		}
+		c.workers[addr] = w
+		c.order = append(c.order, addr)
+		sort.Strings(c.order)
+	}
+	b := w.backend
+	c.mu.Unlock()
+	// A failed probe leaves the registration standing: the heartbeat
+	// loop asks again.
+	_ = c.probe(context.Background(), addr, b)
+	return nil
+}
+
+// probe asks one worker for its health under the probe timeout and, when
+// it answers, records its version stamp. A worker Dial gave no backend
+// never answers.
+func (c *Coordinator) probe(ctx context.Context, addr string, b Backend) error {
+	if b == nil {
+		return fmt.Errorf("fabric: worker %s has no backend", addr)
+	}
+	timeout := c.cfg.HeartbeatInterval
+	if timeout <= 0 {
+		timeout = time.Second
+	}
+	pctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	stamp, err := b.Health(pctx)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w, ok := c.workers[addr]
+	if !ok || w.stamp == stamp {
 		return nil
 	}
-	c.workers[addr] = &worker{
-		addr:     addr,
-		backend:  c.cfg.Dial(addr),
-		lastSeen: now,
+	w.stamp = stamp
+	if stamp != c.stamp {
+		c.stats.StampMismatches++
+		log.Printf("fabric: worker %s reports version stamp %q, coordinator has %q: it takes no shards until they match", addr, stamp, c.stamp)
 	}
-	c.order = append(c.order, addr)
-	sort.Strings(c.order)
 	return nil
 }
 
@@ -329,7 +395,7 @@ func (c *Coordinator) liveSet() (addrs []string, backends map[string]Backend) {
 	backends = make(map[string]Backend, len(c.order))
 	for _, addr := range c.order {
 		w := c.workers[addr]
-		if w.dead || now.Before(w.openUntil) {
+		if !w.eligible(now, c.stamp) {
 			continue
 		}
 		addrs = append(addrs, addr)
@@ -384,9 +450,10 @@ func (c *Coordinator) heartbeatLoop() {
 
 // ProbeAll health-checks every registered worker once, in parallel, and
 // updates liveness: success refreshes lastSeen (reviving dead workers
-// and closing breakers); a worker unheard-of past HeartbeatTimeout is
-// marked dead. Exported so tests and single-shot tools can drive health
-// without the background loop.
+// and closing breakers) and records the worker's version stamp; a
+// worker unheard-of past HeartbeatTimeout is marked dead. Exported so
+// tests and single-shot tools can drive health without the background
+// loop.
 func (c *Coordinator) ProbeAll(ctx context.Context) {
 	c.mu.Lock()
 	addrs := append([]string(nil), c.order...)
@@ -396,18 +463,12 @@ func (c *Coordinator) ProbeAll(ctx context.Context) {
 	}
 	c.mu.Unlock()
 
-	timeout := c.cfg.HeartbeatInterval
-	if timeout <= 0 {
-		timeout = time.Second
-	}
 	var wg sync.WaitGroup
 	for i := range addrs {
 		wg.Add(1)
 		go func(addr string, b Backend) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			if err := b.Health(pctx); err == nil {
+			if err := c.probe(ctx, addr, b); err == nil {
 				c.recordSuccess(addr)
 				return
 			}
@@ -438,6 +499,8 @@ func (c *Coordinator) Workers() []WorkerStatus {
 			st = WorkerDead
 		case now.Before(w.openUntil):
 			st = WorkerBreakerOpen
+		case !w.eligible(now, c.stamp):
+			st = WorkerStale
 		}
 		out = append(out, WorkerStatus{
 			Addr:                addr,

@@ -19,6 +19,7 @@ import (
 	"rdramstream/internal/service"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/stream"
+	"rdramstream/internal/version"
 )
 
 func scenario(n int) sim.Scenario {
@@ -552,5 +553,124 @@ func TestSweepValidationRejectsWhole(t *testing.T) {
 	}
 	if _, err := f.co.StartSweep(context.Background(), nil); !errors.Is(err, fabric.ErrEmptySweep) {
 		t.Fatalf("empty sweep: err = %v, want ErrEmptySweep", err)
+	}
+}
+
+// staleBackend is a worker that reports stamp instead of its build's
+// version stamp. Tests change stamp only between probes.
+type staleBackend struct {
+	fabric.Backend
+	stamp string
+}
+
+func (b *staleBackend) Health(ctx context.Context) (string, error) {
+	if _, err := b.Backend.Health(ctx); err != nil {
+		return "", err
+	}
+	return b.stamp, nil
+}
+
+// TestStaleWorkerGetsNoRows: a worker that reports another version stamp
+// runs another model, so it takes no shards (its rows would differ from
+// the coordinator's outcomes) until a probe finds it on the
+// coordinator's stamp. The mismatch shows in the stats and in /metrics.
+func TestStaleWorkerGetsNoRows(t *testing.T) {
+	good, stale := newService(t), newService(t)
+	sb := &staleBackend{Backend: &fabric.ServiceBackend{Svc: stale}, stamp: "another-build"}
+	backends := map[string]fabric.Backend{
+		"http://w0:1": &fabric.ServiceBackend{Svc: good},
+		"http://w1:1": sb,
+	}
+	local := newService(t)
+	co, err := fabric.NewCoordinator(fabric.Config{
+		Local: local, HeartbeatInterval: -1, RetryBackoff: time.Millisecond,
+		Dial: func(addr string) fabric.Backend { return backends[addr] },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(co.Close)
+	for _, addr := range []string{"http://w0:1", "http://w1:1"} {
+		if err := co.Register(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	// 24 distinct scenarios: with both workers on the ring, the chance
+	// that none hashes to w1 is 2^-24.
+	scs := mixedSweep(24)
+	got, err := co.RunAll(ctx, scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertByteIdentical(t, scs, got)
+	if n := stale.Metrics().Workers.TasksRun; n != 0 {
+		t.Fatalf("the stale worker ran %d scenarios, want 0", n)
+	}
+	if n := good.Metrics().Workers.TasksRun; n != int64(len(scs)) {
+		t.Fatalf("the current worker ran %d scenarios, want %d", n, len(scs))
+	}
+	st := co.Stats()
+	if st.StampMismatches != 1 || st.Live != 1 || st.Workers != 2 {
+		t.Fatalf("stats = %+v, want 1 stamp mismatch, 1 live of 2 workers", st)
+	}
+	if ws := co.Workers(); ws[1].State != fabric.WorkerStale {
+		t.Fatalf("worker w1 = %+v, want %s", ws[1], fabric.WorkerStale)
+	}
+	// Re-registration and heartbeats keep asking; the mismatch counts
+	// once per change of stamp.
+	if err := co.Register("http://w1:1"); err != nil {
+		t.Fatal(err)
+	}
+	co.ProbeAll(ctx)
+	if n := co.Stats().StampMismatches; n != 1 {
+		t.Fatalf("StampMismatches = %d after re-probing the same stamp, want 1", n)
+	}
+	ts := httptest.NewServer(fabric.Handler(co, service.NewHandler(local)))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(text), "\nrd_fabric_stamp_mismatches_total 1\n") {
+		t.Fatalf("/metrics lacks rd_fabric_stamp_mismatches_total 1:\n%s", text)
+	}
+
+	// Once the worker reports the coordinator's stamp, the health loop
+	// puts it back on the ring.
+	sb.stamp = version.Stamp()
+	co.ProbeAll(ctx)
+	if ws := co.Workers(); ws[1].State != fabric.WorkerLive {
+		t.Fatalf("worker w1 = %+v after reporting the current stamp, want live", ws[1])
+	}
+	more := mixedSweep(48)[24:]
+	if got, err = co.RunAll(ctx, more); err != nil {
+		t.Fatal(err)
+	}
+	assertByteIdentical(t, more, got)
+	if stale.Metrics().Workers.TasksRun == 0 {
+		t.Fatal("the worker back on the current stamp got no rows")
+	}
+}
+
+// TestFallbackSweepIsOneJob: a sweep that falls back to the
+// coordinator's own service lands its rows in its own job; the local
+// service registers no second job for them.
+func TestFallbackSweepIsOneJob(t *testing.T) {
+	f := newFleet(t, 0, nil, fabric.Config{})
+	scs := mixedSweep(4)
+	got, err := f.co.RunAll(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertByteIdentical(t, scs, got)
+	jobs := f.co.LocalService().Metrics().Jobs
+	if jobs.Submitted != 1 || jobs.Retained != 1 || jobs.Active != 0 {
+		t.Fatalf("jobs = %+v, want Submitted 1, Retained 1, Active 0", jobs)
+	}
+	if n := f.co.Stats().LocalScenarios; n != int64(len(scs)) {
+		t.Fatalf("LocalScenarios = %d, want %d", n, len(scs))
 	}
 }

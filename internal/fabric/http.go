@@ -90,6 +90,7 @@ func (c *Coordinator) publishMetrics() {
 	reg.SetCounter("rd_fabric_reshards_total", "Scenario re-assignments after mid-sweep worker failures.", float64(st.Reshards))
 	reg.SetCounter("rd_fabric_shed_total", "Sweeps rejected by admission control (HTTP 429).", float64(st.Shed))
 	reg.SetCounter("rd_fabric_worker_failures_total", "Failed remote attempts across all workers.", float64(st.WorkerFailures))
+	reg.SetCounter("rd_fabric_stamp_mismatches_total", "Health answers that found a worker on another version stamp (it takes no shards).", float64(st.StampMismatches))
 	for _, ws := range c.Workers() {
 		up := 0.0
 		if ws.State == WorkerLive {

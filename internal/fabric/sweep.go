@@ -283,28 +283,23 @@ func unackedOf(idx []int, acked []bool) []int {
 }
 
 // runLocal executes indices on the coordinator's own service — the
-// bottom of the degradation ladder. Every index lands a terminal result:
-// local execution is never re-sharded.
+// bottom of the degradation ladder — as slots of the sweep's own job, and
+// waits for them. Every index lands a terminal result: local execution
+// is never re-sharded, and if ctx ends first, run lands its cause in the
+// slots still empty.
 func (sw *Sweep) runLocal(ctx context.Context, idx []int) {
 	c := sw.co
-	sub := make([]sim.Scenario, len(idx))
-	for p, i := range idx {
-		sub[p] = sw.scs[i]
-	}
 	c.mu.Lock()
 	c.stats.LocalScenarios += int64(len(idx))
 	c.mu.Unlock()
-	job, err := c.cfg.Local.Submit(ctx, sub)
-	if err != nil {
+	if err := c.cfg.Local.Queue(sw.Job, sw.scs, idx); err != nil {
 		sw.landAll(idx, err)
 		return
 	}
-	for p, i := range idx {
-		res, err := job.WaitResult(ctx, p)
-		if err != nil {
-			res = service.ScenarioResult{Label: sw.scs[i].Label(), Error: err.Error()}
+	for _, i := range idx {
+		if _, err := sw.WaitResult(ctx, i); err != nil {
+			return
 		}
-		sw.Land(i, res)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"rdramstream/internal/addrmap"
@@ -155,6 +156,34 @@ func TestKeyMatchesReference(t *testing.T) {
 			t.Fatalf("scenario %d %+v: Key = %q, %v; reference %q, %v", i, sc, got, gerr, want, werr)
 		}
 	}
+}
+
+// Key's device memo and buffer pool are shared by every caller:
+// goroutines keying scenarios whose devices alternate still get the
+// reference keys (run under -race).
+func TestKeyConcurrentMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	scs := make([]sim.Scenario, 200)
+	want := make([]string, len(scs))
+	for i := range scs {
+		scs[i] = drawScenario(rng)
+		want[i], _ = refKey(scs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range scs {
+				i := (k*7 + g*13) % len(scs)
+				if got, _ := Key(scs[i]); got != want[i] {
+					t.Errorf("goroutine %d, scenario %d: Key = %q, reference %q", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // The disk entry file is byte-identical to the one the whole-entry

@@ -36,6 +36,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
@@ -44,7 +45,9 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
+	"rdramstream/internal/rdram"
 	"rdramstream/internal/sim"
 	"rdramstream/internal/version"
 )
@@ -226,11 +229,29 @@ func Key(sc sim.Scenario) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b := make([]byte, 0, 1024)
-	b = fmt.Appendf(b, "cache=%+v", canon.Cache)
+	bp := keyBufs.Get().(*[]byte)
+	b := (*bp)[:0]
+	// %+v spells a nil pointer "<nil>": the folds of absent configs skip
+	// fmt's reflection, and the device fold reuses the rendering of the
+	// last device config it saw.
+	if canon.Cache == nil {
+		b = append(b, "cache=<nil>"...)
+	} else {
+		b = fmt.Appendf(b, "cache=%+v", canon.Cache)
+	}
 	b = append(append(b, "\ncontroller="...), canon.Controller...)
-	b = fmt.Appendf(b, "\ndevice=%+v", canon.Device)
-	b = fmt.Appendf(b, "\nfault=%+v", canon.Fault)
+	if m := lastDevice.Load(); m != nil && m.cfg == canon.Device {
+		b = append(b, m.text...)
+	} else {
+		n := len(b)
+		b = fmt.Appendf(b, "\ndevice=%+v", canon.Device)
+		lastDevice.Store(&deviceText{cfg: canon.Device, text: bytes.Clone(b[n:])})
+	}
+	if canon.Fault == nil {
+		b = append(b, "\nfault=<nil>"...)
+	} else {
+		b = fmt.Appendf(b, "\nfault=%+v", canon.Fault)
+	}
 	b = strconv.AppendInt(append(b, "\nfifoDepth="...), int64(canon.FIFODepth), 10)
 	b = append(append(b, "\nkernel="...), canon.KernelName...)
 	b = strconv.AppendInt(append(b, "\nlineWords="...), int64(canon.LineWords), 10)
@@ -246,15 +267,40 @@ func Key(sc sim.Scenario) (string, error) {
 	// digest (and the pipeline depth), so this field is a fixed-size
 	// string however large the trace is — and a program keys identically
 	// to the access list it expands to.
-	b = fmt.Appendf(b, "\ntrace=%+v", canon.Workload)
+	if canon.Workload == nil {
+		b = append(b, "\ntrace=<nil>"...)
+	} else {
+		b = fmt.Appendf(b, "\ntrace=%+v", canon.Workload)
+	}
 	b = append(append(b, "\nversion="...), version.Stamp()...)
 	b = strconv.AppendInt(append(b, "\nwatchdog="...), canon.WatchdogLimit, 10)
 	b = strconv.AppendBool(append(b, "\nwriteAllocate="...), canon.WriteAllocate)
 	sum := sha256.Sum256(b)
+	if cap(b) <= 4096 {
+		*bp = b
+		keyBufs.Put(bp)
+	}
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], sum[:])
 	return string(key[:]), nil
 }
+
+// keyBufs recycles Key's digest input buffers. Every input is a few
+// hundred bytes (a trace is folded as its digest), so the pool holds
+// small buffers only.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// deviceText is a device config and its "\ndevice=%+v" line in the key's
+// digest input.
+type deviceText struct {
+	cfg  rdram.Config
+	text []byte
+}
+
+// lastDevice memoizes the device line of the last config Key folded:
+// the configs a server sees are almost always the one default part, and
+// rendering it by reflection was most of what keying cost.
+var lastDevice atomic.Pointer[deviceText]
 
 // Get looks the scenario up in memory (and then on disk, promoting a find
 // to memory) without running anything. The boolean reports a hit. Get

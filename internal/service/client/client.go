@@ -149,7 +149,7 @@ func (c *Client) Simulate(ctx context.Context, sc sim.Scenario) (service.Simulat
 	if resp.StatusCode != http.StatusOK {
 		return out, apiError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := service.DecodeResponse(resp.Body, &out); err != nil {
 		return out, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return out, nil
@@ -195,7 +195,7 @@ func (c *Client) Trace(ctx context.Context, sc sim.Scenario, name string, accs [
 	if resp.StatusCode != http.StatusOK {
 		return out, apiError(resp)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := service.DecodeResponse(resp.Body, &out); err != nil {
 		return out, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return out, nil

@@ -343,12 +343,7 @@ func failSubmit(w http.ResponseWriter, r *http.Request, err error) {
 // in a scenario field fails loudly instead of silently simulating the
 // default.
 func DecodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
+	return decodeStrict(r.Body, v)
 }
 
 // handleSimulate submits one scenario through submit, or, when it is
@@ -356,7 +351,7 @@ func DecodeStrict(r *http.Request, v any) error {
 // slice off the heap.
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request, submit func(context.Context, []sim.Scenario) (*Job, error)) {
 	var sc sim.Scenario
-	if err := DecodeStrict(r, &sc); err != nil {
+	if err := decodeScenario(r, &sc); err != nil {
 		failRequest(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -540,7 +535,7 @@ func (s *Service) publishSnapshot(m Metrics) {
 	reg.SetGauge("rd_worker_utilization", "Instantaneous busy fraction of the worker pool.", m.Workers.Utilization)
 	reg.SetCounter("rd_tasks_run_total", "Scenario tasks executed by the worker pool.", float64(m.Workers.TasksRun))
 	reg.SetCounter("rd_batches_total", "Dispatcher batches handed to the engine.", float64(m.Workers.Batches))
-	reg.SetCounter("rd_jobs_submitted_total", "Jobs accepted by Submit.", float64(m.Jobs.Submitted))
+	reg.SetCounter("rd_jobs_submitted_total", "Jobs registered, by Submit or by Open (a fabric sweep).", float64(m.Jobs.Submitted))
 	reg.SetGauge("rd_jobs_active", "Jobs not yet finished.", float64(m.Jobs.Active))
 	reg.SetGauge("rd_jobs_retained", "Finished and active jobs still queryable.", float64(m.Jobs.Retained))
 	for c, cycles := range m.Stalls {

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -117,7 +118,7 @@ type JobStatus struct {
 type Job struct {
 	id   string
 	ctx  context.Context
-	keys []string // keys[i] is scenario i's cache key; set at construction, never mutated
+	keys []string // keys[i] is scenario i's cache key; set before the job is registered, never mutated after
 
 	mu        sync.Mutex
 	state     State             // guarded by mu
@@ -127,6 +128,18 @@ type Job struct {
 	results   []*ScenarioResult // guarded by mu
 	ready     []chan struct{}   // ready[i] closes when results[i] lands; the slice is sized at construction and never reassigned
 	done      chan struct{}     // closes when every scenario is terminal
+
+	// one holds a one-scenario job's bookkeeping, so that every
+	// /v1/simulate and /v1/trace request builds its job in one
+	// allocation: keys, results and ready are its arrays, ready[0] is
+	// done, and its result and outcome are landed in place.
+	one struct {
+		key    [1]string
+		result [1]*ScenarioResult
+		ready  [1]chan struct{}
+		res    ScenarioResult // guarded by mu
+		out    sim.Outcome
+	}
 }
 
 // ID returns the job's queryable identifier.
@@ -216,7 +229,14 @@ func (j *Job) Land(i int, res ScenarioResult) bool {
 		return false
 	}
 	res.Index = i
-	j.results[i] = &res
+	if len(j.results) == 1 {
+		j.one.res = res
+		j.results[i] = &j.one.res
+	} else {
+		p := new(ScenarioResult)
+		*p = res
+		j.results[i] = p
+	}
 	j.completed++
 	if res.Error != "" {
 		j.failed++
@@ -229,11 +249,25 @@ func (j *Job) Land(i int, res ScenarioResult) bool {
 		j.state = StateDone
 	}
 	j.mu.Unlock()
-	close(j.ready[i])
+	if j.ready[i] != j.done {
+		close(j.ready[i])
+	}
 	if allDone {
 		close(j.done)
 	}
 	return true
+}
+
+// keep returns a pointer to a copy of a memory hit's outcome for slot
+// i's result: the job's own outcome field in a one-scenario job.
+func (j *Job) keep(out *sim.Outcome) *sim.Outcome {
+	if len(j.keys) == 1 {
+		j.one.out = *out
+		return &j.one.out
+	}
+	p := new(sim.Outcome)
+	*p = *out
+	return p
 }
 
 // task is one scenario of one job, the unit the queue and worker pool
@@ -373,24 +407,22 @@ func (s *Service) SubmitOne(ctx context.Context, sc sim.Scenario) (*Job, error) 
 // context contract; use context.Background() at the call site for a job
 // that should never be canceled.
 func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) {
-	keys, hits, err := s.keyAll(scs, ctx.Err() == nil)
+	job := newJob(ctx, len(scs), StateQueued)
+	// A one-scenario submission finds at most one hit: keep it on the
+	// stack.
+	var one [1]memoryHit
+	hits, err := s.keyAll(scs, job.keys, one[:0], ctx.Err() == nil)
 	if err != nil {
 		return nil, err
 	}
 	misses := len(scs) - len(hits)
 
 	s.mu.Lock()
-	if s.closed {
+	if err := s.roomLocked(misses); err != nil {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return nil, err
 	}
-	if len(s.queue)+misses > s.queueDepth {
-		depth := len(s.queue)
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d queued + %d submitted > depth %d",
-			ErrQueueFull, depth, misses, s.queueDepth)
-	}
-	job := s.openLocked(ctx, keys, StateQueued)
+	s.openLocked(job)
 	now := s.obsv.Now()
 	next := 0 // hits are in index order; skip each as the loop reaches it
 	for i, sc := range scs {
@@ -398,7 +430,7 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 			next++
 			continue
 		}
-		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, key: keys[i], submitted: now})
+		s.queue = append(s.queue, &task{job: job, i: i, sc: sc, key: job.keys[i], submitted: now})
 	}
 	if misses > 0 {
 		s.cond.Broadcast()
@@ -413,15 +445,15 @@ func (s *Service) Submit(ctx context.Context, scs []sim.Scenario) (*Job, error) 
 
 // Open validates and keys a sweep, as Submit does, and registers it as a
 // running job, but queues nothing: the caller runs the scenarios (the
-// fabric coordinator, across its workers) and lands each result with
-// Job.Land. The job streams, answers GET /v1/jobs/{id} and is retained
-// like any other. It counts as active, and is never evicted, until its
-// last slot lands, so the caller must land every slot, with the error
-// that stopped it if nothing else. ctx is the job's context, as for
-// Submit.
+// fabric coordinator, across its workers and through Queue) and lands
+// each result with Job.Land. The job streams, answers GET /v1/jobs/{id}
+// and is retained like any other. It counts as active, and is never
+// evicted, until its last slot lands, so the caller must land every
+// slot, with the error that stopped it if nothing else. ctx is the job's
+// context, as for Submit.
 func (s *Service) Open(ctx context.Context, scs []sim.Scenario) (*Job, error) {
-	keys, _, err := s.keyAll(scs, false)
-	if err != nil {
+	job := newJob(ctx, len(scs), StateRunning)
+	if _, err := s.keyAll(scs, job.keys, nil, false); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -429,28 +461,64 @@ func (s *Service) Open(ctx context.Context, scs []sim.Scenario) (*Job, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	return s.openLocked(ctx, keys, StateRunning), nil
+	s.openLocked(job)
+	return job, nil
 }
 
-// keyAll validates every scenario, then keys each once, for every cache
-// call it makes. With lookup it also consults the memory tier, which
-// does no I/O, so this runs outside s.mu; the disk and peer tiers stay on
-// the worker, inside DoKey.
-func (s *Service) keyAll(scs []sim.Scenario, lookup bool) (keys []string, hits []memoryHit, err error) {
+// Queue runs the given slots of a job Open registered on this service's
+// workers, as Submit runs a job's misses: each goes through the cache
+// and lands in its slot when it finishes. scs are the job's scenarios,
+// in the order Open was given them. Like Submit it is all-or-nothing:
+// ErrQueueFull or ErrClosed queues none of the slots, and the caller
+// still owns them.
+func (s *Service) Queue(job *Job, scs []sim.Scenario, idx []int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.roomLocked(len(idx)); err != nil {
+		return err
+	}
+	now := s.obsv.Now()
+	for _, i := range idx {
+		s.queue = append(s.queue, &task{job: job, i: i, sc: scs[i], key: job.keys[i], submitted: now})
+	}
+	if len(idx) > 0 {
+		s.cond.Broadcast()
+	}
+	return nil
+}
+
+// roomLocked refuses n more tasks, with ErrClosed or ErrQueueFull, unless
+// the queue can take them all. s.mu must be held.
+func (s *Service) roomLocked(n int) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if len(s.queue)+n > s.queueDepth {
+		return fmt.Errorf("%w: %d queued + %d submitted > depth %d",
+			ErrQueueFull, len(s.queue), n, s.queueDepth)
+	}
+	return nil
+}
+
+// keyAll validates every scenario, then keys each once into keys, for
+// every cache call it makes. With lookup it also consults the memory
+// tier, which does no I/O, so this runs outside s.mu (the disk and peer
+// tiers stay on the worker, inside DoKey), and appends each find to
+// hits.
+func (s *Service) keyAll(scs []sim.Scenario, keys []string, hits []memoryHit, lookup bool) ([]memoryHit, error) {
 	if len(scs) == 0 {
-		return nil, nil, ErrEmptyJob
+		return nil, ErrEmptyJob
 	}
 	for i, sc := range scs {
 		if err := sc.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("service: scenario %d: %w", i, err)
+			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
 	}
-	keys = make([]string, len(scs))
 	for i, sc := range scs {
 		start := s.obsv.Now()
 		key, err := resultcache.Key(sc)
 		if err != nil {
-			return nil, nil, fmt.Errorf("service: scenario %d: %w", i, err)
+			return nil, fmt.Errorf("service: scenario %d: %w", i, err)
 		}
 		keys[i] = key
 		if !lookup {
@@ -460,29 +528,50 @@ func (s *Service) keyAll(scs []sim.Scenario, lookup bool) (keys []string, hits [
 			hits = append(hits, memoryHit{i: i, res: res, start: start, end: s.obsv.Now()})
 		}
 	}
-	return keys, hits, nil
+	return hits, nil
 }
 
-// openLocked registers a job over keys in the given starting state.
-// s.mu must be held.
-func (s *Service) openLocked(ctx context.Context, keys []string, state State) *Job {
+// newJob builds a job of n scenarios in the given starting state, not
+// yet registered.
+func newJob(ctx context.Context, n int, state State) *Job {
+	if n != 1 {
+		ready := make([]chan struct{}, n)
+		for i := range ready {
+			ready[i] = make(chan struct{})
+		}
+		return &Job{
+			ctx: ctx, state: state, keys: make([]string, n),
+			results: make([]*ScenarioResult, n), ready: ready, done: make(chan struct{}),
+		}
+	}
+	j := &Job{ctx: ctx, state: state, done: make(chan struct{})}
+	j.keys, j.ready = j.one.key[:], j.one.ready[:]
+	j.one.ready[0] = j.done
+	// No one else holds the job yet; the lock only keeps the guarded
+	// field's rule without exceptions.
+	j.mu.Lock()
+	j.results = j.one.result[:]
+	j.mu.Unlock()
+	return j
+}
+
+// openLocked gives a job its ID and registers it. s.mu must be held.
+func (s *Service) openLocked(job *Job) {
 	s.nextJob++
-	job := &Job{
-		id:      fmt.Sprintf("job-%06d", s.nextJob),
-		ctx:     ctx,
-		keys:    keys,
-		state:   state,
-		results: make([]*ScenarioResult, len(keys)),
-		ready:   make([]chan struct{}, len(keys)),
-		done:    make(chan struct{}),
-	}
-	for i := range job.ready {
-		job.ready[i] = make(chan struct{})
-	}
+	job.id = jobID(s.nextJob)
 	s.jobs[job.id] = job
 	s.jobOrder = append(s.jobOrder, job)
 	s.evictJobsLocked()
-	return job
+}
+
+// jobID spells job n as "job-%06d" does.
+func jobID(n int64) string {
+	var b [32]byte
+	id := append(b[:0], "job-"...)
+	for w := int64(100000); w > 1 && n < w; w /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, n, 10))
 }
 
 // memoryHit is one scenario Submit found in the cache's memory tier,
@@ -509,7 +598,7 @@ func (s *Service) finishHits(job *Job, scs []sim.Scenario, hits []memoryHit) {
 		tr.Span(obs.StageCache, h.start, h.end, label)
 		s.observeStage(obs.StageCache, h.end.Sub(h.start))
 		tr.AddCacheHit()
-		job.Land(h.i, ScenarioResult{Label: label, Cached: true, Outcome: &h.res.Outcome, encoded: h.res.JSON})
+		job.Land(h.i, ScenarioResult{Label: label, Cached: true, Outcome: job.keep(&h.res.Outcome), encoded: h.res.JSON})
 	}
 }
 

@@ -310,7 +310,7 @@ func (sc Scenario) Label() string {
 			kernel = "trace:" + p.Name
 		}
 	}
-	return fmt.Sprintf("%s/%s/%s", kernel, sc.Scheme, name)
+	return kernel + "/" + sc.Scheme.String() + "/" + name
 }
 
 // Outcome reports a simulation's results: the controller's common outcome

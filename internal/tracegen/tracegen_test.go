@@ -2,6 +2,7 @@ package tracegen
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +217,39 @@ func TestCanonicalDigestMatchesMaterialized(t *testing.T) {
 	flipped[0].Write = !flipped[0].Write
 	if d, err := (&Spec{Accesses: flipped}).Canonical(); err != nil || d.Digest == byAccesses.Digest {
 		t.Errorf("flipping an op did not change the digest (err %v)", err)
+	}
+}
+
+// Generate reseeds a recycled generator; every program, generated in
+// any order, must still expand exactly as it does from a fresh
+// rand.NewSource(Seed+1).
+func TestGenerateReusedGeneratorMatchesFresh(t *testing.T) {
+	specs := []string{
+		"llm-kvcache:n=3000,ctxrows=8",
+		"hot-row:n=2000;chase:n=1000",
+		"strided:n=2500,stride=3,write=0.5",
+		"chase:n=1500",
+	}
+	var progs []*Program
+	for seed := int64(0); seed < 3; seed++ {
+		for _, spec := range specs {
+			progs = append(progs, mustProgram(t, spec, seed*7919+1))
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, p := range progs {
+			got, err := p.Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(p.Seed + 1))
+			var want []workload.TraceAccess
+			for _, ph := range p.Phases {
+				want = genPhase(rng, ph.withDefaults(), want)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d, program %d (%s): Generate differs from a fresh generator", round, i, p.Name)
+			}
+		}
 	}
 }
