@@ -58,14 +58,16 @@ serve:
 	$(GO) run ./cmd/rdserved -addr :8347 -cache-dir out/rdcache
 
 # Short fuzz passes over the address mapper, the device protocol, the
-# scenario validator, the rdtrace/v1 decoder and the hit path's JSON
-# reader: the five targets CI fuzzes.
+# scenario validator, the rdtrace/v1 decoder, the hit path's JSON
+# reader and the trace reorder window against its reference scan: the
+# six targets CI fuzzes.
 fuzz:
 	$(GO) test -fuzz=FuzzMapUnmap -fuzztime=10s ./internal/addrmap/
 	$(GO) test -fuzz=FuzzDeviceDo -fuzztime=10s ./internal/rdram/
 	$(GO) test -fuzz=FuzzScenarioValidate -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/tracegen/
 	$(GO) test -fuzz=FuzzWireReader -fuzztime=10s ./internal/service/
+	$(GO) test -fuzz=FuzzReorderMatchesScan -fuzztime=10s ./internal/workload/
 
 clean:
 	rm -rf out

@@ -11,9 +11,10 @@
 // silently eroding. Only the multi-ms scenarios are time-gated — the
 // long streams, timing-only and verified (under PI and CLI) for each of
 // the SMC and natural order, timing-only for the conventional
-// controller, and a reordered trace replay under PI and under CLI: at
-// several ms/run their min-of-N timing is stable on shared CI runners,
-// where the sub-ms scenarios are not. Allocation counts are exact, so
+// controller, and the reordered trace replays (llm-kvcache under PI and
+// under CLI, a chase that mostly misses its rows under PI): at several
+// ms/run their min-of-N timing is stable on shared CI runners, where
+// the sub-ms scenarios are not. Allocation counts are exact, so
 // every row is allocation-gated. Two rows time a warm cache hit instead
 // of a simulation: through the service in process (BenchmarkServiceHit)
 // and over loopback HTTP with the Go client (BenchmarkHTTPHit). Each of
@@ -95,6 +96,11 @@ const (
 	// /v1/simulate request and response bodies went through
 	// encoding/json and whose one-scenario jobs were built like sweeps.
 	jsonHitCommit = "10f59fe"
+	// scanReorderCommit is the parent of the indexed reorder window,
+	// whose reordered replay built the whole transaction list up front
+	// and walked the window for a row hit on every issue, and whose trace
+	// runs expanded every program into a buffer of its own.
+	scanReorderCommit = "1be6361"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -227,6 +233,20 @@ func coreCases() []coreCase {
 				Scheme: rdramstream.CLI, Mode: rdramstream.SMC, FIFODepth: 64,
 			},
 			baseline: stripeLocCommit, beforeNs: 4_445_744, beforeAl: 44,
+			gate: true,
+		},
+		{
+			name: "TraceReplayChasePI",
+			desc: "chase n=65536 seed 7, PI/smc fifo=32 reordered replay",
+			sc: rdramstream.Scenario{
+				Workload: &rdramstream.TraceSpec{Program: &rdramstream.TraceProgram{
+					Name: "chase", Seed: 7, Phases: []rdramstream.TracePhase{
+						{Pattern: "chase", Accesses: 65536},
+					},
+				}},
+				Scheme: rdramstream.PI, Mode: rdramstream.SMC, FIFODepth: 32,
+			},
+			baseline: scanReorderCommit, beforeNs: 8_802_324, beforeAl: 9,
 			gate: true,
 		},
 		{
@@ -402,14 +422,20 @@ func runCoreBench(iters int, outPath string) {
 			"up in its stripe cache and a trace replay that maps and builds a " +
 			"request per packet and scans for row hits under CLI; " +
 			jsonHitCommit + " decodes hit request and response bodies with " +
-			"encoding/json and builds one-scenario jobs like sweeps. " +
+			"encoding/json and builds one-scenario jobs like sweeps; " +
+			scanReorderCommit + " builds a reordered replay's whole " +
+			"transaction list up front, walks the window for a row hit on " +
+			"every issue and expands every trace program into a buffer of " +
+			"its own. " +
 			"after = current build, with the page-table functional store, one " +
 			"paged word image for seed/verify and store capture, a memory " +
 			"cursor whose Loc is arithmetic and whose stripes cache pages " +
 			"only, a functional harness that walks stripes in chunks, an SMC " +
 			"that plans packets on demand, mapping once per interleave unit, " +
 			"behind a timing-only processor front end, a trace replay " +
-			"that maps once per line transaction, and a hit path that reads " +
+			"that maps once per line transaction and reorders through an " +
+			"indexed window fed on demand, trace programs expanded into a " +
+			"reused buffer, and a hit path that reads " +
 			"its bodies without encoding/json. ServiceHit and HTTPHit time one " +
 			"warm cache hit, in process and over loopback HTTP; their counts " +
 			"include the server's and the client's allocations. ns/op is the " +

@@ -264,6 +264,8 @@ func TestMalformedBodiesKeepTheirErrors(t *testing.T) {
 		strings.Replace(g, `"daxpy"`, `"nope"`, 1),
 		strings.Replace(g, `"Controller":""`, `"Controller":"nope"`, 1),
 		strings.Replace(g, `"TPack":0`, `"TPack":-1`, 1),
+		strings.Replace(g, `"Banks":0`, `"Banks":16`, 1),
+		strings.Replace(g, `"RefreshInterval":0`, `"RefreshInterval":5000`, 1),
 		g[:len(g)-2] + strings.Repeat(" ", maxWireBody),
 	} {
 		rec := httptest.NewRecorder()
@@ -282,6 +284,27 @@ func TestMalformedBodiesKeepTheirErrors(t *testing.T) {
 		if rec.Code != http.StatusBadRequest || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 			t.Errorf("%.80q: status %d body %s, want 400 %s", body, rec.Code, rec.Body.Bytes(), want.Body.Bytes())
 		}
+	}
+}
+
+// A scenario whose Device sets only part of the part is refused with
+// 400 and sim.ErrPartialDevice's text, not run as the default part.
+func TestPartialDeviceIs400(t *testing.T) {
+	svc := newService(t, Config{Workers: 1})
+	h := NewHandler(svc)
+	sc := scenario(64)
+	sc.Device.Geometry.Banks = 16
+	if _, err := svc.SubmitOne(context.Background(), sc); !errors.Is(err, sim.ErrPartialDevice) {
+		t.Fatalf("SubmitOne = %v, want sim.ErrPartialDevice", err)
+	}
+	body, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), sim.ErrPartialDevice.Error()) {
+		t.Errorf("status %d body %s, want 400 naming %q", rec.Code, rec.Body.Bytes(), sim.ErrPartialDevice)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"rdramstream/internal/stream"
 	"rdramstream/internal/telemetry"
 	"rdramstream/internal/tracegen"
+	"rdramstream/internal/workload"
 
 	// Imported for its engine.Register call: every controller the
 	// Scenario API can name must be linked in. The workload package
@@ -101,7 +102,9 @@ type Scenario struct {
 	Cache *cache.Config `json:"Cache"`
 
 	// Device overrides the device configuration (zero value = paper's
-	// default part).
+	// default part). An override spells out both Timing and Geometry:
+	// one that leaves either zero is an ErrPartialDevice, not the
+	// default part.
 	Device rdram.Config `json:"Device"`
 	// Fault, when non-nil and active, attaches a deterministic fault
 	// injector to the device (see internal/fault): refresh storms, per-bank
@@ -159,7 +162,7 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Stride == 0 {
 		sc.Stride = 1
 	}
-	if sc.Device.Timing.TPack == 0 {
+	if sc.Device == (rdram.Config{}) {
 		sc.Device = rdram.DefaultConfig()
 	}
 	return sc
@@ -179,6 +182,7 @@ var (
 	ErrBadWatchdog       = errors.New("sim: WatchdogLimit must be non-negative")
 	ErrTraceScenario     = errors.New("sim: invalid trace scenario")
 	ErrTraceController   = errors.New("sim: unsupported trace controller")
+	ErrPartialDevice     = errors.New("sim: partial Device")
 )
 
 // Validate checks the scenario (after default filling) and returns a typed
@@ -231,7 +235,7 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("%w %q (have %v)", ErrUnknownController, sc.Controller, engine.Names())
 		}
 	}
-	if err := sc.Device.Validate(); err != nil {
+	if err := validateDevice(sc.Device); err != nil {
 		return err
 	}
 	if sc.Fault != nil {
@@ -240,6 +244,25 @@ func (sc Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// validateDevice checks a scenario's device after default filling: only
+// the zero Device stands for the default part, so a Device that sets
+// some fields but leaves Timing or Geometry zero is an ErrPartialDevice
+// rather than a part nobody asked for.
+func validateDevice(c rdram.Config) error {
+	if c.Timing == (rdram.Timing{}) || c.Geometry == (rdram.Geometry{}) {
+		return fmt.Errorf("%w: set both Timing and Geometry, or neither for the default part", ErrPartialDevice)
+	}
+	return c.Validate()
+}
+
+// DeviceConfig returns the device sc runs on: the paper's default part
+// when sc.Device is the zero Config, else sc.Device itself, checked as
+// Validate checks it (a partial Device is an ErrPartialDevice).
+func DeviceConfig(sc Scenario) (rdram.Config, error) {
+	c := sc.withDefaults().Device
+	return c, validateDevice(c)
 }
 
 // Canonical returns the scenario in normal form: defaults filled
@@ -495,7 +518,7 @@ func newDevice(sc Scenario) (*rdram.Device, *scratch, error) {
 			return nil, nil, err
 		}
 	}
-	if err := sc.Device.Validate(); err != nil {
+	if err := validateDevice(sc.Device); err != nil {
 		return nil, nil, err
 	}
 	dev := rdram.NewDevice(sc.Device)
@@ -521,13 +544,15 @@ func finalize(col *telemetry.Collector, dev *rdram.Device, out Outcome) {
 }
 
 // scratch is the per-run allocation set a sweep recycles: the device's
-// page table and page slots, the seed generator, and the seed/verify
-// golden image. newDevice checks one out per run and release returns it;
-// sync.Pool keeps reuse per-worker-safe at any sweep width.
+// page table and page slots, the seed generator, the seed/verify golden
+// image, and a trace run's expanded program (see materialize). newDevice
+// checks one out per run and release returns it; sync.Pool keeps reuse
+// per-worker-safe at any sweep width.
 type scratch struct {
 	pages rdram.PagePool
 	image engine.Image
 	gen   *rand.Rand
+	trace []workload.TraceAccess
 }
 
 // rng returns the scratch's seed generator; seed reseeds it every run.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,8 @@ import (
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/smc"
 	"rdramstream/internal/stream"
+	"rdramstream/internal/tracegen"
+	"rdramstream/internal/workload"
 )
 
 func TestRunAllKernelsBothModesVerified(t *testing.T) {
@@ -103,6 +106,57 @@ func TestScenarioValidation(t *testing.T) {
 		if _, err := Run(sc); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// Only the zero Device stands for the default part: a Device that sets
+// some fields and leaves Timing or Geometry zero is refused with
+// ErrPartialDevice by Validate, Run (kernel and trace) and RunKernel,
+// where it used to run silently as the default part.
+func TestPartialDeviceRejected(t *testing.T) {
+	def := rdram.DefaultConfig()
+	for name, dev := range map[string]rdram.Config{
+		"banks only":    {Geometry: rdram.Geometry{Banks: 16}},
+		"refresh only":  {RefreshInterval: 5000},
+		"timing only":   {Timing: def.Timing},
+		"geometry only": {Geometry: def.Geometry},
+	} {
+		kernel := Scenario{KernelName: "daxpy", N: 64, Scheme: addrmap.PI, Mode: SMC, Device: dev}
+		trace := Scenario{Scheme: addrmap.PI, Mode: SMC, Device: dev,
+			Workload: &tracegen.Spec{Accesses: []workload.TraceAccess{{Addr: 0}, {Addr: 512}}}}
+		for _, sc := range []Scenario{kernel, trace} {
+			if err := sc.Validate(); !errors.Is(err, ErrPartialDevice) {
+				t.Errorf("%s: Validate = %v, want ErrPartialDevice", name, err)
+			}
+			if _, err := Run(sc); !errors.Is(err, ErrPartialDevice) {
+				t.Errorf("%s: Run = %v, want ErrPartialDevice", name, err)
+			}
+		}
+		k, err := BuildKernel(Scenario{KernelName: "daxpy", N: 64, Scheme: addrmap.PI})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunKernel(k, kernel); !errors.Is(err, ErrPartialDevice) {
+			t.Errorf("%s: RunKernel = %v, want ErrPartialDevice", name, err)
+		}
+	}
+	// The zero Device is the default part, and a full override runs as
+	// given.
+	zero := Scenario{KernelName: "daxpy", N: 64, Scheme: addrmap.PI, Mode: SMC}
+	spelled := zero
+	spelled.Device = def
+	slow := zero
+	slow.Device = def
+	slow.Device.Timing.TCAC += 8
+	outs, err := RunAll([]Scenario{zero, spelled, slow}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("the zero Device and DefaultConfig differ: %+v vs %+v", outs[0].Result, outs[1].Result)
+	}
+	if outs[2] == outs[0] {
+		t.Error("a device with a slower t_CAC ran as the default part")
 	}
 }
 

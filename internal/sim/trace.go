@@ -1,21 +1,20 @@
 package sim
 
-import "rdramstream/internal/workload"
+import (
+	"rdramstream/internal/tracegen"
+	"rdramstream/internal/workload"
+)
 
 // runTrace executes a trace scenario: the Workload spec is materialized
-// (generator programs expand here, deterministically) and replayed
-// through workload.ReplayTrace under the scenario's scheme, line size,
-// and controller — "natural-order" replays in trace order, "smc"
-// reorders row-hits-first over a FIFODepth-deep window. The device
-// comes from newDevice, the setup RunKernel uses too, so trace rows slot
-// into sweeps, caching, and the fabric with no special cases above this
-// function.
+// (generator programs expand here, deterministically, into the run's
+// scratch buffer) and replayed through workload.ReplayTrace under the
+// scenario's scheme, line size, and controller — "natural-order"
+// replays in trace order, "smc" reorders row-hits-first over a
+// FIFODepth-deep window. The device comes from newDevice, the setup
+// RunKernel uses too, so trace rows slot into sweeps, caching, and the
+// fabric with no special cases above this function.
 func runTrace(sc Scenario) (Outcome, error) {
 	if err := sc.Validate(); err != nil {
-		return Outcome{}, err
-	}
-	accs, err := sc.Workload.Materialize()
-	if err != nil {
 		return Outcome{}, err
 	}
 	dev, scr, err := newDevice(sc)
@@ -23,6 +22,10 @@ func runTrace(sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	defer scr.release(dev)
+	accs, err := scr.materialize(sc.Workload)
+	if err != nil {
+		return Outcome{}, err
+	}
 	// A trace carries addresses, not data: the replay is timing-only by
 	// construction, like a SkipVerify kernel run.
 	dev.SetTimingOnly(true)
@@ -48,4 +51,25 @@ func runTrace(sc Scenario) (Outcome, error) {
 	out := Outcome{Result: res, Verified: true}
 	finalize(sc.Telemetry, dev, out)
 	return out, nil
+}
+
+// maxScratchTrace is the largest trace buffer, in accesses, a scratch
+// keeps for the next run: 1 MiB, room for any trace the benchmarks and
+// figures replay. A program above it expands into a buffer of its own,
+// which goes with its run, so a 4 Mi-access program does not stay pinned
+// in the pool.
+const maxScratchTrace = 1 << 16
+
+// materialize returns spec's access trace. A program expands into the
+// scratch's trace buffer, reused from run to run; an explicit access
+// list is replayed where it is.
+func (scr *scratch) materialize(spec *tracegen.Spec) ([]workload.TraceAccess, error) {
+	if spec.Program == nil {
+		return spec.Materialize()
+	}
+	accs, err := spec.Program.AppendTo(scr.trace[:0])
+	if cap(accs) <= maxScratchTrace {
+		scr.trace = accs[:0]
+	}
+	return accs, err
 }

@@ -172,3 +172,48 @@ func TestTraceLabel(t *testing.T) {
 		t.Error("anonymous trace scenario has no label")
 	}
 }
+
+// A program expands into the scratch's trace buffer, which keeps its
+// storage for the next run only up to maxScratchTrace accesses.
+func TestScratchTraceBound(t *testing.T) {
+	spec := func(n int) *tracegen.Spec {
+		return &tracegen.Spec{Program: &tracegen.Program{Seed: 3, Phases: []tracegen.Phase{
+			{Pattern: tracegen.PatternStrided, Accesses: n},
+		}}}
+	}
+	var scr scratch
+	small, err := scr.materialize(spec(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := spec(1000).Program.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(small, want) {
+		t.Fatal("materialize differs from Generate")
+	}
+	kept := cap(scr.trace)
+	if kept < 1000 {
+		t.Fatalf("scratch kept %d accesses of storage, want the 1000-access buffer", kept)
+	}
+	big, err := scr.materialize(spec(maxScratchTrace + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(big) != maxScratchTrace+1 {
+		t.Fatalf("%d accesses, want %d", len(big), maxScratchTrace+1)
+	}
+	if cap(scr.trace) != kept {
+		t.Errorf("scratch kept %d accesses of storage after a %d-access program, want its earlier %d", cap(scr.trace), len(big), kept)
+	}
+	// An explicit list is replayed in place.
+	list := []workload.TraceAccess{{Addr: 8}, {Addr: 64, Write: true}}
+	got, err := scr.materialize(&tracegen.Spec{Accesses: list})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &list[0] {
+		t.Error("an explicit access list was copied")
+	}
+}

@@ -12,6 +12,7 @@ package tracegen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"rdramstream/internal/workload"
@@ -219,14 +220,21 @@ func (p *Program) Validate() error {
 // order, a defined number of draws per emitted burst — so the output is
 // a pure function of the program.
 func (p *Program) Generate() ([]workload.TraceAccess, error) {
+	return p.AppendTo(nil)
+}
+
+// AppendTo appends the program's trace, Generate's, to dst and returns
+// the extended slice, growing dst at most once: a caller that replays
+// program after program reuses one buffer.
+func (p *Program) AppendTo(dst []workload.TraceAccess) ([]workload.TraceAccess, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	total := 0
 	for _, ph := range p.Phases {
 		total += ph.withDefaults().Accesses
 	}
-	out := make([]workload.TraceAccess, 0, total)
+	out := slices.Grow(dst, total)
 	rng := rngs.Get().(*rand.Rand)
 	// Reseeding restarts the source exactly where rand.NewSource(seed)
 	// starts it, without allocating its 4.9 KB state again.

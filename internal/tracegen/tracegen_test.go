@@ -253,3 +253,35 @@ func TestGenerateReusedGeneratorMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// AppendTo appends Generate's trace after what dst holds, reusing dst's
+// storage when it is large enough, and leaves dst as it was when the
+// program is invalid.
+func TestAppendToMatchesGenerate(t *testing.T) {
+	p := mustProgram(t, "llm-kvcache:n=3000,ctxrows=8;chase:n=1000", 5)
+	want, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []workload.TraceAccess{{Addr: 1}, {Addr: 2, Write: true}}
+	buf := make([]workload.TraceAccess, 0, len(prefix)+len(want))
+	buf = append(buf, prefix...)
+	got, err := p.AppendTo(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[:len(prefix)], prefix) || !reflect.DeepEqual(got[len(prefix):], want) {
+		t.Fatal("AppendTo differs from the prefix followed by Generate's trace")
+	}
+	if &got[0] != &buf[0] {
+		t.Error("AppendTo reallocated a buffer with room for the trace")
+	}
+	again, err := p.AppendTo(got[:0])
+	if err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("AppendTo into a reused buffer: %v, equal %v", err, reflect.DeepEqual(again, want))
+	}
+	bad := &Program{Phases: []Phase{{Pattern: "nope"}}}
+	if out, err := bad.AppendTo(prefix); err == nil || len(out) != len(prefix) {
+		t.Errorf("invalid program: err %v, %d accesses, want an error and the %d given", err, len(out), len(prefix))
+	}
+}

@@ -28,29 +28,73 @@ func kvTrace(tb testing.TB, n int) []workload.TraceAccess {
 	return accs
 }
 
-// BenchmarkReplayTrace times one replay of a 12,288-access llm-kvcache
-// trace in order and reordered under each scheme, and reports the cost
-// per line transaction.
+// benchTraces are BenchmarkReplayTrace's 12,288-access traces: the
+// row-granular llm-kvcache traffic the trace-mix benchmark replays most,
+// a hot-row trace, mostly row hits, and a chase, mostly row misses,
+// where a reordered replay finds little to reorder and pays its window
+// for nothing.
+func benchTraces(tb testing.TB) []pinInput {
+	const n = 12288
+	return []pinInput{
+		{name: "KVCache", accs: kvTrace(tb, n)},
+		{name: "HotRow", accs: program(tb, 8, tracegen.Phase{Pattern: tracegen.PatternHotRow}, n)},
+		{name: "Chase", accs: program(tb, 9, tracegen.Phase{Pattern: tracegen.PatternChase}, n)},
+	}
+}
+
+// BenchmarkReplayTrace times one replay of each benchTraces trace in
+// order and reordered under each scheme, and reports the cost per line
+// transaction.
 func BenchmarkReplayTrace(b *testing.B) {
-	accs := kvTrace(b, 12288)
-	for _, c := range []struct {
-		name    string
-		reorder bool
-	}{{"InOrder", false}, {"Reordered", true}} {
-		for _, s := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
-			opt := workload.TraceOptions{Scheme: s, LineWords: 4, Reorder: c.reorder}
-			b.Run(c.name+"/"+s.String(), func(b *testing.B) {
-				var txns int64
-				for i := 0; i < b.N; i++ {
-					res, err := workload.ReplayTrace(timingDevice(), opt, accs)
-					if err != nil {
-						b.Fatal(err)
+	for _, tr := range benchTraces(b) {
+		for _, c := range []struct {
+			name    string
+			reorder bool
+		}{{"InOrder", false}, {"Reordered", true}} {
+			for _, s := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
+				opt := workload.TraceOptions{Scheme: s, LineWords: 4, Reorder: c.reorder}
+				b.Run(tr.name+"/"+c.name+"/"+s.String(), func(b *testing.B) {
+					var txns int64
+					for i := 0; i < b.N; i++ {
+						res, err := workload.ReplayTrace(timingDevice(), opt, tr.accs)
+						if err != nil {
+							b.Fatal(err)
+						}
+						txns = res.Device.PacketCount() * rdram.WordsPerPacket / int64(opt.LineWords)
 					}
-					txns = res.Device.PacketCount() * rdram.WordsPerPacket / int64(opt.LineWords)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*txns), "ns/txn")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*txns), "ns/txn")
+				})
+			}
 		}
+	}
+}
+
+// BenchmarkReplayTraceWindow times the 12,288-access chase of
+// benchTraces under PI in order and reordered through windows of one and
+// 32 transactions. Through one transaction the schedule is trace order,
+// so what the window costs beyond the in-order loop is the reorder
+// loop's fixed cost per transaction.
+func BenchmarkReplayTraceWindow(b *testing.B) {
+	accs := benchTraces(b)[2].accs
+	for _, c := range []struct {
+		name string
+		opt  workload.TraceOptions
+	}{
+		{"InOrder", workload.TraceOptions{Scheme: addrmap.PI, LineWords: 4}},
+		{"Window1", workload.TraceOptions{Scheme: addrmap.PI, LineWords: 4, Reorder: true, Window: 1}},
+		{"Window32", workload.TraceOptions{Scheme: addrmap.PI, LineWords: 4, Reorder: true, Window: 32}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var txns int64
+			for i := 0; i < b.N; i++ {
+				res, err := workload.ReplayTrace(timingDevice(), c.opt, accs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				txns = res.Device.PacketCount() * rdram.WordsPerPacket / int64(c.opt.LineWords)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*txns), "ns/txn")
+		})
 	}
 }
 

@@ -197,9 +197,11 @@ type DepthResult = smc.DepthResult
 // "the best FIFO depth must be chosen experimentally" — this is that
 // experiment.
 func TuneFIFODepth(sc Scenario, depths []int, tolerance float64) (int, []DepthResult, error) {
-	if sc.Device.Timing.TPack == 0 {
-		sc.Device = rdram.DefaultConfig()
+	dev, err := sim.DeviceConfig(sc)
+	if err != nil {
+		return 0, nil, err
 	}
+	sc.Device = dev
 	if sc.LineWords == 0 {
 		sc.LineWords = 4
 	}

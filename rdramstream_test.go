@@ -1,10 +1,12 @@
 package rdramstream_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"rdramstream"
+	"rdramstream/internal/sim"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -97,5 +99,26 @@ func TestFacadeNaturalOrderVsSMC(t *testing.T) {
 	}
 	if s.PercentPeak <= n.PercentPeak {
 		t.Errorf("SMC %.1f%% should beat natural order %.1f%%", s.PercentPeak, n.PercentPeak)
+	}
+}
+
+// TestFacadeTuneDevice checks that TuneFIFODepth reads Device as a
+// scenario does: the zero Device is the default part, and a partial one
+// is an ErrPartialDevice, not the default part.
+func TestFacadeTuneDevice(t *testing.T) {
+	sc := rdramstream.Scenario{KernelName: "copy", N: 256, Scheme: rdramstream.PI}
+	depths := []int{16, 32}
+	_, zero, err := rdramstream.TuneFIFODepth(sc, depths, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Device = rdramstream.DefaultDevice()
+	if _, def, err := rdramstream.TuneFIFODepth(sc, depths, 2); err != nil || def[0] != zero[0] || def[1] != zero[1] {
+		t.Errorf("default part: %v, %v; zero Device: %v", def, err, zero)
+	}
+	sc.Device = rdramstream.DeviceConfig{}
+	sc.Device.Geometry.Banks = 16
+	if _, _, err := rdramstream.TuneFIFODepth(sc, depths, 2); !errors.Is(err, sim.ErrPartialDevice) {
+		t.Errorf("partial Device: err %v, want ErrPartialDevice", err)
 	}
 }
