@@ -152,3 +152,45 @@ func TestFailedRunWritesProfiles(t *testing.T) {
 		}
 	}
 }
+
+// profileCases are the runs whose whole -profile bundle is pinned under
+// testdata/profile/<name>/: an SMC kernel run under PI, a natural-order
+// kernel run under CLI, and a reordered generated-trace replay.
+var profileCases = []struct {
+	name string
+	args []string
+}{
+	{"daxpy_smc_pi", []string{"-kernel", "daxpy", "-n", "64", "-mode", "smc", "-scheme", "pi", "-fifo", "16", "-window", "64"}},
+	{"daxpy_natural_cli", []string{"-kernel", "daxpy", "-n", "64", "-mode", "natural", "-scheme", "cli", "-window", "64"}},
+	{"hotrow_smc_pi", []string{"-trace-gen", "hot-row:n=96", "-mode", "smc", "-scheme", "pi", "-fifo", "16", "-window", "64"}},
+}
+
+// TestProfileGolden pins every file of the -profile bundle byte for byte:
+// the report, the per-window series, the captured events and the Chrome
+// trace. Regenerate a case with
+//
+//	go run ./cmd/rdsim <args> -profile cmd/rdsim/testdata/profile/<name>
+func TestProfileGolden(t *testing.T) {
+	for _, c := range profileCases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			code, _, stderr := rdsim(append(c.args, "-profile", dir)...)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+			}
+			for _, name := range []string{"metrics.json", "timeseries.csv", "events.jsonl", "trace.json"} {
+				want, err := os.ReadFile(filepath.Join("testdata", "profile", c.name, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs from testdata/profile/%s/%s", name, c.name, name)
+				}
+			}
+		})
+	}
+}
