@@ -14,8 +14,10 @@
 // controller, and the reordered trace replays (llm-kvcache under PI and
 // under CLI, a chase that mostly misses its rows under PI): at several
 // ms/run their min-of-N timing is stable on shared CI runners, where
-// the sub-ms scenarios are not. Allocation counts are exact, so
-// every row is allocation-gated. Two rows time a warm cache hit instead
+// the sub-ms scenarios are not (the TelemetryOn rows, a collector
+// attached to each sub-ms run, read over 2x their committed time in one
+// of two invocations). Allocation counts are exact, so every row is
+// allocation-gated. Two rows time a warm cache hit instead
 // of a simulation: through the service in process (BenchmarkServiceHit)
 // and over loopback HTTP with the Go client (BenchmarkHTTPHit). Each of
 // their iterations times thousands or hundreds of hits, and their
@@ -49,11 +51,14 @@ type coreCase struct {
 	// entry and returns one cache hit, the number of hits an iteration
 	// times (a hit takes microseconds) and the function that stops the
 	// server.
-	hit      func() (op func(), reps int, stop func())
-	baseline string // commit the before numbers were measured at
-	beforeNs int64  // min wall ns/run at baseline
-	beforeAl int64  // heap allocations/run at baseline
-	gate     bool   // include in the -check CI regression gate
+	hit func() (op func(), reps int, stop func())
+	// telemetry attaches a fresh counters-only collector (window 256, no
+	// event capture) to every run, as BenchmarkTelemetryOn does.
+	telemetry bool
+	baseline  string // commit the before numbers were measured at
+	beforeNs  int64  // min wall ns/run at baseline
+	beforeAl  int64  // heap allocations/run at baseline
+	gate      bool   // include in the -check CI regression gate
 }
 
 // open returns the case's timed operation, how many of them one timed
@@ -63,7 +68,11 @@ func (c coreCase) open() (op func(), reps int, stop func()) {
 		return c.hit()
 	}
 	return func() {
-		if _, err := rdramstream.Simulate(c.sc); err != nil {
+		sc := c.sc
+		if c.telemetry {
+			sc.Telemetry = rdramstream.NewTelemetry(rdramstream.TelemetryOptions{Window: 256})
+		}
+		if _, err := rdramstream.Simulate(sc); err != nil {
 			fatalf("bench-core: %v", err)
 		}
 	}, 1, func() {}
@@ -101,6 +110,10 @@ const (
 	// and walked the window for a row hit on every issue, and whose trace
 	// runs expanded every program into a buffer of its own.
 	scanReorderCommit = "1be6361"
+	// probeTierCommit is the parent of the windowed device counters, where
+	// a collector watched the device through its packet trace hook and
+	// summed each bus's occupancy into float series of its own.
+	probeTierCommit = "fe9c5c0"
 )
 
 // coreCases pins the scenarios and their baselines, measured at each
@@ -109,25 +122,26 @@ const (
 // just after the run that wrote the committed file (the host's speed
 // drifts over minutes), allocs via MemStats after a pool-warming run.
 func coreCases() []coreCase {
+	// The short scenarios, timed bare and with a collector attached.
+	copySMC := rdramstream.Scenario{
+		KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
+		Mode: rdramstream.SMC, FIFODepth: 128,
+		Placement: rdramstream.Staggered, SkipVerify: true,
+	}
+	daxpyNatural := rdramstream.Scenario{
+		KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
+		Mode:      rdramstream.NaturalOrder,
+		Placement: rdramstream.Staggered, SkipVerify: true,
+	}
+	daxpySMC := daxpyNatural
+	daxpySMC.Mode, daxpySMC.FIFODepth = rdramstream.SMC, 128
 	return []coreCase{
 		{
-			name: "SMCCopy1024",
-			desc: "copy n=1024 CLI/smc fifo=128 staggered",
-			sc: rdramstream.Scenario{
-				KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
-				Mode: rdramstream.SMC, FIFODepth: 128,
-				Placement: rdramstream.Staggered, SkipVerify: true,
-			},
+			name: "SMCCopy1024", desc: "copy n=1024 CLI/smc fifo=128 staggered", sc: copySMC,
 			baseline: mapStoreCommit, beforeNs: 227_522, beforeAl: 22,
 		},
 		{
-			name: "NaturalOrderDaxpy1024",
-			desc: "daxpy n=1024 PI/natural staggered",
-			sc: rdramstream.Scenario{
-				KernelName: "daxpy", N: 1024, Scheme: rdramstream.PI,
-				Mode:      rdramstream.NaturalOrder,
-				Placement: rdramstream.Staggered, SkipVerify: true,
-			},
+			name: "NaturalOrderDaxpy1024", desc: "daxpy n=1024 PI/natural staggered", sc: daxpyNatural,
 			baseline: mapStoreCommit, beforeNs: 348_308, beforeAl: 33,
 		},
 		{
@@ -249,6 +263,9 @@ func coreCases() []coreCase {
 			baseline: scanReorderCommit, beforeNs: 8_802_324, beforeAl: 9,
 			gate: true,
 		},
+		telemetryOn("DaxpySMCPI", "daxpy n=1024 PI/smc fifo=128 staggered", daxpySMC, 179_505, 82),
+		telemetryOn("CopySMCCLI", "copy n=1024 CLI/smc fifo=128 staggered", copySMC, 140_582, 69),
+		telemetryOn("DaxpyNaturalPI", "daxpy n=1024 PI/natural staggered", daxpyNatural, 103_197, 46),
 		{
 			name:     "ServiceHit",
 			desc:     "warm cache hit: Service.SubmitOne + WaitResult, daxpy n=256 PI/smc",
@@ -263,6 +280,15 @@ func coreCases() []coreCase {
 			baseline: jsonHitCommit, beforeNs: 131_949, beforeAl: 144,
 			gate: true,
 		},
+	}
+}
+
+// telemetryOn is the BenchmarkTelemetryOn row of sc, with its baseline
+// at probeTierCommit.
+func telemetryOn(name, desc string, sc rdramstream.Scenario, beforeNs, beforeAl int64) coreCase {
+	return coreCase{
+		name: "TelemetryOn/" + name, desc: desc + ", collector attached", sc: sc, telemetry: true,
+		baseline: probeTierCommit, beforeNs: beforeNs, beforeAl: beforeAl,
 	}
 }
 
@@ -426,7 +452,9 @@ func runCoreBench(iters int, outPath string) {
 			scanReorderCommit + " builds a reordered replay's whole " +
 			"transaction list up front, walks the window for a row hit on " +
 			"every issue and expands every trace program into a buffer of " +
-			"its own. " +
+			"its own; " + probeTierCommit + " has a telemetry collector " +
+			"watch the device through its packet trace hook and sum each " +
+			"bus's occupancy into float series of its own. " +
 			"after = current build, with the page-table functional store, one " +
 			"paged word image for seed/verify and store capture, a memory " +
 			"cursor whose Loc is arithmetic and whose stripes cache pages " +
@@ -435,8 +463,11 @@ func runCoreBench(iters int, outPath string) {
 			"behind a timing-only processor front end, a trace replay " +
 			"that maps once per line transaction and reorders through an " +
 			"indexed window fed on demand, trace programs expanded into a " +
-			"reused buffer, and a hit path that reads " +
-			"its bodies without encoding/json. ServiceHit and HTTPHit time one " +
+			"reused buffer, a hit path that reads " +
+			"its bodies without encoding/json, and a device that keeps its own " +
+			"counters per window for an attached collector. The TelemetryOn " +
+			"rows attach a fresh counters-only collector to every run. " +
+			"ServiceHit and HTTPHit time one " +
 			"warm cache hit, in process and over loopback HTTP; their counts " +
 			"include the server's and the client's allocations. ns/op is the " +
 			"min wall time per op over the timed iterations; allocs/op is the " +

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"strconv"
+
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
@@ -168,40 +170,33 @@ func (c *Cursor) chunk(st *stream.Stream, i int) (*cursorStripe, int) {
 }
 
 // Attach declares the controller's default idle cause to the device and
-// wires a telemetry collector, if any, onto the device's packet trace
-// hook (after any hook already there), returning the controller probe
-// (nil collector returns nil, and the nil-safe probes make that free).
-// The device keeps its own counters and stall attribution on every run;
-// the collector adds bus series and event capture.
+// wires a telemetry collector, if any, onto it, returning the controller
+// probe (nil collector returns nil, and the nil-safe probes make that
+// free). The device keeps its own counters and stall attribution on every
+// run; for a collector it also keeps them per window of the collector's
+// Window, and with event capture on, a hook chained onto the device's
+// packet trace (after any hook already there) records every packet on
+// its bank's track.
 func Attach(dev *rdram.Device, col *telemetry.Collector, idle telemetry.StallCause) *telemetry.ControllerProbe {
 	dev.SetIdleCause(idle)
 	if col == nil {
 		return nil
 	}
-	p := col.Device
-	p.SetBanks(dev.Config().Geometry.Banks)
-	prev := dev.Trace
-	dev.Trace = func(ev rdram.TraceEvent) {
-		if prev != nil {
-			prev(ev)
+	dev.Windows = telemetry.Windows{Width: col.Window}
+	if events := col.Events; events != nil {
+		// One track name per bank, formatted once, so recording a packet
+		// formats nothing.
+		tracks := make([]string, dev.Config().Geometry.Banks)
+		for b := range tracks {
+			tracks[b] = "bank " + strconv.Itoa(b)
 		}
-		pk := packetKinds[ev.Kind]
-		p.OnPacket(pk.bus, pk.name, ev.Bank, ev.Start, ev.End)
+		prev := dev.Trace
+		dev.Trace = func(ev rdram.TraceEvent) {
+			if prev != nil {
+				prev(ev)
+			}
+			events.Append(telemetry.Event{Track: tracks[ev.Bank], Name: ev.Kind.EventName(), Start: ev.Start, End: ev.End})
+		}
 	}
 	return col.Controller
-}
-
-// packetKinds gives each device packet kind its bus and its telemetry
-// event name.
-var packetKinds = [...]struct {
-	bus  telemetry.Bus
-	name string
-}{
-	rdram.TraceActivate:  {telemetry.RowBus, "ACT"},
-	rdram.TracePrecharge: {telemetry.RowBus, "PRER"},
-	rdram.TraceReadCol:   {telemetry.ColBus, "COL RD"},
-	rdram.TraceWriteCol:  {telemetry.ColBus, "COL WR"},
-	rdram.TraceRetire:    {telemetry.ColBus, "RET"},
-	rdram.TraceReadData:  {telemetry.DataBus, "DATA rd"},
-	rdram.TraceWriteData: {telemetry.DataBus, "DATA wr"},
 }

@@ -60,8 +60,9 @@ type Config struct {
 	// Policy overrides the scheme's default precharge policy, to explore
 	// the two pairings the paper excludes (CLI+open, PI+closed).
 	Policy PagePolicy
-	// Telemetry, when non-nil, records the device's bus series and the
-	// controller's cacheline miss-latency histogram. With or without it,
+	// Telemetry, when non-nil, has the device keep its counters per
+	// window and records the controller's cacheline miss-latency
+	// histogram. With or without it,
 	// idle DATA-bus cycles before each transaction are attributed to the
 	// in-order dependency wait (telemetry.StallDependency).
 	Telemetry *telemetry.Collector

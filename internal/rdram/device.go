@@ -104,8 +104,15 @@ type Device struct {
 
 	// Trace, when non-nil, receives every packet the device schedules: the
 	// Figure 5/6 style timelines, the protocol checker and a telemetry
-	// Collector's bus series and event capture all observe the device here.
+	// Collector's event capture observe the device here. It is the one
+	// per-packet hook; a Collector's series come from Windows.
 	Trace func(ev TraceEvent)
+
+	// Windows, once given a Width (a telemetry Collector does), also
+	// counts every packet's bus cycles and every idle DATA-bus cycle per
+	// window of that many cycles, each in the windows of its own cycles.
+	// The zero value counts nothing.
+	Windows telemetry.Windows
 
 	// Faults, when non-nil, perturbs the device deterministically: transient
 	// access rejections, bounded per-access timing jitter, and refresh-storm
@@ -175,12 +182,14 @@ func (d *Device) PerBank() []telemetry.BankCounters {
 // to c until it is changed. The zero state is StallNoRequest.
 func (d *Device) SetIdleCause(c telemetry.StallCause) { d.idleCause = c }
 
-// ChargeStall attributes n idle DATA-bus cycles that fall outside every
-// access's gap — the SMC's CPU tail after the final DATA packet — to c.
-func (d *Device) ChargeStall(c telemetry.StallCause, n int64) {
-	if n > 0 {
-		d.stats.Stalls[c] += n
+// ChargeStall attributes the idle DATA-bus cycles [from, to), which fall
+// outside every access's gap — the SMC's CPU tail after the final DATA
+// packet — to c.
+func (d *Device) ChargeStall(c telemetry.StallCause, from, to int64) {
+	if d.Windows.Width > 0 {
+		d.Windows.Reach(to)
 	}
+	d.chargeTo(from, to, c, to)
 }
 
 // TPack returns t_PACK, the cycles one packet occupies a bus, without
@@ -195,10 +204,24 @@ func (d *Device) checkAddr(bank, row, col int) {
 	}
 }
 
-// emit reports a scheduled packet to the trace hook, if any.
+// emit hands a scheduled packet to the per-window counters and the trace
+// hook, when either is on.
+// rdlint:hotpath
 func (d *Device) emit(kind TraceKind, at int64, dur int, bank, row, col int) {
+	if d.Trace != nil || d.Windows.Width > 0 {
+		d.observe(kind, at, at+int64(dur), bank, row, col)
+	}
+}
+
+// observe is emit's work, out of line so that emit, which runs on every
+// packet, stays inlinable.
+// rdlint:hotpath
+func (d *Device) observe(kind TraceKind, start, end int64, bank, row, col int) {
+	if d.Windows.Width > 0 {
+		d.Windows.AddBusy(kind.bus(), start, end)
+	}
 	if d.Trace != nil {
-		d.Trace(TraceEvent{Kind: kind, Start: at, End: at + int64(dur), Bank: bank, Row: row, Col: col})
+		d.Trace(TraceEvent{Kind: kind, Start: start, End: end, Bank: bank, Row: row, Col: col})
 	}
 }
 
@@ -551,6 +574,9 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 // rdlint:hotpath
 func (d *Device) attributeIdle(prevFree, at, trwBound, rcdReady, ds int64, res *Result) {
 	t := &d.cfg.Timing
+	if d.Windows.Width > 0 {
+		d.Windows.Reach(ds)
+	}
 	pos := d.chargeTo(prevFree, ds, d.idleCause, at)
 	if res.PreIssue >= 0 {
 		pos = d.chargeTo(pos, ds, telemetry.StallPrecharge, res.PreIssue+int64(t.TRP))
@@ -569,7 +595,8 @@ func (d *Device) attributeIdle(prevFree, at, trwBound, rcdReady, ds int64, res *
 }
 
 // chargeTo charges the idle cycles [pos, min(until, ds)) to cause c and
-// returns where the next segment starts.
+// returns where the next segment starts. The windows, if kept, must
+// Reach ds.
 // rdlint:hotpath
 func (d *Device) chargeTo(pos, ds int64, c telemetry.StallCause, until int64) int64 {
 	until = min(until, ds)
@@ -577,6 +604,9 @@ func (d *Device) chargeTo(pos, ds int64, c telemetry.StallCause, until int64) in
 		return pos
 	}
 	d.stats.Stalls[c] += until - pos
+	if d.Windows.Width > 0 {
+		d.Windows.AddStall(c, pos, until)
+	}
 	return until
 }
 

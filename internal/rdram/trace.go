@@ -41,6 +41,21 @@ func (k TraceKind) String() string {
 	}
 }
 
+// eventNames names each packet kind in telemetry event exports.
+var eventNames = [...]string{
+	TraceActivate:  "ACT",
+	TracePrecharge: "PRER",
+	TraceReadCol:   "COL RD",
+	TraceWriteCol:  "COL WR",
+	TraceRetire:    "RET",
+	TraceReadData:  "DATA rd",
+	TraceWriteData: "DATA wr",
+}
+
+// EventName is the packet's name in telemetry event exports
+// (events.jsonl, trace.json).
+func (k TraceKind) EventName() string { return eventNames[k] }
+
 // bus returns which of the three shared resources the packet occupies:
 // 0 = ROW command bus, 1 = COL command bus, 2 = DATA bus.
 func (k TraceKind) bus() int {

@@ -139,8 +139,9 @@ type Scenario struct {
 	// counters and the stall-cause attribution of every idle DATA-bus
 	// cycle need no collector: every Outcome carries them in Device. The
 	// caller keeps the collector and reads it back after the run;
-	// Finalize is called with the run's total cycles and the device's
-	// counters. Telemetry is an observer: it
+	// Finalize is called with the run's total cycles, its CPU stall
+	// cycles and the device's per-bank and per-window counters.
+	// Telemetry is an observer: it
 	// never changes the simulated outcome, so it is excluded from JSON
 	// encoding (the service wire format) and from result-cache keys.
 	Telemetry *telemetry.Collector `json:"-"`
@@ -531,15 +532,12 @@ func newDevice(sc Scenario) (*rdram.Device, *scratch, error) {
 	return dev, scr, nil
 }
 
-// finalize hands the run's length and the device's own counters to the
-// scenario's collector, if any, for its report.
+// finalize hands the run's length and processor stall time and the
+// device's per-bank and per-window counters to the scenario's collector,
+// if any, for its report.
 func finalize(col *telemetry.Collector, dev *rdram.Device, out Outcome) {
 	if col != nil {
-		col.Finalize(out.Cycles, telemetry.DeviceCounters{
-			DataBusBusy: out.Device.DataBusBusy,
-			Stalls:      out.Device.Stalls,
-			PerBank:     dev.PerBank(),
-		})
+		col.Finalize(out.Cycles, out.CPUStallCycles, dev.PerBank(), dev.Windows.Counts)
 	}
 }
 

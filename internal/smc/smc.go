@@ -135,12 +135,9 @@ func simulate(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, work, er
 	// the full [0, Cycles) idle time.
 	lastData := dev.Stats().LastDataEnd
 	cycles := max(s.fe.time, lastData)
-	dev.ChargeStall(telemetry.StallCPUTail, cycles-lastData)
+	dev.ChargeStall(telemetry.StallCPUTail, lastData, cycles)
 	res := engine.NewResult(dev, cycles, int64(s.iters)*int64(s.nstreams))
 	res.CPUStallCycles = s.fe.stall
-	if col := cfg.Telemetry; col != nil {
-		col.Controller.CPUStallCycles = s.fe.stall
-	}
 	return res, s.work, nil
 }
 
@@ -501,7 +498,7 @@ func (s *sim) issueOne() bool {
 		if best < 0 {
 			return false
 		}
-		s.ctl.OnDecision("bankaware")
+		s.ctl.OnDecision(telemetry.DecisionBankAware)
 		s.current = best
 		return s.issue(best)
 	case HitFirst:
@@ -519,7 +516,7 @@ func (s *sim) issueOne() bool {
 			}
 			g := &s.planOf(i).cur
 			if row, open := s.dev.BankOpenRow(g.loc.Bank); open && row == g.loc.Row {
-				s.ctl.OnDecision("hitfirst-hit")
+				s.ctl.OnDecision(telemetry.DecisionHitFirstHit)
 				s.current = i
 				return s.issue(i)
 			}
@@ -527,7 +524,7 @@ func (s *sim) issueOne() bool {
 		if fallback < 0 {
 			return false
 		}
-		s.ctl.OnDecision("hitfirst-fallback")
+		s.ctl.OnDecision(telemetry.DecisionHitFirstFallback)
 		s.current = fallback
 		return s.issue(fallback)
 	default: // RoundRobin
@@ -535,7 +532,7 @@ func (s *sim) issueOne() bool {
 			if ok, _ := s.canService(i); ok {
 				// Stay on this FIFO: subsequent calls keep servicing it
 				// until it cannot proceed, then the scan moves past it.
-				s.ctl.OnDecision("roundrobin")
+				s.ctl.OnDecision(telemetry.DecisionRoundRobin)
 				s.current = i
 				return s.issue(i)
 			}

@@ -19,12 +19,15 @@ type Report struct {
 	// Stalls is the per-cause idle-cycle attribution; values sum to
 	// IdleCycles, and IdleCycles == Cycles − DataBusBusy.
 	Stalls map[string]int64 `json:"stalls"`
+	// StallsPerWindow gives, for each cause in Stalls, its idle cycles
+	// per window; with the DATA bus's busy cycles they tile each window.
+	StallsPerWindow map[string][]int64 `json:"stallsPerWindow"`
 
 	Totals  BankCounters   `json:"totals"`
 	PerBank []BankCounters `json:"perBank"`
 
 	// BusBusyPerWindow gives ROW/COL/DATA busy cycles per window.
-	BusBusyPerWindow map[string][]float64 `json:"busBusyPerWindow"`
+	BusBusyPerWindow map[string][]int64 `json:"busBusyPerWindow"`
 	// BandwidthMBps is the delivered DATA-bus bandwidth per window in
 	// MB/s (16 bytes per t_PACK-cycle packet, 2.5 ns per cycle).
 	BandwidthMBps []float64 `json:"bandwidthMBps"`
@@ -50,55 +53,66 @@ type FIFOReport struct {
 	DepthMaxPerWin   []float64 `json:"depthMaxPerWindow"`
 }
 
-// Report snapshots the collector.
+// busNames names WindowCounts.Busy's buses in the report.
+var busNames = [3]string{"row", "col", "data"}
+
+// Report snapshots the collector. Its totals are its series' sums: both
+// come from the device's per-window counters.
 func (c *Collector) Report() *Report {
 	if c == nil {
 		return nil
 	}
-	dev := &c.Counters
 	r := &Report{
 		Cycles:           c.Cycles,
 		Window:           c.Window,
-		DataBusBusy:      dev.DataBusBusy,
+		CPUStallCycles:   c.CPUStallCycles,
 		Stalls:           map[string]int64{},
-		BusBusyPerWindow: map[string][]float64{},
+		BusBusyPerWindow: map[string][]int64{},
+		StallsPerWindow:  map[string][]int64{},
+		Decisions:        map[string]int64{},
 	}
-	for i, v := range dev.Stalls {
-		r.IdleCycles += v
-		if v != 0 {
-			r.Stalls[StallCause(i).String()] = v
+	for b, name := range busNames {
+		r.BusBusyPerWindow[name] = c.column(func(w *WindowCounts) int64 { return w.Busy[b] })
+	}
+	for _, busy := range r.BusBusyPerWindow["data"] {
+		r.DataBusBusy += busy
+		// 4 bytes/cycle average while busy (16-byte packet per 4-cycle
+		// t_PACK); one cycle is 2.5 ns.
+		r.BandwidthMBps = append(r.BandwidthMBps, float64(busy*4)/(float64(c.Window)*2.5e-9)/1e6)
+	}
+	for _, cause := range StallCauses() {
+		col := c.column(func(w *WindowCounts) int64 { return w.Stalls[cause] })
+		var n int64
+		for _, v := range col {
+			n += v
+		}
+		if n != 0 {
+			r.Stalls[cause.String()] = n
+			r.StallsPerWindow[cause.String()] = col
+			r.IdleCycles += n
 		}
 	}
 	// Per-bank rows run up to the last bank that did anything.
-	n := len(dev.PerBank)
-	for n > 0 && dev.PerBank[n-1] == (BankCounters{}) {
+	n := len(c.PerBank)
+	for n > 0 && c.PerBank[n-1] == (BankCounters{}) {
 		n--
 	}
 	if n > 0 {
-		r.PerBank = dev.PerBank[:n]
+		r.PerBank = c.PerBank[:n]
 	}
 	for _, b := range r.PerBank {
 		r.Totals.Add(b)
 	}
-	row, col, data := c.Device.BusSeries()
-	r.BusBusyPerWindow["row"] = row.Values()
-	r.BusBusyPerWindow["col"] = col.Values()
-	r.BusBusyPerWindow["data"] = data.Values()
-	// 4 bytes/cycle average while busy (16-byte packet per 4-cycle t_PACK);
-	// one cycle is 2.5 ns.
-	for _, busy := range data.Values() {
-		bytes := busy * 4
-		r.BandwidthMBps = append(r.BandwidthMBps, bytes/(float64(c.Window)*2.5e-9)/1e6)
-	}
 	if ctl := c.Controller; ctl != nil {
-		if len(ctl.Decisions) > 0 {
-			r.Decisions = ctl.Decisions
+		for d, v := range ctl.Decisions {
+			if v != 0 {
+				r.Decisions[decisionNames[d]] = v
+			}
 		}
 		if ctl.MissLatency.N() > 0 {
 			r.MissLatency = ctl.MissLatency.Buckets()
 			r.MissLatencyAvg = ctl.MissLatency.Mean()
 		}
-		r.CPUStallCycles = ctl.CPUStallCycles
 	}
 	for _, f := range c.FIFOs {
 		if f == nil {
@@ -117,6 +131,23 @@ func (c *Collector) Report() *Report {
 	return r
 }
 
+// column returns one counter of every window, through the last window
+// where it is nonzero (nil if it never is).
+func (c *Collector) column(get func(*WindowCounts) int64) []int64 {
+	n := len(c.Windows)
+	for n > 0 && get(&c.Windows[n-1]) == 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = get(&c.Windows[i])
+	}
+	return out
+}
+
 // WriteMetricsJSON writes the report as indented JSON.
 func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 	if c == nil {
@@ -129,8 +160,9 @@ func (c *Collector) WriteMetricsJSON(w io.Writer) error {
 
 // WriteSeriesCSV writes every time series as one CSV table: a
 // window-start column followed by one column per series (bus occupancy,
-// per-window bandwidth, FIFO depths), padded with zeros past each series'
-// last observation.
+// per-window bandwidth, FIFO depths, then the idle DATA-bus cycles of
+// every stall cause), padded with zeros past each series' last nonzero
+// or observed window.
 func (c *Collector) WriteSeriesCSV(w io.Writer) error {
 	if c == nil {
 		return nil
@@ -139,24 +171,30 @@ func (c *Collector) WriteSeriesCSV(w io.Writer) error {
 		name string
 		vals []float64
 	}
-	row, col, data := c.Device.BusSeries()
-	cols := []namedSeries{
-		{"row_busy", row.Values()},
-		{"col_busy", col.Values()},
-		{"data_busy", data.Values()},
+	floats := func(vs []int64) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = float64(v)
+		}
+		return out
 	}
 	rep := c.Report()
+	var cols []namedSeries
+	for _, b := range busNames {
+		cols = append(cols, namedSeries{b + "_busy", floats(rep.BusBusyPerWindow[b])})
+	}
 	cols = append(cols, namedSeries{"bandwidth_mbps", rep.BandwidthMBps})
 	for _, f := range c.FIFOs {
 		if f != nil {
 			cols = append(cols, namedSeries{"depth_" + f.Name, f.Depth.Values()})
 		}
 	}
+	for _, cause := range StallCauses() {
+		cols = append(cols, namedSeries{"stall_" + cause.String(), floats(rep.StallsPerWindow[cause.String()])})
+	}
 	n := 0
 	for _, s := range cols {
-		if len(s.vals) > n {
-			n = len(s.vals)
-		}
+		n = max(n, len(s.vals))
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "window_start_cycle")

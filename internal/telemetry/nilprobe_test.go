@@ -22,7 +22,6 @@ import (
 func TestNilProbeMethodsDoNotPanic(t *testing.T) {
 	targets := []any{
 		(*telemetry.Collector)(nil),
-		(*telemetry.DeviceProbe)(nil),
 		(*telemetry.ControllerProbe)(nil),
 		(*telemetry.FIFOProbe)(nil),
 		(*telemetry.EventBuffer)(nil),

@@ -1,44 +1,21 @@
 package telemetry
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Series is a fixed-window time series over simulation cycles: bucket i
-// covers cycles [i*Window, (i+1)*Window). Buckets grow on demand, so a
-// series costs nothing for the part of a run it never observes. A Series
-// is either summing (Add/AddSpan accumulate) or max-tracking (Observe
-// keeps the largest sample per bucket) — gauges such as FIFO depth use the
-// latter so a short spike is still visible after windowing.
+// Series is a fixed-window gauge over simulation cycles: bucket i covers
+// cycles [i*Window, (i+1)*Window) and keeps the largest sample observed
+// in it, so a short spike (a FIFO filling for a few cycles) is still
+// visible after windowing. Buckets grow on demand, so a series costs
+// nothing for the part of a run it never observes.
 type Series struct {
 	window  int64
-	max     bool
 	buckets []float64
 }
 
-// NewSeries returns a summing series with the given window (cycles per
+// NewMaxSeries returns a series with the given window (cycles per
 // bucket; values below 1 are clamped to 1).
-func NewSeries(window int64) *Series {
-	if window < 1 {
-		window = 1
-	}
-	return &Series{window: window}
-}
-
-// NewMaxSeries returns a max-tracking series (per-bucket maximum).
 func NewMaxSeries(window int64) *Series {
-	s := NewSeries(window)
-	s.max = true
-	return s
-}
-
-// Len returns the number of buckets observed so far.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.buckets)
+	return &Series{window: max(window, 1)}
 }
 
 // Values returns the bucket values; the slice aliases internal storage.
@@ -49,62 +26,17 @@ func (s *Series) Values() []float64 {
 	return s.buckets
 }
 
-func (s *Series) ensure(i int) {
-	for len(s.buckets) <= i {
-		s.buckets = append(s.buckets, 0)
-	}
-}
-
-// Add accumulates v into the bucket containing cycle at.
-func (s *Series) Add(at int64, v float64) {
-	if s == nil || at < 0 {
-		return
-	}
-	i := int(at / s.window)
-	s.ensure(i)
-	s.buckets[i] += v
-}
-
-// Observe records a gauge sample at cycle at; on a max series the bucket
-// keeps the largest sample, on a summing series it accumulates.
+// Observe records a sample at cycle at; the bucket keeps the largest.
+// Samples at negative cycles are dropped.
 func (s *Series) Observe(at int64, v float64) {
 	if s == nil || at < 0 {
 		return
 	}
 	i := int(at / s.window)
-	s.ensure(i)
-	if s.max {
-		if v > s.buckets[i] {
-			s.buckets[i] = v
-		}
-	} else {
-		s.buckets[i] += v
+	for len(s.buckets) <= i {
+		s.buckets = append(s.buckets, 0)
 	}
-}
-
-// AddSpan distributes a [start, end) occupancy span across buckets,
-// crediting perCycle units for every cycle of overlap — the primitive
-// behind per-window bus-occupancy accounting.
-func (s *Series) AddSpan(start, end int64, perCycle float64) {
-	if s == nil || end <= start {
-		return
-	}
-	if start < 0 {
-		start = 0
-	}
-	first := start / s.window
-	last := (end - 1) / s.window
-	s.ensure(int(last))
-	for b := first; b <= last; b++ {
-		lo, hi := b*s.window, (b+1)*s.window
-		if start > lo {
-			lo = start
-		}
-		if end < hi {
-			hi = end
-		}
-		s.buckets[b] += float64(hi-lo) * perCycle
-	}
+	s.buckets[i] = max(s.buckets[i], v)
 }
 
 // Histogram is a fixed-bucket histogram of int64 samples (latencies in
@@ -114,7 +46,6 @@ type Histogram struct {
 	bounds []int64
 	counts []int64
 	n, sum int64
-	min    int64
 	maxV   int64
 }
 
@@ -158,9 +89,6 @@ func (h *Histogram) Observe(v int64) {
 		i++
 	}
 	h.counts[i]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if h.n == 0 || v > h.maxV {
 		h.maxV = v
 	}
@@ -192,22 +120,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum) / float64(h.n)
 }
 
-// Min and Max return the extreme samples (0 with no samples).
-func (h *Histogram) Min() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.maxV
-}
-
 // HistogramBucket is one exported histogram bin; Le is the inclusive upper
 // bound, with Overflow set on the final unbounded bin.
 type HistogramBucket struct {
@@ -233,23 +145,4 @@ func (h *Histogram) Buckets() []HistogramBucket {
 		out[i] = b
 	}
 	return out
-}
-
-func (h *Histogram) String() string {
-	if h == nil || h.n == 0 {
-		return "histogram(empty)"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.1f min=%d max=%d |", h.n, h.Mean(), h.min, h.maxV)
-	for _, bk := range h.Buckets() {
-		if bk.Count == 0 {
-			continue
-		}
-		if bk.Overflow {
-			fmt.Fprintf(&b, " >:%d", bk.Count)
-		} else {
-			fmt.Fprintf(&b, " ≤%d:%d", bk.Le, bk.Count)
-		}
-	}
-	return b.String()
 }

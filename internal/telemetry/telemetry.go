@@ -1,22 +1,20 @@
 // Package telemetry is the simulator's cycle-level observability layer:
-// the stall-cause taxonomy and per-bank counter types the device fills on
-// every run, plus fixed-window time series, fixed-bucket histograms, an
-// event capture buffer, and exporters (JSONL, CSV, Chrome trace-event
-// JSON). The probes are nil-safe — every method no-ops on a
-// nil receiver — so the simulation layers instrument unconditionally and
-// a run without a Collector pays only a nil check per probe call.
+// the stall-cause taxonomy and the per-bank and per-window counter types
+// the device fills, plus max-per-window gauges, fixed-bucket histograms,
+// an event capture buffer, and exporters (JSONL, CSV, Chrome trace-event
+// JSON). The probes are nil-safe — every method no-ops on a nil receiver
+// — so the simulation layers instrument unconditionally and a run without
+// a Collector pays only a nil check per probe call.
 //
-// Structure: a Collector owns one DeviceProbe (per-window ROW/COL/DATA
-// bus occupancy and per-bank packet events), one ControllerProbe
-// (scheduling decisions, miss-latency histogram, CPU stalls), and one
-// FIFOProbe per SMC stream buffer (depth gauge, full/empty stall
-// accounting). The counters are not here: the device counts its own
-// operations per bank and attributes every idle DATA-bus cycle to a
-// StallCause on every run (rdram.Stats), and Finalize hands that snapshot
-// to the Collector for its Report.
+// Structure: a Collector owns one ControllerProbe (scheduling decisions,
+// miss-latency histogram) and one FIFOProbe per SMC stream buffer (depth
+// gauge, full/empty stall accounting). The counters are not here: the
+// device counts its own operations per bank and attributes every idle
+// DATA-bus cycle to a StallCause on every run (rdram.Stats); with a
+// Collector attached it also keeps its bus occupancy and stall counts per
+// window (WindowCounts), and Finalize hands both to the Collector, whose
+// Report takes its totals and its time series from them.
 package telemetry
-
-import "strconv"
 
 // Options configures a Collector.
 type Options struct {
@@ -37,8 +35,6 @@ type Options struct {
 type Collector struct {
 	// Window is the series bucket width in cycles.
 	Window int64
-	// Device records the device's bus occupancy and packet events.
-	Device *DeviceProbe
 	// Controller records controller-level activity.
 	Controller *ControllerProbe
 	// FIFOs holds one probe per SMC stream FIFO, in stream order
@@ -46,19 +42,15 @@ type Collector struct {
 	FIFOs []*FIFOProbe
 	// Events is the shared capture buffer, nil unless CaptureEvents.
 	Events *EventBuffer
-	// Cycles is the run length recorded by Finalize.
-	Cycles int64
-	// Counters is the device's counter snapshot recorded by Finalize.
-	Counters DeviceCounters
-}
 
-// DeviceCounters is the device's own counter block at the end of a run:
-// DATA-bus occupancy, the stall-cause attribution of the idle cycles, and
-// the per-bank operation counts.
-type DeviceCounters struct {
-	DataBusBusy int64
-	Stalls      [NumStallCauses]int64
-	PerBank     []BankCounters
+	// The rest is recorded by Finalize: the run length, the time the
+	// processor spent blocked on FIFO heads (SMC runs), the device's
+	// per-bank operation counts, and its per-window counters, window i
+	// covering cycles [i*Window, (i+1)*Window).
+	Cycles         int64
+	CPUStallCycles int64
+	PerBank        []BankCounters
+	Windows        []WindowCounts
 }
 
 // New builds a Collector.
@@ -74,14 +66,7 @@ func New(o Options) *Collector {
 		}
 		c.Events = &EventBuffer{Limit: limit}
 	}
-	c.Device = &DeviceProbe{
-		bus:    [NumBuses]*Series{NewSeries(o.Window), NewSeries(o.Window), NewSeries(o.Window)},
-		events: c.Events,
-	}
-	c.Controller = &ControllerProbe{
-		MissLatency: MustHistogram(DefaultLatencyBounds()...),
-		Decisions:   map[string]int64{},
-	}
+	c.Controller = &ControllerProbe{MissLatency: MustHistogram(DefaultLatencyBounds()...)}
 	return c
 }
 
@@ -104,14 +89,15 @@ func (c *Collector) FIFO(i int, name string) *FIFOProbe {
 	return c.FIFOs[i]
 }
 
-// Finalize records the run's total cycle count and the device's counters,
-// the source of the Report's totals, per-bank rows and stall attribution.
-func (c *Collector) Finalize(cycles int64, dev DeviceCounters) {
+// Finalize records the run's length and processor stall time and the
+// device's per-bank and per-window counters, the source of every Report
+// total, row and series but the FIFO and controller probes'.
+func (c *Collector) Finalize(cycles, cpuStall int64, perBank []BankCounters, windows []WindowCounts) {
 	if c == nil {
 		return
 	}
-	c.Cycles = cycles
-	c.Counters = dev
+	c.Cycles, c.CPUStallCycles = cycles, cpuStall
+	c.PerBank, c.Windows = perBank, windows
 }
 
 // BankCounters are one bank's operation counts, the per-bank rows behind
@@ -139,62 +125,57 @@ func (b *BankCounters) Add(o BankCounters) {
 	b.Retires += o.Retires
 }
 
-// Bus names one of the device's three shared buses.
-type Bus int
-
-// The buses a packet can occupy, in the order BusSeries returns them.
-const (
-	RowBus Bus = iota
-	ColBus
-	DataBus
-
-	// NumBuses sizes per-bus arrays.
-	NumBuses
-)
-
-// DeviceProbe records the device's bus occupancy per window and, with
-// event capture on, one event per packet on its bank's track. The device
-// reaches it through its packet trace hook (see engine.Attach); the
-// device's counters are the device's own (rdram.Stats).
-type DeviceProbe struct {
-	bus    [NumBuses]*Series
-	tracks []string // capture track per bank, named once by SetBanks
-
-	events *EventBuffer
+// WindowCounts is the device's counter block for one window of cycles.
+// Busy counts the cycles packets occupied the ROW, COL and DATA buses, in
+// that order; ROW and COL count every packet's cycles, so packets that
+// overlap there (a background precharge, a retire) can make them exceed
+// the window. Stalls counts the idle DATA-bus cycles charged to each
+// cause. DATA packets and idle segments never overlap, so in every window
+// the run covers completely, Busy[2] plus the stalls is the window width.
+type WindowCounts struct {
+	Busy   [3]int64
+	Stalls [NumStallCauses]int64
 }
 
-// SetBanks names one capture track per bank of an n-bank device, once, so
-// recording an event formats nothing. Without event capture it does
-// nothing.
-func (p *DeviceProbe) SetBanks(n int) {
-	if p == nil || p.events == nil {
-		return
-	}
-	p.tracks = make([]string, n)
-	for b := range p.tracks {
-		p.tracks[b] = "bank " + strconv.Itoa(b)
+// Windows accumulates WindowCounts over windows of Width cycles (Width
+// must be positive), growing Counts to the last window it has seen a
+// count in. Every count lands in the window(s) of its own cycles, split
+// at window boundaries, so counts may arrive out of time order.
+type Windows struct {
+	Width  int64
+	Counts []WindowCounts
+}
+
+// Reach grows Counts to cover every cycle before end.
+func (w *Windows) Reach(end int64) {
+	for int64(len(w.Counts))*w.Width < end {
+		w.Counts = append(w.Counts, WindowCounts{})
 	}
 }
 
-// OnPacket records one packet named name (e.g. "ACT", "DATA rd") that
-// bank b's access put on bus during [start, end).
-func (p *DeviceProbe) OnPacket(bus Bus, name string, b int, start, end int64) {
-	if p == nil {
-		return
-	}
-	p.bus[bus].AddSpan(start, end, 1)
-	if p.events != nil {
-		p.events.Append(Event{Track: p.tracks[b], Name: name, Start: start, End: end})
+// AddBusy counts the cycles [start, end) busy on bus (0 ROW, 1 COL,
+// 2 DATA).
+func (w *Windows) AddBusy(bus int, start, end int64) {
+	w.Reach(end)
+	for start < end {
+		i := start / w.Width
+		hi := min(end, (i+1)*w.Width)
+		w.Counts[i].Busy[bus] += hi - start
+		start = hi
 	}
 }
 
-// BusSeries returns the ROW, COL, and DATA bus occupancy series
-// (busy cycles per window).
-func (p *DeviceProbe) BusSeries() (row, col, data *Series) {
-	if p == nil {
-		return nil, nil, nil
+// AddStall charges the idle DATA-bus cycles [start, end) to cause c.
+// Counts must Reach end first: AddStall makes no call, so the device's
+// per-segment charge that calls it stays small enough to inline.
+// rdlint:hotpath
+func (w *Windows) AddStall(c StallCause, start, end int64) {
+	for start < end {
+		i := start / w.Width
+		hi := min(end, (i+1)*w.Width)
+		w.Counts[i].Stalls[c] += hi - start
+		start = hi
 	}
-	return p.bus[RowBus], p.bus[ColBus], p.bus[DataBus]
 }
 
 // FIFOProbe records one SMC stream FIFO's behaviour.
@@ -260,26 +241,39 @@ func (p *FIFOProbe) OnBlocked(at, until int64, full bool) {
 	p.events.Append(Event{Track: p.Name, Name: name, Start: at, End: until})
 }
 
+// Decision is one MSU scheduling outcome, by policy branch.
+type Decision int
+
+// The MSU policies' branches (see smc.Policy).
+const (
+	DecisionRoundRobin Decision = iota
+	DecisionBankAware
+	DecisionHitFirstHit
+	DecisionHitFirstFallback
+
+	// NumDecisions sizes per-decision arrays.
+	NumDecisions
+)
+
+// decisionNames are the decisions' names in a Report.
+var decisionNames = [NumDecisions]string{"roundrobin", "bankaware", "hitfirst-hit", "hitfirst-fallback"}
+
 // ControllerProbe records controller-level telemetry common to both the
 // natural-order controller and the SMC.
 type ControllerProbe struct {
-	// Decisions counts MSU scheduling outcomes by label (e.g. "roundrobin",
-	// "hitfirst-hit", "hitfirst-fallback", "bankaware").
-	Decisions map[string]int64
+	// Decisions counts MSU scheduling outcomes, indexed by Decision.
+	Decisions [NumDecisions]int64
 	// MissLatency is the request-to-data latency of cacheline fetches
 	// (natural-order controller), in cycles.
 	MissLatency *Histogram
-	// CPUStallCycles is the time the processor spent blocked on FIFO heads
-	// (SMC mode).
-	CPUStallCycles int64
 }
 
 // OnDecision counts one scheduling decision.
-func (p *ControllerProbe) OnDecision(label string) {
+func (p *ControllerProbe) OnDecision(d Decision) {
 	if p == nil {
 		return
 	}
-	p.Decisions[label]++
+	p.Decisions[d]++
 }
 
 // ObserveMissLatency records one cacheline fetch latency.

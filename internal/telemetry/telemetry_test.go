@@ -9,12 +9,13 @@ import (
 )
 
 func TestSeriesWindowing(t *testing.T) {
-	s := NewSeries(10)
-	s.Add(0, 1)
-	s.Add(9, 2)
-	s.Add(10, 4)
-	s.Add(35, 8)
-	want := []float64{3, 4, 0, 8}
+	s := NewMaxSeries(10)
+	s.Observe(0, 1)
+	s.Observe(9, 2)
+	s.Observe(10, 4)
+	s.Observe(35, 8)
+	s.Observe(36, 3) // below the bucket's maximum: kept out
+	want := []float64{2, 4, 0, 8}
 	got := s.Values()
 	if len(got) != len(want) {
 		t.Fatalf("buckets = %v, want %v", got, want)
@@ -24,74 +25,52 @@ func TestSeriesWindowing(t *testing.T) {
 			t.Errorf("bucket %d = %g, want %g", i, got[i], want[i])
 		}
 	}
-	s.Add(-1, 100) // negative cycles are dropped, not a panic
-	if got := s.Values(); got[0] != 3 {
-		t.Errorf("negative Add mutated bucket 0: %g", got[0])
+	s.Observe(-1, 100) // negative cycles are dropped, not a panic
+	if got := s.Values(); got[0] != 2 {
+		t.Errorf("negative Observe mutated bucket 0: %g", got[0])
 	}
 }
 
-func TestSeriesMaxVsSum(t *testing.T) {
-	sum := NewSeries(10)
-	max := NewMaxSeries(10)
-	for _, v := range []float64{3, 7, 5} {
-		sum.Observe(4, v)
-		max.Observe(4, v)
+// TestWindowsSplitSpans checks that every count lands in the windows of
+// its own cycles, split at boundaries, whatever order counts arrive in.
+func TestWindowsSplitSpans(t *testing.T) {
+	w := Windows{Width: 10}
+	w.AddBusy(2, 5, 25) // 5 + 10 + 5 across three windows
+	w.Reach(32)
+	w.AddStall(StallColumn, 25, 32)
+	w.AddBusy(0, 40, 44) // a later window first...
+	w.AddBusy(0, 2, 6)   // ...then an earlier one
+	w.AddBusy(1, 10, 10) // empty spans count nothing
+	w.AddStall(StallActivate, 12, 11)
+	want := []WindowCounts{
+		{Busy: [3]int64{4, 0, 5}},
+		{Busy: [3]int64{0, 0, 10}},
+		{Busy: [3]int64{0, 0, 5}},
+		{},
+		{Busy: [3]int64{4, 0, 0}},
 	}
-	if got := sum.Values()[0]; got != 15 {
-		t.Errorf("summing series = %g, want 15", got)
+	want[2].Stalls[StallColumn] = 5
+	want[3].Stalls[StallColumn] = 2
+	if !reflect.DeepEqual(w.Counts, want) {
+		t.Errorf("windows = %+v, want %+v", w.Counts, want)
 	}
-	if got := max.Values()[0]; got != 7 {
-		t.Errorf("max series = %g, want 7", got)
+	// The total credited equals the span length regardless of cuts.
+	w = Windows{Width: 7}
+	w.Reach(60)
+	w.AddStall(StallActivate, 3, 60)
+	var total int64
+	for _, c := range w.Counts {
+		total += c.Stalls[StallActivate]
 	}
-}
-
-func TestSeriesAddSpan(t *testing.T) {
-	s := NewSeries(10)
-	// Span [5, 25) splits 5 + 10 + 5 across three buckets.
-	s.AddSpan(5, 25, 1)
-	want := []float64{5, 10, 5}
-	for i, w := range want {
-		if got := s.Values()[i]; got != w {
-			t.Errorf("bucket %d = %g, want %g", i, got, w)
-		}
+	if total != 57 || len(w.Counts) != 9 {
+		t.Errorf("span total = %d over %d windows, want 57 over 9", total, len(w.Counts))
 	}
-	// The total credited must equal the span length regardless of cuts.
-	s = NewSeries(7)
-	s.AddSpan(3, 60, 1)
-	var total float64
-	for _, v := range s.Values() {
-		total += v
-	}
-	if total != 57 {
-		t.Errorf("span total = %g, want 57", total)
-	}
-	// Degenerate and clamped spans.
-	s.AddSpan(10, 10, 1)
-	s.AddSpan(12, 11, 1)
-	if total2 := sumVals(s.Values()); total2 != 57 {
-		t.Errorf("degenerate spans changed total: %g", total2)
-	}
-	s2 := NewSeries(10)
-	s2.AddSpan(-5, 5, 1) // clamps to [0, 5)
-	if got := s2.Values()[0]; got != 5 {
-		t.Errorf("clamped span = %g, want 5", got)
-	}
-}
-
-func sumVals(vs []float64) float64 {
-	var t float64
-	for _, v := range vs {
-		t += v
-	}
-	return t
 }
 
 func TestSeriesNilSafe(t *testing.T) {
 	var s *Series
-	s.Add(0, 1)
 	s.Observe(0, 1)
-	s.AddSpan(0, 10, 1)
-	if s.Len() != 0 || s.Values() != nil {
+	if s.Values() != nil {
 		t.Error("nil series not empty")
 	}
 }
@@ -114,14 +93,11 @@ func TestHistogram(t *testing.T) {
 	if !bks[3].Overflow {
 		t.Error("last bucket not marked overflow")
 	}
-	if h.N() != 6 || h.Min() != 5 || h.Max() != 1000 {
-		t.Errorf("n=%d min=%d max=%d", h.N(), h.Min(), h.Max())
+	if bks[3].Le != 1000 {
+		t.Errorf("overflow bucket bound = %d, want the largest sample 1000", bks[3].Le)
 	}
 	if got, want := h.Mean(), float64(5+10+11+40+41+1000)/6; got != want {
 		t.Errorf("mean = %g, want %g", got, want)
-	}
-	if s := h.String(); !strings.Contains(s, "n=6") {
-		t.Errorf("String() = %q", s)
 	}
 }
 
@@ -151,14 +127,11 @@ func TestMustHistogramPanics(t *testing.T) {
 func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(3)
-	if h.N() != 0 || h.Mean() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.N() != 0 || h.Mean() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram not zero")
 	}
 	if h.Buckets() != nil {
 		t.Error("nil histogram has buckets")
-	}
-	if h.String() != "histogram(empty)" {
-		t.Errorf("String() = %q", h.String())
 	}
 }
 
@@ -200,21 +173,15 @@ func TestStallCauseNames(t *testing.T) {
 // TestProbesNilSafe drives every probe method through a nil receiver — the
 // contract that lets the simulators instrument unconditionally.
 func TestProbesNilSafe(t *testing.T) {
-	var d *DeviceProbe
-	d.SetBanks(8)
-	d.OnPacket(DataBus, "DATA wr", 0, 0, 4)
-	if row, col, data := d.BusSeries(); row != nil || col != nil || data != nil {
-		t.Error("nil device probe has bus series")
-	}
 	var f *FIFOProbe
 	f.OnDepth(0, 3)
 	f.OnService(0, 4, false)
 	f.OnBlocked(0, 4, true)
 	var c *ControllerProbe
-	c.OnDecision("x")
+	c.OnDecision(DecisionRoundRobin)
 	c.ObserveMissLatency(12)
 	var col *Collector
-	col.Finalize(100, DeviceCounters{})
+	col.Finalize(100, 0, nil, nil)
 	if col.FIFO(0, "x") != nil {
 		t.Error("nil collector minted a FIFO probe")
 	}
@@ -223,26 +190,24 @@ func TestProbesNilSafe(t *testing.T) {
 	}
 }
 
-// TestDeviceProbeCountersAndSeries checks the report's counter half —
-// totals summed from the device's per-bank rows, rows trimmed after the
-// last active bank — and the probe's per-bus occupancy series.
-func TestDeviceProbeCountersAndSeries(t *testing.T) {
+// TestReportCountersAndSeries checks the report's counter half — totals
+// summed from the device's per-bank rows, rows trimmed after the last
+// active bank — and its per-bus series, each running through its last
+// busy window, with the DATA bus's total their sum.
+func TestReportCountersAndSeries(t *testing.T) {
 	c := New(Options{Window: 8})
-	p := c.Device
-	p.OnPacket(RowBus, "ACT", 1, 0, 4)
-	p.OnPacket(RowBus, "PRER", 1, 4, 8)
-	p.OnPacket(ColBus, "COL RD", 1, 8, 12)
-	p.OnPacket(ColBus, "RET", 1, 12, 16)
-	p.OnPacket(DataBus, "DATA rd", 1, 12, 16)
-	p.OnPacket(DataBus, "DATA wr", 1, 16, 20)
-	c.Finalize(20, DeviceCounters{
-		DataBusBusy: 8,
-		PerBank: []BankCounters{
-			{Reads: 1},
-			{Activates: 1, Precharges: 1, Writes: 1, Retires: 1, PageHits: 1, PageMisses: 2, PageConflicts: 1},
-			{}, {},
-		},
-	})
+	w := Windows{Width: 8}
+	w.AddBusy(0, 0, 4)
+	w.AddBusy(0, 4, 8)
+	w.AddBusy(1, 8, 12)
+	w.AddBusy(1, 12, 16)
+	w.AddBusy(2, 12, 16)
+	w.AddBusy(2, 16, 20)
+	c.Finalize(20, 0, []BankCounters{
+		{Reads: 1},
+		{Activates: 1, Precharges: 1, Writes: 1, Retires: 1, PageHits: 1, PageMisses: 2, PageConflicts: 1},
+		{}, {},
+	}, w.Counts)
 
 	rep := c.Report()
 	tot := rep.Totals
@@ -258,20 +223,25 @@ func TestDeviceProbeCountersAndSeries(t *testing.T) {
 	if rep.DataBusBusy != 8 {
 		t.Errorf("data busy = %d, want 8", rep.DataBusBusy)
 	}
-	row, colS, data := p.BusSeries()
-	if sumVals(row.Values()) != 8 || sumVals(colS.Values()) != 8 || sumVals(data.Values()) != 8 {
-		t.Errorf("bus series row=%v col=%v data=%v", row.Values(), colS.Values(), data.Values())
+	want := map[string][]int64{"row": {8}, "col": {0, 8}, "data": {0, 4, 4}}
+	if !reflect.DeepEqual(rep.BusBusyPerWindow, want) {
+		t.Errorf("bus series = %v, want %v", rep.BusBusyPerWindow, want)
+	}
+	if want := []float64{0, 800, 800}; !reflect.DeepEqual(rep.BandwidthMBps, want) {
+		t.Errorf("bandwidth = %v, want %v", rep.BandwidthMBps, want)
 	}
 }
 
 // TestStallAccounting checks the report's stall half: idle cycles sum the
-// device's per-cause array, and the map names only the nonzero causes.
+// device's per-window stall counts, and the maps name only the nonzero
+// causes.
 func TestStallAccounting(t *testing.T) {
-	c := New(Options{})
-	var stalls [NumStallCauses]int64
-	stalls[StallDependency] = 10
-	stalls[StallColumn] = 5
-	c.Finalize(25, DeviceCounters{DataBusBusy: 10, Stalls: stalls})
+	c := New(Options{Window: 10})
+	w := Windows{Width: 10}
+	w.Reach(25)
+	w.AddStall(StallDependency, 0, 10)
+	w.AddStall(StallColumn, 20, 25)
+	c.Finalize(25, 0, nil, w.Counts)
 	rep := c.Report()
 	if rep.IdleCycles != 15 {
 		t.Errorf("idle total = %d, want 15", rep.IdleCycles)
@@ -279,6 +249,10 @@ func TestStallAccounting(t *testing.T) {
 	want := map[string]int64{"dependency": 10, "column": 5}
 	if !reflect.DeepEqual(rep.Stalls, want) {
 		t.Errorf("stalls = %v, want %v", rep.Stalls, want)
+	}
+	wantWin := map[string][]int64{"dependency": {10}, "column": {0, 0, 5}}
+	if !reflect.DeepEqual(rep.StallsPerWindow, wantWin) {
+		t.Errorf("stalls per window = %v, want %v", rep.StallsPerWindow, wantWin)
 	}
 	if rep.PerBank != nil {
 		t.Errorf("per-bank rows %v with no banks", rep.PerBank)
@@ -384,15 +358,17 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 
 func TestCollectorExporters(t *testing.T) {
 	c := New(Options{Window: 4, CaptureEvents: true, EventLimit: 8})
-	c.Device.SetBanks(1)
-	c.Device.OnPacket(RowBus, "ACT", 0, 0, 4)
-	c.Device.OnPacket(DataBus, "DATA rd", 0, 4, 8)
+	c.Events.Append(Event{Track: "bank 0", Name: "ACT", Start: 0, End: 4})
+	c.Events.Append(Event{Track: "bank 0", Name: "DATA rd", Start: 4, End: 8})
 	c.FIFO(0, "read x").OnDepth(2, 5)
-	c.Controller.OnDecision("roundrobin")
+	c.Controller.OnDecision(DecisionRoundRobin)
 	c.Controller.ObserveMissLatency(20)
-	var stalls [NumStallCauses]int64
-	stalls[StallActivate] = 4
-	c.Finalize(8, DeviceCounters{DataBusBusy: 4, Stalls: stalls, PerBank: []BankCounters{{Activates: 1, Reads: 1, PageMisses: 1}}})
+	w := Windows{Width: 4}
+	w.AddBusy(0, 0, 4)
+	w.AddBusy(2, 4, 8)
+	w.Reach(8)
+	w.AddStall(StallActivate, 0, 4)
+	c.Finalize(8, 0, []BankCounters{{Activates: 1, Reads: 1, PageMisses: 1}}, w.Counts)
 
 	rep := c.Report()
 	if rep.Cycles != 8 || rep.DataBusBusy != 4 || rep.IdleCycles != 4 {
@@ -401,7 +377,7 @@ func TestCollectorExporters(t *testing.T) {
 	if rep.Stalls["activate"] != 4 {
 		t.Errorf("stalls = %v", rep.Stalls)
 	}
-	if rep.Decisions["roundrobin"] != 1 || rep.MissLatencyAvg != 20 {
+	if rep.Decisions["roundrobin"] != 1 || len(rep.Decisions) != 1 || rep.MissLatencyAvg != 20 {
 		t.Errorf("controller fields = %+v", rep)
 	}
 
@@ -419,7 +395,7 @@ func TestCollectorExporters(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	header := lines[0]
-	for _, wantCol := range []string{"window_start_cycle", "row_busy", "col_busy", "data_busy", "bandwidth_mbps", "depth_read x"} {
+	for _, wantCol := range []string{"window_start_cycle", "row_busy", "col_busy", "data_busy", "bandwidth_mbps", "depth_read x", "stall_activate", "stall_fault-retry"} {
 		if !strings.Contains(header, wantCol) {
 			t.Errorf("CSV header %q missing %q", header, wantCol)
 		}
@@ -460,29 +436,11 @@ func TestEventCaptureOffByDefault(t *testing.T) {
 	if c.Events != nil {
 		t.Error("event buffer allocated without CaptureEvents")
 	}
-	// Hooks still work, they just keep series only.
-	c.Device.SetBanks(8)
-	c.Device.OnPacket(DataBus, "DATA rd", 0, 0, 4)
-	if _, _, data := c.Device.BusSeries(); sumVals(data.Values()) != 4 {
-		t.Error("series lost without capture")
-	}
-}
-
-// TestBankTrackFallback pins one capture track per bank for every bank of
-// the geometry: a 32-bank channel (four chips) draws banks 16–31 on
-// tracks of their own, not on one shared fallback track.
-func TestBankTrackFallback(t *testing.T) {
-	c := New(Options{CaptureEvents: true})
-	c.Device.SetBanks(32)
-	for _, b := range []int{0, 3, 15, 16, 17, 31} {
-		c.Device.OnPacket(RowBus, "ACT", b, int64(b), int64(b)+4)
-	}
-	var got []string
-	for _, ev := range c.Events.Events {
-		got = append(got, ev.Track)
-	}
-	want := []string{"bank 0", "bank 3", "bank 15", "bank 16", "bank 17", "bank 31"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("tracks = %q, want %q", got, want)
+	// The series do not need capture: they come from the device's windows.
+	w := Windows{Width: c.Window}
+	w.AddBusy(2, 0, 4)
+	c.Finalize(4, 0, nil, w.Counts)
+	if got := c.Report().BusBusyPerWindow["data"]; !reflect.DeepEqual(got, []int64{4}) {
+		t.Errorf("data series = %v without capture, want [4]", got)
 	}
 }

@@ -39,8 +39,8 @@ type TraceOptions struct {
 	// Window is the reorder window depth in transactions (0 = 32, the
 	// default SBU depth). Ignored without Reorder.
 	Window int
-	// Telemetry, when non-nil, records the replay's bus series and
-	// events. Pure observer; the device attributes idle cycles before
+	// Telemetry, when non-nil, has the device keep its counters per
+	// window and records the replay's events. Pure observer; the device attributes idle cycles before
 	// each transaction to StallNoRequest either way, like the
 	// conventional controller.
 	Telemetry *telemetry.Collector
