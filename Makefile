@@ -26,10 +26,10 @@ test:
 bench: bench-core
 	$(GO) test -bench=. -benchmem ./...
 
-# Core simulator speed vs the pre-refactor baselines; regenerates
-# BENCH_core_speed.json. CI gates regressions with `rdprof -check`.
+# Re-records the after fields of BENCH_core_speed.json from the
+# benchmarks its rows name. CI gates regressions with `rdprof -check`.
 bench-core:
-	$(GO) run ./cmd/rdprof -bench-core -bench-core-out BENCH_core_speed.json
+	$(GO) run ./cmd/rdprof -record BENCH_core_speed.json
 
 # Full telemetry bundle (metrics.json, timeseries.csv, events.jsonl,
 # trace.json) for the canonical daxpy/SMC/PI scenario, under profile/.
@@ -58,13 +58,14 @@ serve:
 	$(GO) run ./cmd/rdserved -addr :8347 -cache-dir out/rdcache
 
 # Short fuzz passes over the address mapper, the device protocol, the
-# scenario validator, the rdtrace/v1 decoder, the hit path's JSON
-# reader and the trace reorder window against its reference scan: the
-# six targets CI fuzzes.
+# scenario validator, whole runs, the rdtrace/v1 decoder, the hit path's
+# JSON reader and the trace reorder window against its reference scan:
+# the seven targets CI fuzzes.
 fuzz:
 	$(GO) test -fuzz=FuzzMapUnmap -fuzztime=10s ./internal/addrmap/
 	$(GO) test -fuzz=FuzzDeviceDo -fuzztime=10s ./internal/rdram/
 	$(GO) test -fuzz=FuzzScenarioValidate -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzRun -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/tracegen/
 	$(GO) test -fuzz=FuzzWireReader -fuzztime=10s ./internal/service/
 	$(GO) test -fuzz=FuzzReorderMatchesScan -fuzztime=10s ./internal/workload/

@@ -12,9 +12,7 @@ import (
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/analytic"
 	"rdramstream/internal/experiments"
-	"rdramstream/internal/rdram"
-	"rdramstream/internal/sim"
-	"rdramstream/internal/stream"
+	"rdramstream/internal/steady"
 )
 
 // BenchmarkFigure1DRAMComparison regenerates the Figure 1 DRAM table.
@@ -226,10 +224,12 @@ func BenchmarkRefreshAblation(b *testing.B) {
 
 // BenchmarkRun measures one full simulation per kernel × controller at
 // n=1024, plus long-stream (64K-element) variants at the scale a
-// downstream sweep would run: timing-only and verified per controller,
-// where a verified run also seeds the device and checks its final image
-// (the functional store and the word images). These are the hot-path
-// numbers pinned in BENCH_core_speed.json (docs/PERFORMANCE.md).
+// downstream sweep would run: timing-only and verified per controller
+// under PI, verified under CLI, and the conventional controller
+// timing-only, where a verified run also seeds the device and checks its
+// final image (the functional store and the word images). The long
+// variants are the hot-path numbers pinned in BENCH_core_speed.json
+// (docs/PERFORMANCE.md).
 func BenchmarkRun(b *testing.B) {
 	controllers := []struct {
 		name string
@@ -255,81 +255,56 @@ func BenchmarkRun(b *testing.B) {
 		b.Run("long/daxpy/"+c.name, func(b *testing.B) { benchScenario(b, sc) })
 		sc.SkipVerify = false
 		b.Run("long/daxpy/"+c.name+"/verified", func(b *testing.B) { benchScenario(b, sc) })
+		sc.Scheme = rdramstream.CLI
+		b.Run("long/daxpy/"+c.name+"/verified/cli", func(b *testing.B) { benchScenario(b, sc) })
+	}
+	conventional := rdramstream.Scenario{
+		KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI, Controller: "conventional",
+		Placement: rdramstream.Staggered, SkipVerify: true,
+	}
+	b.Run("long/daxpy/conventional", func(b *testing.B) { benchScenario(b, conventional) })
+}
+
+// BenchmarkTraceRun measures one reordered replay of a generated
+// 65,536-access trace through Simulate, program expansion included: the
+// row-granular llm-kvcache traffic (32 context rows, FIFO depth 64)
+// under PI and CLI, and a chase that mostly misses its rows (FIFO depth
+// 32) under PI.
+func BenchmarkTraceRun(b *testing.B) {
+	trace := func(pattern string, ctxRows int) *rdramstream.TraceSpec {
+		return &rdramstream.TraceSpec{Program: &rdramstream.TraceProgram{
+			Name: pattern, Seed: 7, Phases: []rdramstream.TracePhase{
+				{Pattern: pattern, Accesses: 65536, ContextRows: ctxRows},
+			},
+		}}
+	}
+	for _, c := range []struct {
+		name string
+		sc   rdramstream.Scenario
+	}{
+		{"llm-kvcache/pi", rdramstream.Scenario{Workload: trace("llm-kvcache", 32), Scheme: rdramstream.PI, Mode: rdramstream.SMC, FIFODepth: 64}},
+		{"llm-kvcache/cli", rdramstream.Scenario{Workload: trace("llm-kvcache", 32), Scheme: rdramstream.CLI, Mode: rdramstream.SMC, FIFODepth: 64}},
+		{"chase/pi", rdramstream.Scenario{Workload: trace("chase", 0), Scheme: rdramstream.PI, Mode: rdramstream.SMC, FIFODepth: 32}},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchScenario(b, c.sc) })
 	}
 }
 
+// benchScenario times Simulate(sc) by the steady-state protocol of the
+// pinned benchmarks (internal/steady).
 func benchScenario(b *testing.B, sc rdramstream.Scenario) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	steady.Loop(b, func() {
 		if _, err := rdramstream.Simulate(sc); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkDeviceOpenPageRead measures the raw device model: back-to-back
-// page-hit packet reads.
-func BenchmarkDeviceOpenPageRead(b *testing.B) {
-	d := rdram.NewDevice(rdram.DefaultConfig())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Do(0, rdram.Request{Bank: 0, Row: 0, Col: i % 64})
-	}
-}
-
-// BenchmarkSMCCopy1024 measures a full SMC simulation of copy.
-func BenchmarkSMCCopy1024(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := rdramstream.Simulate(rdramstream.Scenario{
-			KernelName: "copy", N: 1024, Scheme: rdramstream.CLI,
-			Mode: rdramstream.SMC, FIFODepth: 128,
-			Placement: rdramstream.Staggered, SkipVerify: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if out.PercentPeak < 50 {
-			b.Fatalf("suspicious result %v", out.PercentPeak)
-		}
-	}
-}
-
-// BenchmarkNaturalOrderDaxpy1024 measures a full natural-order simulation.
-func BenchmarkNaturalOrderDaxpy1024(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := rdramstream.Simulate(rdramstream.Scenario{
-			KernelName: "daxpy", N: 1024, Scheme: addrmap.PI,
-			Mode: sim.NaturalOrder, Placement: stream.Staggered, SkipVerify: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSMCLongVector measures simulation throughput on a long stream
-// (64K elements), the scale a downstream user would sweep.
-func BenchmarkSMCLongVector(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := rdramstream.Simulate(rdramstream.Scenario{
-			KernelName: "daxpy", N: 65536, Scheme: rdramstream.PI,
-			Mode: rdramstream.SMC, FIFODepth: 128,
-			Placement: rdramstream.Staggered, SkipVerify: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 // --- telemetry overhead benchmarks ---
 
 // telemetryScenarios are the scenarios the telemetry overhead is quoted
 // for, all staggered and timing-only: the canonical daxpy/SMC/PI/fifo-128
-// run plus the scenarios of BenchmarkSMCCopy1024 and
-// BenchmarkNaturalOrderDaxpy1024.
+// run, an SMC copy under CLI and a natural-order daxpy under PI.
 var telemetryScenarios = []struct {
 	name string
 	sc   rdramstream.Scenario
@@ -356,8 +331,7 @@ var telemetryScenarios = []struct {
 func benchTelemetry(b *testing.B, newTel func() *rdramstream.Telemetry) {
 	for _, tc := range telemetryScenarios {
 		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			steady.Loop(b, func() {
 				sc := tc.sc
 				if newTel != nil {
 					sc.Telemetry = newTel()
@@ -365,7 +339,7 @@ func benchTelemetry(b *testing.B, newTel func() *rdramstream.Telemetry) {
 				if _, err := rdramstream.Simulate(sc); err != nil {
 					b.Fatal(err)
 				}
-			}
+			})
 		})
 	}
 }

@@ -378,3 +378,14 @@ func TestHitRate(t *testing.T) {
 		t.Errorf("HitRate = %v, want 0.75", got)
 	}
 }
+
+// BenchmarkDeviceOpenPageRead measures the raw device model: back-to-back
+// page-hit packet reads, one packet per op.
+func BenchmarkDeviceOpenPageRead(b *testing.B) {
+	d := NewDevice(DefaultConfig())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Do(0, Request{Bank: 0, Row: 0, Col: i % 64})
+	}
+}

@@ -6,6 +6,9 @@
 package resultcache
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"rdramstream/internal/addrmap"
@@ -43,5 +46,46 @@ func TestKeyAllocs(t *testing.T) {
 		if allocs > tc.budget {
 			t.Errorf("Key(%s scenario) allocated %.0f times, want <= %.0f", tc.name, allocs, tc.budget)
 		}
+	}
+}
+
+// A program's key digests its expansion through a pooled buffer, so a
+// warm Key costs the same bytes whatever the program's length, up to
+// tracegen.MaxPooledAccesses: expanding into a fresh buffer cost
+// 197,016 B at 12,288 chase accesses and 1,048,984 B at 65,536.
+func TestKeyProgramBytes(t *testing.T) {
+	bytesPerKey := func(n int) uint64 {
+		sc := sim.Scenario{Scheme: addrmap.PI, Mode: sim.SMC, Workload: &tracegen.Spec{Program: &tracegen.Program{
+			Seed: 7, Phases: []tracegen.Phase{{Pattern: tracegen.PatternChase, Accesses: n}},
+		}}}
+		key := func() {
+			if _, err := Key(sc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// As testing.AllocsPerRun does, measure on one P, so that the
+		// pools stay with the goroutine, and with the collector paused.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		key() // grows the pooled buffer to n accesses
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// The fewest bytes of a few rounds: another goroutine's
+		// allocation can land in one.
+		const rounds, runs = 3, 10
+		best := uint64(math.MaxUint64)
+		for r := 0; r < rounds; r++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				key()
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/runs)
+		}
+		return best
+	}
+	short, long := bytesPerKey(12288), bytesPerKey(65536)
+	t.Logf("warm Key: %d B at 12,288 accesses, %d B at 65,536", short, long)
+	if short != long {
+		t.Errorf("warm Key of a chase program: %d B at 12,288 accesses, %d B at 65,536; want equal", short, long)
 	}
 }

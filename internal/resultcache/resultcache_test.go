@@ -16,6 +16,7 @@ import (
 	"rdramstream/internal/fault"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/sim"
+	"rdramstream/internal/steady"
 	"rdramstream/internal/stream"
 )
 
@@ -358,4 +359,15 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("failed run was cached: %+v", st)
 	}
+}
+
+// BenchmarkKey times one kernel scenario's cache key: canonicalize,
+// render and SHA-256.
+func BenchmarkKey(b *testing.B) {
+	sc := scenario()
+	steady.Loop(b, func() {
+		if _, err := Key(sc); err != nil {
+			b.Fatal(err)
+		}
+	})
 }

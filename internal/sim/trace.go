@@ -53,22 +53,16 @@ func runTrace(sc Scenario) (Outcome, error) {
 	return out, nil
 }
 
-// maxScratchTrace is the largest trace buffer, in accesses, a scratch
-// keeps for the next run: 1 MiB, room for any trace the benchmarks and
-// figures replay. A program above it expands into a buffer of its own,
-// which goes with its run, so a 4 Mi-access program does not stay pinned
-// in the pool.
-const maxScratchTrace = 1 << 16
-
 // materialize returns spec's access trace. A program expands into the
-// scratch's trace buffer, reused from run to run; an explicit access
-// list is replayed where it is.
+// scratch's trace buffer, reused from run to run up to
+// tracegen.MaxPooledAccesses; an explicit access list is replayed where
+// it is.
 func (scr *scratch) materialize(spec *tracegen.Spec) ([]workload.TraceAccess, error) {
 	if spec.Program == nil {
 		return spec.Materialize()
 	}
 	accs, err := spec.Program.AppendTo(scr.trace[:0])
-	if cap(accs) <= maxScratchTrace {
+	if cap(accs) <= tracegen.MaxPooledAccesses {
 		scr.trace = accs[:0]
 	}
 	return accs, err

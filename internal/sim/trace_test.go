@@ -174,7 +174,7 @@ func TestTraceLabel(t *testing.T) {
 }
 
 // A program expands into the scratch's trace buffer, which keeps its
-// storage for the next run only up to maxScratchTrace accesses.
+// storage for the next run only up to tracegen.MaxPooledAccesses accesses.
 func TestScratchTraceBound(t *testing.T) {
 	spec := func(n int) *tracegen.Spec {
 		return &tracegen.Spec{Program: &tracegen.Program{Seed: 3, Phases: []tracegen.Phase{
@@ -197,12 +197,12 @@ func TestScratchTraceBound(t *testing.T) {
 	if kept < 1000 {
 		t.Fatalf("scratch kept %d accesses of storage, want the 1000-access buffer", kept)
 	}
-	big, err := scr.materialize(spec(maxScratchTrace + 1))
+	big, err := scr.materialize(spec(tracegen.MaxPooledAccesses + 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(big) != maxScratchTrace+1 {
-		t.Fatalf("%d accesses, want %d", len(big), maxScratchTrace+1)
+	if len(big) != tracegen.MaxPooledAccesses+1 {
+		t.Fatalf("%d accesses, want %d", len(big), tracegen.MaxPooledAccesses+1)
 	}
 	if cap(scr.trace) != kept {
 		t.Errorf("scratch kept %d accesses of storage after a %d-access program, want its earlier %d", cap(scr.trace), len(big), kept)

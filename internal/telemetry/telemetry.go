@@ -21,11 +21,9 @@ type Options struct {
 	// Window is the time-series bucket width in cycles (default 256).
 	Window int64
 	// CaptureEvents enables the event buffer feeding the JSONL and Chrome
-	// trace exports. Off, only series, histograms and probe counts are
-	// kept.
+	// trace exports, which holds at most DefaultEventLimit events. Off,
+	// only series, histograms and probe counts are kept.
 	CaptureEvents bool
-	// EventLimit caps the capture buffer (default DefaultEventLimit).
-	EventLimit int
 }
 
 // Collector is the root of one simulation run's telemetry. Create it with
@@ -60,11 +58,7 @@ func New(o Options) *Collector {
 	}
 	c := &Collector{Window: o.Window}
 	if o.CaptureEvents {
-		limit := o.EventLimit
-		if limit <= 0 {
-			limit = DefaultEventLimit
-		}
-		c.Events = &EventBuffer{Limit: limit}
+		c.Events = &EventBuffer{Limit: DefaultEventLimit}
 	}
 	c.Controller = &ControllerProbe{MissLatency: MustHistogram(DefaultLatencyBounds()...)}
 	return c

@@ -357,7 +357,8 @@ func TestWriteChromeTraceStructure(t *testing.T) {
 }
 
 func TestCollectorExporters(t *testing.T) {
-	c := New(Options{Window: 4, CaptureEvents: true, EventLimit: 8})
+	c := New(Options{Window: 4})
+	c.Events = &EventBuffer{Limit: 8}
 	c.Events.Append(Event{Track: "bank 0", Name: "ACT", Start: 0, End: 4})
 	c.Events.Append(Event{Track: "bank 0", Name: "DATA rd", Start: 4, End: 8})
 	c.FIFO(0, "read x").OnDepth(2, 5)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sync"
 
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/workload"
@@ -83,18 +84,42 @@ func (s *Spec) Materialize() ([]workload.TraceAccess, error) {
 // specs that replay identically — a program vs. the trace it generates,
 // a spelled-out vs. defaulted pipeline depth — canonicalize equal,
 // which is what makes trace scenarios dedup in the result cache and
-// shard consistently across the fabric.
+// shard consistently across the fabric. A program expands into a pooled
+// buffer, so keying it allocates no trace.
 func (s *Spec) Canonical() (Spec, error) {
-	accs, err := s.Materialize()
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return Spec{}, err
 	}
-	out := Spec{Digest: DigestOf(accs), Outstanding: s.Outstanding}
+	out := Spec{Outstanding: s.Outstanding}
 	if out.Outstanding == 0 {
 		out.Outstanding = rdram.MaxOutstanding
 	}
+	if s.Program == nil {
+		out.Digest = DigestOf(s.Accesses)
+		return out, nil
+	}
+	bp := expansions.Get().(*[]workload.TraceAccess)
+	accs, err := s.Program.AppendTo((*bp)[:0])
+	if err != nil {
+		return Spec{}, err
+	}
+	out.Digest = DigestOf(accs)
+	if cap(accs) <= MaxPooledAccesses {
+		*bp = accs[:0]
+		expansions.Put(bp)
+	}
 	return out, nil
 }
+
+// MaxPooledAccesses is the largest expansion, in accesses, a pooled
+// trace buffer keeps for its next use: 1 MiB, room for any trace the
+// benchmarks and figures replay. A program above it expands into a
+// buffer of its own, which goes with its call, so a 4 Mi-access program
+// does not stay pinned in a pool.
+const MaxPooledAccesses = 1 << 16
+
+// expansions recycles Canonical's program expansions.
+var expansions = sync.Pool{New: func() any { return new([]workload.TraceAccess) }}
 
 // DigestOf is the trace content address: a hex SHA-256 over each
 // access's op byte ('R'/'W') and big-endian 64-bit address, in order.

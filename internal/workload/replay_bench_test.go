@@ -5,6 +5,7 @@ import (
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
+	"rdramstream/internal/steady"
 	"rdramstream/internal/tracegen"
 	"rdramstream/internal/workload"
 )
@@ -43,8 +44,9 @@ func benchTraces(tb testing.TB) []pinInput {
 }
 
 // BenchmarkReplayTrace times one replay of each benchTraces trace in
-// order and reordered under each scheme, and reports the cost per line
-// transaction.
+// order and reordered under each scheme, device construction included,
+// by the steady-state protocol of the pinned benchmarks
+// (internal/steady), and reports the cost per line transaction.
 func BenchmarkReplayTrace(b *testing.B) {
 	for _, tr := range benchTraces(b) {
 		for _, c := range []struct {
@@ -55,13 +57,13 @@ func BenchmarkReplayTrace(b *testing.B) {
 				opt := workload.TraceOptions{Scheme: s, LineWords: 4, Reorder: c.reorder}
 				b.Run(tr.name+"/"+c.name+"/"+s.String(), func(b *testing.B) {
 					var txns int64
-					for i := 0; i < b.N; i++ {
+					steady.Loop(b, func() {
 						res, err := workload.ReplayTrace(timingDevice(), opt, tr.accs)
 						if err != nil {
 							b.Fatal(err)
 						}
 						txns = res.Device.PacketCount() * rdram.WordsPerPacket / int64(opt.LineWords)
-					}
+					})
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*txns), "ns/txn")
 				})
 			}

@@ -35,6 +35,7 @@ package rdramstream
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"rdramstream/internal/addrmap"
@@ -189,31 +190,54 @@ func LoopFootprints(l Loop) (names []string, words []int64, err error) {
 }
 
 // DepthResult is one point of a FIFO-depth search.
-type DepthResult = smc.DepthResult
+type DepthResult struct {
+	Depth       int
+	PercentPeak float64
+	Cycles      int64
+}
 
-// TuneFIFODepth runs the scenario's kernel at each candidate FIFO depth
-// and returns the smallest depth whose bandwidth lands within tolerance
-// percentage points of the best, plus every measurement. The paper's §6:
-// "the best FIFO depth must be chosen experimentally" — this is that
-// experiment.
+// TuneFIFODepth runs the scenario's kernel under the SMC at each
+// candidate FIFO depth (a sweep of timing-only runs with the scenario's
+// layout, Policy, SpeculateActivate and Device) and returns the smallest
+// depth whose bandwidth lands within tolerance percentage points of the
+// best, plus every measurement. The paper's §6: "the best FIFO depth
+// must be chosen experimentally" — this is that experiment. Smaller FIFOs
+// cost less hardware, so the smallest near-optimal depth wins.
 func TuneFIFODepth(sc Scenario, depths []int, tolerance float64) (int, []DepthResult, error) {
-	dev, err := sim.DeviceConfig(sc)
+	if len(depths) == 0 {
+		return 0, nil, fmt.Errorf("rdramstream: no candidate depths")
+	}
+	if tolerance < 0 {
+		return 0, nil, fmt.Errorf("rdramstream: negative tolerance %v", tolerance)
+	}
+	scs := make([]Scenario, len(depths))
+	for i, d := range depths {
+		if d <= 0 {
+			return 0, nil, fmt.Errorf("rdramstream: FIFO depth %d is not positive", d)
+		}
+		scs[i] = Scenario{
+			KernelName: sc.KernelName, N: sc.N, Stride: sc.Stride,
+			Scheme: sc.Scheme, Placement: sc.Placement, LineWords: sc.LineWords,
+			Controller: "smc", FIFODepth: d, Policy: sc.Policy,
+			SpeculateActivate: sc.SpeculateActivate, Device: sc.Device, SkipVerify: true,
+		}
+	}
+	outs, err := sim.RunAll(scs, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	sc.Device = dev
-	if sc.LineWords == 0 {
-		sc.LineWords = 4
+	results, best := make([]DepthResult, len(outs)), 0.0
+	for i, o := range outs {
+		results[i] = DepthResult{Depth: depths[i], PercentPeak: o.PercentPeak, Cycles: o.Cycles}
+		best = max(best, o.PercentPeak)
 	}
-	k, err := sim.BuildKernel(sc)
-	if err != nil {
-		return 0, nil, err
+	choice := -1
+	for _, r := range results {
+		if r.PercentPeak >= best-tolerance && (choice < 0 || r.Depth < choice) {
+			choice = r.Depth
+		}
 	}
-	cfg := smc.Config{
-		Scheme: sc.Scheme, LineWords: sc.LineWords,
-		Policy: sc.Policy, SpeculateActivate: sc.SpeculateActivate,
-	}
-	return smc.TuneDepth(sc.Device, k, cfg, depths, tolerance)
+	return choice, results, nil
 }
 
 // DefaultDevice returns the paper's device configuration: eight banks,

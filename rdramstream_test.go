@@ -102,6 +102,88 @@ func TestFacadeNaturalOrderVsSMC(t *testing.T) {
 	}
 }
 
+// tuneScenario is the vaxpy scenario the tuning tests sweep.
+func tuneScenario(scheme rdramstream.Interleave, n int) rdramstream.Scenario {
+	return rdramstream.Scenario{KernelName: "vaxpy", N: n, Scheme: scheme, Placement: rdramstream.Staggered}
+}
+
+func TestTuneFIFODepthPicksSmallestNearOptimal(t *testing.T) {
+	depths := []int{8, 16, 32, 64, 128}
+	choice, results, err := rdramstream.TuneFIFODepth(tuneScenario(rdramstream.PI, 1024), depths, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(depths) {
+		t.Fatalf("results = %d", len(results))
+	}
+	// The choice must be near-optimal and no deeper than the best point.
+	best := 0.0
+	for _, r := range results {
+		best = max(best, r.PercentPeak)
+	}
+	var chosen rdramstream.DepthResult
+	for _, r := range results {
+		if r.Depth == choice {
+			chosen = r
+		}
+	}
+	if chosen.Depth == 0 {
+		t.Fatalf("choice %d not among results", choice)
+	}
+	if chosen.PercentPeak < best-3 {
+		t.Errorf("chosen depth %d at %.1f%% is not within tolerance of best %.1f%%", choice, chosen.PercentPeak, best)
+	}
+	// A shallower depth must not also be within tolerance.
+	for _, r := range results {
+		if r.Depth < choice && r.PercentPeak >= best-3 {
+			t.Errorf("depth %d already within tolerance; choice %d too deep", r.Depth, choice)
+		}
+	}
+}
+
+func TestTuneFIFODepthZeroToleranceFindsPeak(t *testing.T) {
+	choice, results, err := rdramstream.TuneFIFODepth(tuneScenario(rdramstream.CLI, 512), []int{8, 32, 128}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, bestDepth := 0.0, 0
+	for _, r := range results {
+		if r.PercentPeak > best {
+			best, bestDepth = r.PercentPeak, r.Depth
+		}
+	}
+	// With zero tolerance the choice is a depth achieving the maximum
+	// (the smallest such depth).
+	var chosen float64
+	for _, r := range results {
+		if r.Depth == choice {
+			chosen = r.PercentPeak
+		}
+	}
+	if chosen != best {
+		t.Errorf("choice %d at %.2f%% is not the best %.2f%% (depth %d)", choice, chosen, best, bestDepth)
+	}
+}
+
+func TestTuneFIFODepthErrors(t *testing.T) {
+	sc := tuneScenario(rdramstream.CLI, 64)
+	for _, tc := range []struct {
+		name      string
+		depths    []int
+		tolerance float64
+	}{
+		{"empty depth list", nil, 1},
+		{"negative tolerance", []int{8}, -1},
+		{"sub-packet depth", []int{1}, 1},
+		{"zero depth", []int{8, 0}, 1},
+		{"negative depth", []int{-8}, 1},
+	} {
+		if _, _, err := rdramstream.TuneFIFODepth(sc, tc.depths, tc.tolerance); err == nil {
+			t.Errorf("%s: want an error", tc.name)
+		}
+	}
+}
+
 // TestFacadeTuneDevice checks that TuneFIFODepth reads Device as a
 // scenario does: the zero Device is the default part, and a partial one
 // is an ErrPartialDevice, not the default part.
