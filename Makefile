@@ -58,12 +58,14 @@ serve:
 	$(GO) run ./cmd/rdserved -addr :8347 -cache-dir out/rdcache
 
 # Short fuzz passes over the address mapper, the device protocol, the
-# scenario validator, whole runs, the rdtrace/v1 decoder, the hit path's
-# JSON reader and the trace reorder window against its reference scan:
-# the seven targets CI fuzzes.
+# line issuer against its per-packet reference, the scenario validator,
+# whole runs, the rdtrace/v1 decoder, the hit path's JSON reader and the
+# trace reorder window against its reference scan: the eight targets CI
+# fuzzes.
 fuzz:
 	$(GO) test -fuzz=FuzzMapUnmap -fuzztime=10s ./internal/addrmap/
 	$(GO) test -fuzz=FuzzDeviceDo -fuzztime=10s ./internal/rdram/
+	$(GO) test -fuzz=FuzzLinesMatchPackets -fuzztime=10s ./internal/engine/
 	$(GO) test -fuzz=FuzzScenarioValidate -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzRun -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s ./internal/tracegen/

@@ -8,11 +8,12 @@
 //     EffectiveMBps) computed in exactly one place;
 //   - the line issuer (Lines), the one cacheline-transaction path: natural
 //     order, the conventional controller, trace replay and the Crisp
-//     workloads issue every line through it. A line is mapped once,
-//     and the issuer steps the column across its packets,
-//     auto-precharges the last under a closed page, fills write packets
-//     from the store image with a read-merge of the words no stream
-//     stores, retries each packet through Issue, and gates lines on the
+//     workloads issue every line through it. A line is mapped once and
+//     handed to the device whole (rdram.Device.AttemptLine), its last
+//     packet auto-precharged under a closed page; the issuer fills a
+//     write line from the store image with a read-merge of the words no
+//     stream stores, retries a packet the device rejected through Issue
+//     and presents the rest again, and gates lines on the
 //     outstanding-transaction pipeline window (Window), a ring with a
 //     wrap index;
 //   - the memory Cursor, whose unit is the stripe (row r of every bank:

@@ -58,6 +58,7 @@ type Image struct {
 	cur  Cursor       // the walks' view of the device
 	walk []walkStream // a replay's per-stream place
 	in   []float64    // a replay's loaded values, one per read stream
+	line []uint64     // the words of the line Lines is writing (see fill)
 }
 
 // Reset empties the image and sizes its table to the page span of k's
@@ -167,6 +168,16 @@ func (img *Image) Range(f func(addr int64, v uint64) bool) {
 			}
 		}
 	}
+}
+
+// lineBuf returns the image's line buffer resized to n words, which the
+// line issuer's write fill overwrites line after line. It allocates
+// only when a pooled image first meets a line of n words.
+func (img *Image) lineBuf(n int) []uint64 {
+	if cap(img.line) < n {
+		img.line = make([]uint64, n)
+	}
+	return img.line[:n]
 }
 
 // imagePool recycles StoreValues images across runs, so a sweep pays for

@@ -32,19 +32,26 @@ func (e *RejectError) Error() string {
 // Issue presents req to the device, retrying with bounded exponential
 // backoff when the fault injector rejects it: the first retry waits one
 // packet time (t_PACK), doubling per attempt. This is the line issuer's
-// (Lines) fault path — controllers with their own scheduler (the SMC)
-// instead track per-FIFO retry times so rejections don't block unrelated
-// streams. On a device with no injector Attempt never rejects and Issue is
-// exactly Do. Like Attempt, Issue takes the request and fills the result
-// by pointer: it is the line issuer's per-packet call.
+// fault path: Lines retries here a packet its line call had rejected.
+// Controllers with their own scheduler (the SMC) instead track per-FIFO
+// retry times so rejections don't block unrelated streams. On a device
+// with no injector Attempt never rejects and Issue is exactly Do. Like
+// Attempt, Issue takes the request and fills the result by pointer.
 func Issue(dev *rdram.Device, at int64, req *rdram.Request, res *rdram.Result) error {
+	return issueFrom(dev, at, req, res, 1)
+}
+
+// issueFrom is Issue's retry loop entered at attempt first (1-based): the
+// earlier presentations, at their backoff cycles from at, were already
+// rejected.
+func issueFrom(dev *rdram.Device, at int64, req *rdram.Request, res *rdram.Result, first int) error {
 	backoff := int64(dev.TPack())
 	if backoff <= 0 {
 		backoff = 4
 	}
 	t := at
 	for attempt := 1; attempt <= MaxIssueAttempts; attempt++ {
-		if dev.Attempt(t, req, res) {
+		if attempt >= first && dev.Attempt(t, req, res) {
 			return nil
 		}
 		t += backoff

@@ -14,9 +14,10 @@ import (
 // conventional controller, trace replay and the Crisp workloads all
 // issue their lines through Issue. It owns the run's mapper, Cursor and
 // pipeline Window. A line never leaves its page under either scheme, so
-// one mapping (Loc) serves all its packets: Issue steps the column. Like
-// Cursor, a Lines is a value built by NewLines and must not be copied
-// once it has issued.
+// one mapping (Loc) serves all its packets, and Issue hands the device
+// the whole line, its packets being the page's successive columns, in
+// one call (rdram.Device.AttemptLine). Like Cursor, a Lines is a value
+// built by NewLines and must not be copied once it has issued.
 type Lines struct {
 	// ClosedPage sets auto-precharge on each line's last packet. NewLines
 	// sets it under CLI, the paper's pairing; natural order's page policy
@@ -32,6 +33,11 @@ type Lines struct {
 	mem     Cursor // holds the run's mapper
 	window  Window
 	packets int
+	// req is the line Issue presents and res what the device reports on
+	// it, both reused in place: a Request literal built on Issue's stack
+	// cost a copy on every line.
+	req rdram.Request
+	res rdram.Result
 }
 
 // NewLines builds the line issuer of one run over dev: lineWords-word
@@ -69,65 +75,87 @@ func (l *Lines) Loc(addr int64) addrmap.Loc { return l.mem.Loc(addr) }
 
 // Issue services the line at loc (a line's first word, from Loc),
 // presented no earlier than at and no earlier than the pipeline window
-// admits. A line never leaves its page, so its packets are loc's
-// successive columns; each goes through the engine's retry loop
-// (Issue), and the line's completion enters the window. When starts is
-// non-nil, starts[p] receives packet p's DataStart (natural order's
-// linefill forwarding) and Issue returns the cycle of the line's first
-// command (the first packet's PRER, ACT or COL, whichever it needed
-// first), which natural order's in-order cursor follows; with nil
-// starts it returns 0.
+// admits. The device places the line's packets, loc's successive
+// columns, in one call (rdram.Device.AttemptLine). A packet the fault
+// injector rejects is retried alone through the engine's backoff loop
+// (Issue), and the packets after it are presented again at the line's
+// presentation cycle, so every packet sees the presentations, and the
+// injector the draws, it would if each went through Issue in turn. The
+// line's completion enters the window. When starts is non-nil, starts[p]
+// receives packet p's DataStart (natural order's linefill forwarding).
+// Issue returns the cycle of the line's first command (the first
+// packet's PRER, ACT or COL, whichever it needed first), which natural
+// order's in-order cursor follows.
 //
 // rdlint:hotpath
 func (l *Lines) Issue(at int64, loc addrmap.Loc, write bool, starts []int64) (int64, error) {
 	at = l.window.Admit(at)
-	req := rdram.Request{Bank: loc.Bank, Row: loc.Row, Col: loc.Col, Write: write}
-	fill := write && l.Store != nil
-	var base int64 // the line's first word, for the fill
-	if fill {
-		base = l.mem.m.Unmap(loc)
+	req := &l.req
+	req.Bank, req.Row, req.Col, req.Write, req.AutoPrecharge = loc.Bank, loc.Row, loc.Col, write, l.ClosedPage
+	var data []uint64 // a write's words; nil writes zeros (none on a timing-only device)
+	if write && l.Store != nil && !l.dev.TimingOnly() {
+		data = l.fill(l.mem.m.Unmap(loc))
 	}
-	var res rdram.Result
-	var first int64
-	for p := 0; p < l.packets; p++ {
-		req.AutoPrecharge = l.ClosedPage && p == l.packets-1
-		if fill {
-			l.fill(&req, base+int64(p*rdram.WordsPerPacket))
+	res := &l.res
+	placed := l.dev.AttemptLine(at, req, res, l.packets, data, starts)
+	first, end := res.FirstCommand(), res.DataEnd
+	for p := placed; p < l.packets; {
+		// The device rejected packet p at at: retry it alone as Issue
+		// would have after that first presentation, then present the
+		// rest at at.
+		pkt := *req
+		pkt.Col = loc.Col + p
+		pkt.AutoPrecharge = l.ClosedPage && p == l.packets-1
+		if data != nil {
+			copy(pkt.Data[:], data[p*rdram.WordsPerPacket:])
 		}
-		if err := Issue(l.dev, at, &req, &res); err != nil {
+		if err := issueFrom(l.dev, at, &pkt, res, 2); err != nil {
 			return 0, err
 		}
+		if p == 0 {
+			first = res.FirstCommand()
+		}
 		if starts != nil {
-			if p == 0 {
-				first = res.ColIssue
-				if res.ActIssue >= 0 {
-					first = res.ActIssue
-				}
-				if res.PreIssue >= 0 {
-					first = res.PreIssue
-				}
-			}
 			starts[p] = res.DataStart
 		}
-		req.Col++
+		end = res.DataEnd
+		if p++; p == l.packets {
+			break
+		}
+		req.Col = loc.Col + p
+		if placed = l.dev.AttemptLine(at, req, res, l.packets-p, tail(data, p*rdram.WordsPerPacket), tail(starts, p)); placed > 0 {
+			end = res.DataEnd
+		}
+		p += placed
 	}
-	l.window.Complete(res.DataEnd)
+	l.window.Complete(end)
 	return first, nil
 }
 
-// fill sets the words of a write packet at addr from the Store, reading
-// those it lacks from the device.
+// tail returns s[i:], or nil for a nil s.
+func tail[T any](s []T, i int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[i:]
+}
+
+// fill returns the words of a write line whose first word is addr: the
+// Store's, and the device's where the Store lacks them. The words live
+// in the Store's line buffer, overwritten by the next fill.
 //
 // rdlint:hotpath
-func (l *Lines) fill(req *rdram.Request, addr int64) {
-	for w := range req.Data {
+func (l *Lines) fill(addr int64) []uint64 {
+	buf := l.Store.lineBuf(l.packets * rdram.WordsPerPacket)
+	for w := range buf {
 		a := addr + int64(w)
 		if v, ok := l.Store.Get(a); ok {
-			req.Data[w] = v
+			buf[w] = v
 		} else {
-			req.Data[w] = l.mem.Peek(a)
+			buf[w] = l.mem.Peek(a)
 		}
 	}
+	return buf
 }
 
 // Result is the run's Result: it lasted until the last DATA packet

@@ -129,7 +129,6 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	if s.lines, err = engine.NewLines(dev, cfg.Scheme, cfg.LineWords, cfg.Outstanding); err != nil {
 		return Result{}, err
 	}
-	s.spare = make([]int64, cfg.LineWords/rdram.WordsPerPacket)
 	s.lines.ClosedPage = cfg.closedPage()
 	// The natural-order processor issues in order: the bus waits on the
 	// previous iteration's operands, not on an absent request stream.
@@ -169,8 +168,7 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 
 type sim struct {
 	lines engine.Lines
-	lw    int64   // line size in words
-	spare []int64 // the packet times of store lines, which nothing reads
+	lw    int64 // line size in words
 
 	// cursor is the latest first-command time of any transaction: the
 	// next natural-order request may not be presented to the memory
@@ -285,7 +283,7 @@ func (s *sim) fetch(line, at int64, starts []int64) error {
 // words the kernel never stores keep their prior memory contents (the
 // issuer's read-merge).
 func (s *sim) store(line, at int64) error {
-	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), true, s.spare)
+	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), true, nil)
 	if err != nil {
 		return err
 	}

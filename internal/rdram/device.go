@@ -36,6 +36,18 @@ type Result struct {
 	Data [WordsPerPacket]uint64
 }
 
+// FirstCommand returns the cycle of the access's first packet: its PRER,
+// ACT or COL, whichever it needed first.
+func (r *Result) FirstCommand() int64 {
+	switch {
+	case r.PreIssue >= 0:
+		return r.PreIssue
+	case r.ActIssue >= 0:
+		return r.ActIssue
+	}
+	return r.ColIssue
+}
+
 type bankState struct {
 	open       bool
 	row        int
@@ -198,8 +210,7 @@ func (d *Device) TPack() int { return d.cfg.Timing.TPack }
 
 func (d *Device) checkAddr(bank, row, col int) {
 	g := &d.cfg.Geometry
-	if bank < 0 || bank >= g.Banks || row < 0 || row >= g.PagesPerBank ||
-		col < 0 || col >= d.packetsPerPage {
+	if uint(bank) >= uint(g.Banks) || uint(row) >= uint(g.PagesPerBank) || uint(col) >= uint(d.packetsPerPage) {
 		panic(fmt.Sprintf("rdram: address out of range: bank=%d row=%d col=%d (geometry %+v)", bank, row, col, *g))
 	}
 }
@@ -424,31 +435,66 @@ func (d *Device) Do(at int64, req Request) Result {
 // t_RCD/t_CAC/t_RP terms. An accepted access's packet times (and a read's
 // data) land in *res. With no injector attached Attempt always accepts
 // and is exactly Do. The request and result travel by pointer: this is
-// every controller's per-packet call, and copying them in and out by
-// value was a measurable share of an SMC run.
+// the SMC's per-packet call, and copying them in and out by value was a
+// measurable share of an SMC run. Attempt is AttemptLine's line of one
+// packet, so the device has one timing core; Attempt itself is small
+// enough to inline, and its callers then enter the core directly.
 // rdlint:hotpath
 func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
+	return d.AttemptLine(at, req, res, 1, req.Data[:], nil) == 1
+}
+
+// AttemptLine performs a cacheline transaction, the device's one timing
+// core: the n consecutive column packets req.Col .. req.Col+n-1 of one
+// row, all presented at cycle at, in one call. It checks the first and
+// the last column's address and catches up on refresh once, and opens
+// the row at most once, for the first packet, which may find the row
+// open (a page hit), closed (an ACT) or holding another row (a PRER,
+// then an ACT); the rest are page hits. Every packet then gets its COL
+// and DATA packets: bus occupancy, the t_RW read-after-write
+// turnaround, the write-buffer retire, the attribution of the idle
+// DATA-bus gap before it, and its counters and trace events. With
+// req.AutoPrecharge the last packet precharges the bank behind it.
+//
+// req.Data is ignored: write packet p stores data[p*WordsPerPacket:],
+// zeros when data is nil (Attempt passes req.Data). A line of one packet
+// copies a read's words into res.Data; longer lines' reads copy nothing.
+// *res receives the first packet's PageHit, PreIssue, ActIssue, ColIssue
+// and DataStart, and DataEnd, the end of the last placed packet's DATA;
+// it is untouched when the first packet is rejected. When starts is
+// non-nil, starts[p] receives packet p's DataStart.
+//
+// The fault injector is consulted once per packet, in order, as if each
+// were presented to Attempt in turn; the call stops at the first
+// rejected packet (counted in Stats.Rejections, with no other state
+// change) and returns the number of packets placed. The caller retries
+// that packet (engine.Issue) and presents the rest again, whose first
+// packet is then a general access: the retry may have met a refresh that
+// closed the row.
+// rdlint:hotpath
+func (d *Device) AttemptLine(at int64, req *Request, res *Result, n int, data []uint64, starts []int64) (placed int) {
 	d.checkAddr(req.Bank, req.Row, req.Col)
+	if n != 1 {
+		if n < 1 {
+			panic("rdram: a line of no packets")
+		}
+		d.checkAddr(req.Bank, req.Row, req.Col+n-1)
+	}
 	var fault AccessFault
 	if d.Faults != nil {
 		fault = d.Faults.OnAccess(at, req.Bank, req.Write)
 		if fault.Reject {
 			d.stats.Rejections++
-			return false
+			return 0
 		}
 	}
-	if d.cfg.RefreshInterval > 0 {
+	if d.cfg.RefreshInterval > 0 && d.nextRefresh <= at {
 		d.maybeRefresh(at)
 	}
 	t := &d.cfg.Timing
 	bk := &d.banks[req.Bank]
 
-	// prevDataFree marks where the idle window before this access's DATA
-	// packet begins, for stall-cause attribution.
-	prevDataFree := d.dataBusFree
-
 	*res = Result{PreIssue: -1, ActIssue: -1}
-	earliestCol := at
 	switch {
 	case bk.open && bk.row == req.Row:
 		res.PageHit = true
@@ -472,88 +518,118 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 		rcdReady += fault.RCDExtra
 		d.stats.JitterCycles += fault.RCDExtra
 	}
-	earliestCol = max(earliestCol, rcdReady)
+	pre, act := res.PreIssue, res.ActIssue
+	cac := fault.CACExtra // all of a later packet's fault the loop needs
+	for {
+		col := req.Col + placed
+		// prevDataFree marks where the idle window before this packet's
+		// DATA packet begins, for stall-cause attribution.
+		prevDataFree := d.dataBusFree
 
-	// A COL RET packet retires the write buffer between the last COL WR and
-	// the next COL RD. Its cost is already captured by the data-bus
-	// turnaround: the paper combines the retire's t_PACK and the round-trip
-	// t_RDLY into t_RW, which we enforce on the DATA bus below — so the RET
-	// is emitted for the trace and counted, but does not consume an extra
-	// critical-path column-bus slot.
-	reqDev := bk.chip
-	if !req.Write && d.pendingRetire[reqDev] {
-		d.pendingRetire[reqDev] = false
-		bk.ops.Retires++
-		d.emit(TraceRetire, d.colBusFree, t.TPack, req.Bank, -1, -1)
-	}
-
-	tc := max(earliestCol, d.colBusFree)
-
-	// Data packet latency from the COL packet start. Reads see the page-hit
-	// latency t_CAC plus the one extra cycle that makes a page miss cost
-	// exactly t_RAC = t_RCD + t_CAC + 1 from the ACT packet. CACExtra
-	// jitter stretches the column-to-data pipeline for this access.
-	lat := int64(t.TCAC + 1)
-	if req.Write {
-		lat = int64(t.TCWD)
-	}
-	lat += fault.CACExtra
-	d.stats.JitterCycles += fault.CACExtra
-	ds := tc + lat
-	// The DATA bus is a shared pipelined resource; packets may not overlap,
-	// and a read DATA packet must trail the previous write DATA packet by
-	// the bus turnaround time t_RW.
-	minDS := d.dataBusFree
-	trwBound := int64(-1)
-	if !req.Write && d.anyWrite {
-		trwBound = d.lastWriteDataEnd + int64(t.TRW)
-		minDS = max(minDS, trwBound)
-	}
-	if ds < minDS {
-		tc += minDS - ds
-		ds = minDS
-	}
-
-	d.colBusFree = tc + int64(t.TPack)
-	bk.lastColEnd = tc + int64(t.TPack)
-	de := ds + int64(t.TPack)
-	d.dataBusFree = de
-	res.ColIssue = tc
-	res.DataStart = ds
-	res.DataEnd = de
-	if ds > prevDataFree {
-		// Back-to-back packets leave no idle gap to attribute.
-		d.attributeIdle(prevDataFree, at, trwBound, rcdReady, ds, res)
-	}
-
-	w := req.Col * WordsPerPacket
-	if req.Write {
-		d.pendingRetire[reqDev] = true
-		d.lastWriteDataEnd = de
-		d.anyWrite = true
-		bk.ops.Writes++
-		if !d.noStore {
-			copy(d.pageSlot(req.Bank, req.Row)[w:w+WordsPerPacket], req.Data[:])
+		// A COL RET packet retires the write buffer between the last COL
+		// WR and the next COL RD. Its cost is already captured by the
+		// data-bus turnaround: the paper combines the retire's t_PACK and
+		// the round-trip t_RDLY into t_RW, which we enforce on the DATA bus
+		// below — so the RET is emitted for the trace and counted, but does
+		// not consume an extra critical-path column-bus slot.
+		if !req.Write && d.pendingRetire[bk.chip] {
+			d.pendingRetire[bk.chip] = false
+			bk.ops.Retires++
+			d.emit(TraceRetire, d.colBusFree, t.TPack, req.Bank, -1, -1)
 		}
-		d.emit(TraceWriteCol, tc, t.TPack, req.Bank, req.Row, req.Col)
-		d.emit(TraceWriteData, ds, t.TPack, req.Bank, req.Row, req.Col)
-	} else {
-		bk.ops.Reads++
-		if !d.noStore {
-			copy(res.Data[:], d.pageSlot(req.Bank, req.Row)[w:w+WordsPerPacket])
-		}
-		d.emit(TraceReadCol, tc, t.TPack, req.Bank, req.Row, req.Col)
-		d.emit(TraceReadData, ds, t.TPack, req.Bank, req.Row, req.Col)
-	}
-	d.stats.DataBusBusy += int64(t.TPack)
-	if de > d.stats.LastDataEnd {
-		d.stats.LastDataEnd = de
-	}
 
-	if req.AutoPrecharge {
-		d.prechargeAt(req.Bank, tc, false)
+		tc := max(at, rcdReady, d.colBusFree)
+
+		// Data packet latency from the COL packet start. Reads see the
+		// page-hit latency t_CAC plus the one extra cycle that makes a
+		// page miss cost exactly t_RAC = t_RCD + t_CAC + 1 from the ACT
+		// packet. CACExtra jitter stretches the column-to-data pipeline
+		// for this packet.
+		lat := int64(t.TCAC + 1)
+		if req.Write {
+			lat = int64(t.TCWD)
+		}
+		lat += cac
+		d.stats.JitterCycles += cac
+		ds := tc + lat
+		// The DATA bus is a shared pipelined resource; packets may not
+		// overlap, and a read DATA packet must trail the previous write
+		// DATA packet by the bus turnaround time t_RW.
+		minDS := d.dataBusFree
+		trwBound := int64(-1)
+		if !req.Write && d.anyWrite {
+			trwBound = d.lastWriteDataEnd + int64(t.TRW)
+			minDS = max(minDS, trwBound)
+		}
+		if ds < minDS {
+			tc += minDS - ds
+			ds = minDS
+		}
+
+		d.colBusFree = tc + int64(t.TPack)
+		bk.lastColEnd = tc + int64(t.TPack)
+		de := ds + int64(t.TPack)
+		d.dataBusFree = de
+		res.DataEnd = de
+		if placed == 0 {
+			res.ColIssue = tc
+			res.DataStart = ds
+		}
+		if ds > prevDataFree {
+			// Back-to-back packets leave no idle gap to attribute.
+			d.attributeIdle(prevDataFree, at, trwBound, rcdReady, ds, pre, act)
+		}
+
+		w := col * WordsPerPacket
+		if req.Write {
+			d.pendingRetire[bk.chip] = true
+			d.lastWriteDataEnd = de
+			d.anyWrite = true
+			bk.ops.Writes++
+			if !d.noStore {
+				page := d.pageSlot(req.Bank, req.Row)[w : w+WordsPerPacket]
+				if data != nil {
+					copy(page, data[placed*WordsPerPacket:])
+				} else {
+					clear(page)
+				}
+			}
+			d.emit(TraceWriteCol, tc, t.TPack, req.Bank, req.Row, col)
+			d.emit(TraceWriteData, ds, t.TPack, req.Bank, req.Row, col)
+		} else {
+			bk.ops.Reads++
+			if n == 1 && !d.noStore {
+				copy(res.Data[:], d.pageSlot(req.Bank, req.Row)[w:w+WordsPerPacket])
+			}
+			d.emit(TraceReadCol, tc, t.TPack, req.Bank, req.Row, col)
+			d.emit(TraceReadData, ds, t.TPack, req.Bank, req.Row, col)
+		}
+		d.stats.DataBusBusy += int64(t.TPack)
+		if de > d.stats.LastDataEnd {
+			d.stats.LastDataEnd = de
+		}
+		if starts != nil {
+			starts[placed] = ds
+		}
+
+		if placed++; placed == n {
+			if req.AutoPrecharge {
+				d.prechargeAt(req.Bank, tc, false)
+			}
+			return placed
+		}
+		// The next packet: a page hit on the row this one opened.
+		if d.Faults != nil {
+			f := d.Faults.OnAccess(at, req.Bank, req.Write)
+			if f.Reject {
+				d.stats.Rejections++
+				return placed
+			}
+			cac = f.CACExtra
+		}
+		bk.ops.PageHits++
+		pre, act, rcdReady = -1, -1, bk.rcdReady
 	}
-	return true
 }
 
 // attributeIdle charges every idle DATA-bus cycle in [prevFree, ds) —
@@ -561,29 +637,31 @@ func (d *Device) Attempt(at int64, req *Request, res *Result) bool {
 // stall cause in Stats.Stalls. It walks a chain of monotone thresholds in
 // causal order:
 //
-//	prevFree ──(controller idle)── at ──(precharge t_RP)── PreIssue+t_RP
-//	──(t_RC/t_RR/ROW-bus wait)── ActIssue ──(t_RCD)── rcdReady
+//	prevFree ──(controller idle)── at ──(precharge t_RP)── pre+t_RP
+//	──(t_RC/t_RR/ROW-bus wait)── act ──(t_RCD)── rcdReady
 //	──(read/write turnaround t_RW)── trwBound ──(COL bus + CAS pipe)── ds
 //
 // Each segment is clamped to [prevFree, ds), so the per-cause charges tile
 // the gap exactly; summed over a run (plus any controller-charged tail)
 // they equal Cycles − DataBusBusy. Cycles before the request arrived are
 // charged to the cause the controller declared via SetIdleCause
-// (no-request, dependency wait, or FIFO starvation). Attempt calls it
-// on every access that leaves a gap (ds > prevFree).
+// (no-request, dependency wait, or FIFO starvation). pre and act are
+// the packet's PRER and ACT starts, -1 when it needed none. The timing
+// core (access) calls it on every packet that leaves a gap
+// (ds > prevFree).
 // rdlint:hotpath
-func (d *Device) attributeIdle(prevFree, at, trwBound, rcdReady, ds int64, res *Result) {
+func (d *Device) attributeIdle(prevFree, at, trwBound, rcdReady, ds, pre, act int64) {
 	t := &d.cfg.Timing
 	if d.Windows.Width > 0 {
 		d.Windows.Reach(ds)
 	}
 	pos := d.chargeTo(prevFree, ds, d.idleCause, at)
-	if res.PreIssue >= 0 {
-		pos = d.chargeTo(pos, ds, telemetry.StallPrecharge, res.PreIssue+int64(t.TRP))
+	if pre >= 0 {
+		pos = d.chargeTo(pos, ds, telemetry.StallPrecharge, pre+int64(t.TRP))
 	}
-	if res.ActIssue >= 0 {
-		pos = d.chargeTo(pos, ds, telemetry.StallRowTiming, res.ActIssue)
-		pos = d.chargeTo(pos, ds, telemetry.StallActivate, res.ActIssue+int64(t.TRCD))
+	if act >= 0 {
+		pos = d.chargeTo(pos, ds, telemetry.StallRowTiming, act)
+		pos = d.chargeTo(pos, ds, telemetry.StallActivate, act+int64(t.TRCD))
 	} else {
 		// Page hit on a freshly opened row can still wait out t_RCD.
 		pos = d.chargeTo(pos, ds, telemetry.StallActivate, rcdReady)

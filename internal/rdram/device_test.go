@@ -389,3 +389,19 @@ func BenchmarkDeviceOpenPageRead(b *testing.B) {
 		d.Do(0, Request{Bank: 0, Row: 0, Col: i % 64})
 	}
 }
+
+// BenchmarkDeviceClosedPageLine measures the device's line transaction:
+// one 2-packet read line per op under a closed-page policy, so each op
+// activates its row, places both packets and precharges behind them,
+// the banks taken in turn.
+func BenchmarkDeviceClosedPageLine(b *testing.B) {
+	d := NewDevice(DefaultConfig())
+	req := Request{AutoPrecharge: true}
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Bank, req.Row = i%8, i/8%64
+		d.AttemptLine(0, &req, &res, 2, nil, nil)
+	}
+}

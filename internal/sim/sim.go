@@ -543,14 +543,18 @@ func finalize(col *telemetry.Collector, dev *rdram.Device, out Outcome) {
 
 // scratch is the per-run allocation set a sweep recycles: the device's
 // page table and page slots, the seed generator, the seed/verify golden
-// image, and a trace run's expanded program (see materialize). newDevice
-// checks one out per run and release returns it; sync.Pool keeps reuse
-// per-worker-safe at any sweep width.
+// image, and a trace run's expanded program with a copy of the program
+// it came from, so that the next run of an equal program expands nothing
+// (see materialize). newDevice checks one out per run and release
+// returns it; sync.Pool keeps reuse per-worker-safe at any sweep width.
 type scratch struct {
 	pages rdram.PagePool
 	image engine.Image
 	gen   *rand.Rand
 	trace []workload.TraceAccess
+	// prog is the program trace holds the expansion of, when held.
+	prog tracegen.Program
+	held bool
 }
 
 // rng returns the scratch's seed generator; seed reseeds it every run.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"rdramstream/internal/tracegen"
 	"rdramstream/internal/workload"
 )
@@ -56,14 +58,28 @@ func runTrace(sc Scenario) (Outcome, error) {
 // materialize returns spec's access trace. A program expands into the
 // scratch's trace buffer, reused from run to run up to
 // tracegen.MaxPooledAccesses; an explicit access list is replayed where
-// it is.
+// it is. The scratch remembers, as a copy, the program its buffer holds,
+// so the next run of an equal program on this worker (the same scenario
+// under another scheme or controller) replays the buffer as it is.
 func (scr *scratch) materialize(spec *tracegen.Spec) ([]workload.TraceAccess, error) {
-	if spec.Program == nil {
+	p := spec.Program
+	if p == nil {
 		return spec.Materialize()
 	}
-	accs, err := spec.Program.AppendTo(scr.trace[:0])
-	if cap(accs) <= tracegen.MaxPooledAccesses {
-		scr.trace = accs[:0]
+	if scr.held && p.Name == scr.prog.Name && p.Seed == scr.prog.Seed && slices.Equal(p.Phases, scr.prog.Phases) {
+		return scr.trace, nil
+	}
+	scr.held = false // the expansion overwrites the buffer
+	accs, err := p.AppendTo(scr.trace[:0])
+	if cap(accs) > tracegen.MaxPooledAccesses {
+		return accs, err
+	}
+	scr.trace = accs[:0]
+	if err == nil {
+		scr.trace = accs
+		scr.prog.Name, scr.prog.Seed = p.Name, p.Seed
+		scr.prog.Phases = append(scr.prog.Phases[:0], p.Phases...)
+		scr.held = true
 	}
 	return accs, err
 }

@@ -217,3 +217,105 @@ func TestScratchTraceBound(t *testing.T) {
 		t.Error("an explicit access list was copied")
 	}
 }
+
+// One worker runs a program under both schemes and both controllers, as
+// the llm-kvcache experiment and a sweep do: the later runs replay the
+// first run's expansion, and every outcome is byte-identical to the
+// same scenario run over the program's access list, which expands
+// nothing.
+func TestRememberedProgramOutcomes(t *testing.T) {
+	prog := kvProgram(t)
+	accs, err := prog.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byProg, byAccs []Scenario
+	for _, s := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
+		for _, c := range []string{"natural-order", "smc"} {
+			sc := Scenario{Scheme: s, Controller: c, FIFODepth: 32}
+			p := *prog // an equal program, not the same one
+			sc.Workload = &tracegen.Spec{Program: &p}
+			byProg = append(byProg, sc)
+			sc.Workload = &tracegen.Spec{Accesses: accs}
+			byAccs = append(byAccs, sc)
+		}
+	}
+	got, err := RunAll(byProg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunAll(byAccs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		a, _ := json.Marshal(got[i])
+		b, _ := json.Marshal(want[i])
+		if string(a) != string(b) {
+			t.Errorf("%s: program outcome %s, access-list outcome %s", byProg[i].Label(), a, b)
+		}
+	}
+}
+
+// The scratch remembers the program its buffer holds. An equal program
+// gets the buffer back unexpanded; a changed seed or phase, or the
+// remembered program's own phases changed in place, expands again.
+func TestScratchRemembersProgram(t *testing.T) {
+	newProg := func() *tracegen.Program {
+		return &tracegen.Program{Name: "kv", Seed: 3, Phases: []tracegen.Phase{
+			{Pattern: tracegen.PatternLLMKV, Accesses: 2000, ContextRows: 4},
+		}}
+	}
+	var scr scratch
+	// expand materializes p after marking the buffer, so that a result
+	// still carrying the mark was not expanded.
+	mark := workload.TraceAccess{Addr: -1}
+	expand := func(p *tracegen.Program) []workload.TraceAccess {
+		t.Helper()
+		if len(scr.trace) > 0 {
+			scr.trace[0] = mark
+		}
+		got, err := scr.materialize(&tracegen.Spec{Program: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	check := func(what string, p *tracegen.Program, wantExpanded bool) {
+		t.Helper()
+		got := expand(p)
+		if expanded := got[0] != mark; expanded != wantExpanded {
+			t.Fatalf("%s: expanded %v, want %v", what, expanded, wantExpanded)
+		}
+		if !wantExpanded {
+			return
+		}
+		want, err := p.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: materialize differs from Generate", what)
+		}
+	}
+
+	p := newProg()
+	check("first run", p, true)
+	check("equal program", newProg(), false)
+	check("same program", p, false)
+
+	seed := newProg()
+	seed.Seed++
+	check("changed seed", seed, true)
+	check("first program again", newProg(), true)
+
+	phase := newProg()
+	phase.Phases[0].ContextRows = 8
+	check("changed phase", phase, true)
+
+	// The scratch holds a copy of the phases: changing the remembered
+	// program's slice in place is a different program.
+	phase.Phases[0].ContextRows = 16
+	check("phases changed in place", phase, true)
+	check("name changed", &tracegen.Program{Name: "other", Seed: phase.Seed, Phases: phase.Phases}, true)
+}
