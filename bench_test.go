@@ -226,10 +226,10 @@ func BenchmarkRefreshAblation(b *testing.B) {
 // n=1024, plus long-stream (64K-element) variants at the scale a
 // downstream sweep would run: timing-only and verified per controller
 // under PI, verified under CLI, and the conventional controller
-// timing-only, where a verified run also seeds the device and checks its
-// final image (the functional store and the word images). The long
-// variants are the hot-path numbers pinned in BENCH_core_speed.json
-// (docs/PERFORMANCE.md).
+// timing-only and verified, where a verified run also seeds the device,
+// replays the golden image its write lines carry and checks its final
+// image. The long variants are the hot-path numbers pinned in
+// BENCH_core_speed.json (docs/PERFORMANCE.md).
 func BenchmarkRun(b *testing.B) {
 	controllers := []struct {
 		name string
@@ -263,6 +263,8 @@ func BenchmarkRun(b *testing.B) {
 		Placement: rdramstream.Staggered, SkipVerify: true,
 	}
 	b.Run("long/daxpy/conventional", func(b *testing.B) { benchScenario(b, conventional) })
+	conventional.SkipVerify = false
+	b.Run("long/daxpy/conventional/verified", func(b *testing.B) { benchScenario(b, conventional) })
 }
 
 // BenchmarkTraceRun measures one reordered replay of a generated

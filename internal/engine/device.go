@@ -10,9 +10,8 @@ import (
 )
 
 // cursorStripes is how many stripes a Cursor holds: one per stream of a
-// walk that interleaves streams (StoreValues' loads, the line issuer's
-// write read-merges), with room for the paper's seven-read, one-write
-// experiment.
+// walk that interleaves streams (the line issuer's write read-merges),
+// with room for the paper's seven-read, one-write experiment.
 const cursorStripes = 8
 
 // Cursor maps word addresses to device locations and reads and writes

@@ -11,8 +11,8 @@
 //     workloads issue every line through it. A line is mapped once and
 //     handed to the device whole (rdram.Device.AttemptLine), its last
 //     packet auto-precharged under a closed page; the issuer fills a
-//     write line from the store image with a read-merge of the words no
-//     stream stores, retries a packet the device rejected through Issue
+//     write line from the run's golden image with a read-merge of the
+//     words it lacks, retries a packet the device rejected through Issue
 //     and presents the rest again, and gates lines on the
 //     outstanding-transaction pipeline window (Window), a ring with a
 //     wrap index;
@@ -25,9 +25,12 @@
 //     over it, which move a chunk of elements — all inside one stripe
 //     and one image page — per lookup: Seed fills the device and the
 //     golden image, Replay runs the kernel over the image alone (never
-//     reading the device), StoreValues captures a kernel's store values
-//     for the write transactions, and Mismatch compares image and device
-//     in address order;
+//     reading the device), and Mismatch compares image and device in
+//     address order. The golden is replayed once, before the controller
+//     runs, and is also the store image the line issuer's write lines
+//     carry (Options.Store): it holds the seeded words plus every final
+//     stored value, and the device holds exactly the seeded words
+//     wherever the kernel does not store;
 //   - the attachment point (Attach) that declares a controller's idle
 //     cause to the device's always-on stall attribution and wires an
 //     optional telemetry collector onto the device's packet trace;

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"sync"
 
 	"rdramstream/internal/stream"
 )
@@ -42,20 +41,20 @@ func (p *imagePage) set(addr int64, v uint64) {
 }
 
 // Image is a sparse word image over the page span of a kernel's streams:
-// the golden memory the harness seeds and verifies against, and the store
-// values StoreValues captures for the timing controllers. A dense table
-// covers the span: table[addr>>imageShift - base] is 1 + the index of the
-// page in pages, 0 meaning untouched. An Image is reused run after run:
-// Reset keeps the table's backing and the pages for the next kernel, and
-// the walks over it (Seed, Replay, StoreValues, Mismatch) keep their
-// cursor and per-stream state here too, so a run allocates none of it.
+// the golden memory the harness seeds and verifies against, which is also
+// the store image the line controllers write from (Lines.Store). A dense
+// table covers the span: table[addr>>imageShift - base] is 1 + the index
+// of the page in pages, 0 meaning untouched. An Image is reused run after
+// run: Reset keeps the table's backing and the pages for the next kernel,
+// and the walks over it (Seed, Replay, Mismatch) keep their cursor and
+// per-stream state here too, so a run allocates none of it.
 type Image struct {
 	base  int64        // page number of table[0]
 	table []int32      // one entry per page of the kernel's span
 	pages []*imagePage // pages[:used] are in the image, the rest spare
 	used  int
 
-	cur  Cursor       // the walks' view of the device
+	cur  Cursor       // Seed's and Mismatch's view of the device
 	walk []walkStream // a replay's per-stream place
 	in   []float64    // a replay's loaded values, one per read stream
 	line []uint64     // the words of the line Lines is writing (see fill)
@@ -179,11 +178,3 @@ func (img *Image) lineBuf(n int) []uint64 {
 	}
 	return img.line[:n]
 }
-
-// imagePool recycles StoreValues images across runs, so a sweep pays for
-// a store image's pages once per worker rather than once per scenario.
-var imagePool = sync.Pool{New: func() any { return new(Image) }}
-
-// Release returns an image obtained from StoreValues to the pool. The
-// image must not be used afterwards.
-func (img *Image) Release() { imagePool.Put(img) }

@@ -98,45 +98,48 @@ func randomAliasingKernel(r *rand.Rand, g rdram.Geometry) *stream.Kernel {
 	return k
 }
 
-// refStoreValues is the map-backed store capture the image replaced, kept
-// as the reference the property test compares against. It reads unstored
-// words one Map and PeekWord at a time, independently of Cursor.
-func refStoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) map[int64]uint64 {
+// refGolden is the map-backed golden the image replaced, kept as the
+// reference the property test compares against: one draw per address not
+// yet seen, in stream then element order, then the kernel replayed over
+// the map. It shares no code with Image.
+func refGolden(k *stream.Kernel, draw func() uint64) map[int64]uint64 {
 	vals := make(map[int64]uint64)
-	k.Replay(
-		func(addr int64) uint64 {
-			if v, ok := vals[addr]; ok {
-				return v
+	for _, st := range k.Streams {
+		for i := 0; i < st.Length; i++ {
+			if _, ok := vals[st.Addr(i)]; !ok {
+				vals[st.Addr(i)] = draw()
 			}
-			loc := m.Map(addr)
-			return dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)
-		},
+		}
+	}
+	k.Replay(
+		func(addr int64) uint64 { return vals[addr] },
 		func(addr int64, v uint64) { vals[addr] = v },
 	)
 	return vals
 }
 
-// TestStoreValuesMatchesMapReference checks the image-backed StoreValues
+// TestReplayMatchesMapReference checks the image-backed Seed and Replay
 // against the map reference over random aliasing kernels on every stripe
-// shape. Images are released and reused across cases, as in a sweep.
-func TestStoreValuesMatchesMapReference(t *testing.T) {
+// shape. One image is reused across cases, as in a sweep.
+func TestReplayMatchesMapReference(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	cfg := rdram.DefaultConfig()
 	geoms := stripeGeometries()
+	var img Image
 	for c := 0; c < 380; c++ {
 		cfg.Geometry = geoms[c%len(geoms)]
 		k := randomAliasingKernel(r, cfg.Geometry)
 		m := addrmap.MustNew(addrmap.Scheme(r.Intn(2)), cfg.Geometry, 2<<r.Intn(4))
-		checkStoreValues(t, fmt.Sprintf("case %d", c), rdram.NewDevice(cfg), &m, k, r)
+		checkReplay(t, fmt.Sprintf("case %d", c), &img, rdram.NewDevice(cfg), &m, k, r.Int63())
 	}
 }
 
-// TestStoreValuesManyStripes replays a kernel whose twelve streams sit in
-// twelve different stripes, more than a Cursor holds, so every chunk
-// evicts stripes that other streams are still walking.
-func TestStoreValuesManyStripes(t *testing.T) {
+// TestReplayManyStripes seeds and replays a kernel whose twelve streams
+// sit in twelve different stripes, more than a Cursor holds, so every
+// seed chunk evicts stripes that other streams are still walking.
+func TestReplayManyStripes(t *testing.T) {
 	cfg := rdram.DefaultConfig()
-	r := rand.New(rand.NewSource(2))
+	var img Image
 	for _, scheme := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
 		m := addrmap.MustNew(scheme, cfg.Geometry, 4)
 		bases := make([]int64, 12)
@@ -144,33 +147,40 @@ func TestStoreValuesManyStripes(t *testing.T) {
 			bases[i] = int64(i)*5*int64(m.StripeWords()) + int64(i)*7
 		}
 		k := stream.MultiStream(11, 1, bases, 3000, 1)
-		checkStoreValues(t, scheme.String(), rdram.NewDevice(cfg), &m, k, r)
+		checkReplay(t, scheme.String(), &img, rdram.NewDevice(cfg), &m, k, 2)
 	}
 }
 
-// checkStoreValues fills every stream address of dev with a random word
-// and compares StoreValues with the map reference: the same value at
-// every stored address, and absent everywhere else — at every stream
-// address and its neighbours, and outside the kernel's span.
-func checkStoreValues(t *testing.T, name string, dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, r *rand.Rand) {
+// checkReplay seeds img and dev from a generator seeded with s, replays
+// k over img and compares it with the map reference drawn from an equal
+// generator: the same value at every address the reference holds, and
+// absent everywhere else — at every stream address and its neighbours,
+// and outside the kernel's span. The device must hold the seeded words.
+func checkReplay(t *testing.T, name string, img *Image, dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel, s int64) {
 	t.Helper()
+	draw := func(r *rand.Rand) func() uint64 { return func() uint64 { return uint64(r.Intn(1024)) } }
+	img.Seed(dev, m, k, draw(rand.New(rand.NewSource(s))))
+	seeded := make(map[int64]uint64)
+	img.Range(func(addr int64, v uint64) bool { seeded[addr] = v; return true })
+	img.Replay(k)
+	ref := refGolden(k, draw(rand.New(rand.NewSource(s))))
+
 	lo, hi := k.Streams[0].Addr(0), k.Streams[0].Addr(0)
 	for _, st := range k.Streams {
 		for i := 0; i < st.Length; i++ {
-			addr := st.Addr(i)
-			lo, hi = min(lo, addr), max(hi, addr)
-			loc := m.Map(addr)
-			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, uint64(r.Intn(1024)))
+			lo, hi = min(lo, st.Addr(i)), max(hi, st.Addr(i))
 		}
 	}
-
-	ref := refStoreValues(dev, m, k)
-	img := StoreValues(dev, m, k)
-	defer img.Release()
+	for addr, v := range seeded {
+		loc := m.Map(addr)
+		if got := dev.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word); got != v {
+			t.Fatalf("%s: device holds %#x at %d, seeded %#x", name, got, addr, v)
+		}
+	}
 	n := 0
 	img.Range(func(addr int64, v uint64) bool {
 		if want, ok := ref[addr]; !ok || v != want {
-			t.Fatalf("%s: image holds %#x at %d, reference %#x (stored %v)", name, v, addr, want, ok)
+			t.Fatalf("%s: image holds %#x at %d, reference %#x (present %v)", name, v, addr, want, ok)
 		}
 		n++
 		return true
@@ -194,33 +204,5 @@ func checkStoreValues(t *testing.T, name string, dev *rdram.Device, m *addrmap.M
 	}
 	for _, addr := range []int64{-1, lo - 1, lo - imagePageWords, hi + 1, hi + imagePageWords, hi + 1<<30} {
 		probe(addr)
-	}
-}
-
-// TestStoreValuesTimingOnlySkipsReplay: a timing-only device stores no
-// data, so StoreValues must return an empty image without running the
-// kernel at all.
-func TestStoreValuesTimingOnlySkipsReplay(t *testing.T) {
-	cfg := rdram.DefaultConfig()
-	dev := rdram.NewDevice(cfg)
-	dev.SetTimingOnly(true)
-	k := &stream.Kernel{Name: "trap", Streams: []stream.Stream{
-		{Name: "x", Base: 0, Stride: 1, Length: 64},
-		{Name: "y", Base: 4096, Stride: 1, Length: 64, Mode: stream.Write},
-	}}
-	k.Compute = func(int, []float64) []float64 { panic("kernel replayed on a timing-only device") }
-	m := addrmap.MustNew(addrmap.PI, cfg.Geometry, 4)
-	img := StoreValues(dev, &m, k)
-	defer img.Release()
-	img.Range(func(addr int64, _ uint64) bool {
-		t.Fatalf("timing-only image holds address %d", addr)
-		return false
-	})
-	for _, st := range k.Streams {
-		for i := 0; i < st.Length; i++ {
-			if _, ok := img.Get(st.Addr(i)); ok {
-				t.Fatalf("timing-only image holds address %d", st.Addr(i))
-			}
-		}
 	}
 }

@@ -23,10 +23,12 @@ type Lines struct {
 	// sets it under CLI, the paper's pairing; natural order's page policy
 	// overrides it.
 	ClosedPage bool
-	// Store, when non-nil, holds the values write packets carry (see
-	// StoreValues); words it lacks are read from the device, a free
-	// read-merge as in the paper's line-granularity store model. With no
-	// Store a write carries no data: the timing-only replays.
+	// Store, when non-nil, holds the values write packets carry: the
+	// run's golden image (Image.Replay), whose words are the seeded ones
+	// plus every final stored value. Words it lacks are read from the
+	// device, a free read-merge as in the paper's line-granularity store
+	// model. With no Store a write carries no data: the timing-only runs
+	// and replays.
 	Store *Image
 
 	dev     *rdram.Device

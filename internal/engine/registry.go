@@ -32,6 +32,12 @@ type Options struct {
 	// Cache, when non-nil, puts a real set-associative cache in front of
 	// controllers that support one.
 	Cache *cache.Config
+	// Store, when non-nil, is the run's golden image (Image.Replay): the
+	// values the cacheline controllers' write lines carry (Lines.Store).
+	// Nil means write lines carry no computed data, as on a timing-only
+	// device. Controllers whose stores come from the data they read (the
+	// SMC) ignore it.
+	Store *Image
 	// Telemetry, when non-nil, instruments the run (see Attach).
 	Telemetry *telemetry.Collector
 	// WatchdogLimit is the forward-progress bound, in cycles: a controller

@@ -11,23 +11,20 @@ import (
 )
 
 // The functional harness's walks over a kernel's streams: seeding the
-// device and the golden image, the golden replay, store capture for the
-// timing controllers, and the final comparison. Each walks chunks —
-// elements that share one stripe of the device (Cursor.chunk) and one
-// image page — looking both up once per chunk, and moves device words an
-// interleave unit at a time (Cursor.seg), indexing within it.
+// device and the golden image, the golden replay, and the final
+// comparison. Seed and Mismatch walk chunks — elements that share one
+// stripe of the device (Cursor.chunk) and one image page — looking both
+// up once per chunk, and move device words an interleave unit at a time
+// (Cursor.seg), indexing within it. Replay never touches the device: its
+// chunks share one image page per stream.
 
 // walkStream is one stream's place in a chunked replay: the next
-// element's address and the stream's stride, the device stripe and image
-// page holding it, and the device unit last read for it, seg, whose word
-// j is address segAt+j.
+// element's address, the stream's stride and the image page holding the
+// address.
 type walkStream struct {
 	addr   int64
 	stride int64
-	s      *cursorStripe
 	p      *imagePage
-	seg    []uint64
-	segAt  int64
 }
 
 // Seed resets the image to k's span and gives every stream element a
@@ -69,37 +66,16 @@ func (img *Image) seedChunk(st *stream.Stream, i int, draw func() uint64) int {
 	return i
 }
 
-// Replay executes k functionally over the image alone: loads read it,
-// stores write it. It never reads the device, which is what makes it the
-// golden model a run's device contents are checked against. Every address
-// the kernel loads must be in the image.
-func (img *Image) Replay(k *stream.Kernel) { img.replay(k, nil) }
-
-// StoreValues functionally executes the kernel and returns an image of
-// every word it stores — the data a timing controller transmits on its
-// write transactions. Loads read the image first, so loop-carried values
-// are seen; unstored addresses read current device contents. A
-// timing-only device stores no data, so there it returns an empty image
-// without replaying the kernel: timing never depends on data values. The
-// caller releases the image when its run returns.
-func StoreValues(dev *rdram.Device, m *addrmap.Mapper, k *stream.Kernel) *Image {
-	img := imagePool.Get().(*Image)
-	if dev.TimingOnly() {
-		img.Reset(nil)
-		return img
-	}
-	img.Reset(k)
-	img.cur.reset(dev, m)
-	img.replay(k, &img.cur)
-	return img
-}
-
-// replay executes k functionally into the image, one chunk of elements
-// at a time. A load reads the image where the word is present, else the
-// device through cur, or 0 when cur is nil. Within each element the
-// reads precede the writes, as the kernel's streams are listed, so a
-// read sees every value stored at an earlier element.
-func (img *Image) replay(k *stream.Kernel, cur *Cursor) {
+// Replay executes k functionally over the image alone, one chunk of
+// elements at a time: loads read it, stores write it. It never reads the
+// device, which is what makes it the golden model a run's device
+// contents are checked against, and it runs before the controller, so
+// the golden is also the store image the line controllers write from
+// (Options.Store). Every address the kernel loads must be in the
+// image, as Seed leaves it. Within each element the reads precede the
+// writes, as the kernel's streams are listed, so a read sees every value
+// stored at an earlier element.
+func (img *Image) Replay(k *stream.Kernel) {
 	nr := k.ReadStreams()
 	if cap(img.walk) < len(k.Streams) {
 		img.walk = make([]walkStream, len(k.Streams))
@@ -108,17 +84,16 @@ func (img *Image) replay(k *stream.Kernel, cur *Cursor) {
 		img.in = make([]float64, nr)
 	}
 	ws, in := img.walk[:len(k.Streams)], img.in[:nr]
-	clear(ws) // drop the last run's device units
 	for i := 0; i < k.Iterations(); {
-		i = img.replayChunk(k, i, ws, in, cur)
+		i = img.replayChunk(k, i, ws, in)
 	}
 }
 
 // replayChunk replays the chunk of k that starts at element i — as many
-// elements as keep every stream inside one stripe and one image page —
-// and returns the element after it.
+// elements as keep every stream inside one image page — and returns the
+// element after it.
 // rdlint:hotpath
-func (img *Image) replayChunk(k *stream.Kernel, i int, ws []walkStream, in []float64, cur *Cursor) int {
+func (img *Image) replayChunk(k *stream.Kernel, i int, ws []walkStream, in []float64) int {
 	nr := len(in)
 	n := k.Iterations() - i
 	// Write streams first: their image pages exist before the read
@@ -126,13 +101,7 @@ func (img *Image) replayChunk(k *stream.Kernel, i int, ws []walkStream, in []flo
 	for j := len(ws) - 1; j >= 0; j-- {
 		st, w := &k.Streams[j], &ws[j]
 		w.addr, w.stride = st.Addr(i), st.Stride
-		if cur != nil {
-			var cn int
-			w.s, cn = cur.chunk(st, i)
-			n = min(n, cn)
-		} else {
-			n = min(n, span(st, i, w.addr&^imageMask, w.addr|imageMask+1))
-		}
+		n = min(n, span(st, i, w.addr&^imageMask, w.addr|imageMask+1))
 		if w.p = img.page(w.addr); w.p == nil && j >= nr {
 			w.p = img.pageFor(w.addr)
 		}
@@ -140,7 +109,7 @@ func (img *Image) replayChunk(k *stream.Kernel, i int, ws []walkStream, in []flo
 	for end := i + n; i < end; i++ {
 		for r := range in {
 			w := &ws[r]
-			in[r] = math.Float64frombits(img.load(w, cur))
+			in[r] = math.Float64frombits(w.load())
 			w.addr += w.stride
 		}
 		out := k.Compute(i, in)
@@ -156,30 +125,14 @@ func (img *Image) replayChunk(k *stream.Kernel, i int, ws []walkStream, in []flo
 	return i
 }
 
-// load returns the word at w's address: the image's when present, else
-// the device's through cur, else 0.
+// load returns the image's word at w's address, 0 when it has none.
 // rdlint:hotpath
-func (img *Image) load(w *walkStream, cur *Cursor) uint64 {
-	if w.p != nil {
-		if v, ok := w.p.get(w.addr); ok {
-			return v
-		}
-	}
-	if cur == nil {
+func (w *walkStream) load() uint64 {
+	if w.p == nil {
 		return 0
 	}
-	k := w.addr - w.segAt
-	if uint64(k) >= uint64(len(w.seg)) {
-		s := w.s
-		if w.addr < s.lo || w.addr >= s.hi {
-			// A kernel whose streams span more stripes than the cursor
-			// holds evicted this one; map it again.
-			s = cur.find(w.addr)
-			w.s = s
-		}
-		w.seg, w.segAt, k = cur.seg(s, w.addr), w.addr, 0
-	}
-	return w.seg[k]
+	v, _ := w.p.get(w.addr)
+	return v
 }
 
 // span returns how many elements of st from element i on, at least one,

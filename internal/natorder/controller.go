@@ -19,6 +19,7 @@ func (controller) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options) (
 		Scheme:        opt.Scheme,
 		LineWords:     opt.LineWords,
 		WriteAllocate: opt.WriteAllocate,
+		Store:         opt.Store,
 		Cache:         opt.Cache,
 		Telemetry:     opt.Telemetry,
 	})

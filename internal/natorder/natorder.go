@@ -17,10 +17,12 @@
 //   - Transactions issue strictly in program order, pipelined up to the
 //     Direct RDRAM's limit of four outstanding requests.
 //
-// The simulation runs in two phases: a functional phase computes every
-// store value with the kernel's golden semantics, then a timing phase
-// replays the cacheline transactions against the device, writing those
-// values, so the device's memory image afterwards is exact.
+// The controller is a timing model: it replays the kernel's cacheline
+// transactions against the device and computes no data itself. A write
+// line carries its words from Config.Store, the run's golden image, which
+// the harness (sim.RunKernel) seeds and replays once before the run; the
+// device then ends holding exactly the golden. With no Store, write lines
+// carry no computed data, as on a timing-only device.
 package natorder
 
 import (
@@ -45,6 +47,11 @@ type Config struct {
 	// writes it back on eviction instead of streaming the store line
 	// directly to memory.
 	WriteAllocate bool
+	// Store, when non-nil, is the run's golden image (engine.Image.Replay
+	// over the seeded words): the values write lines carry, with a
+	// read-merge from the device of the words it lacks. Nil means write
+	// lines carry no computed data, as on a timing-only device.
+	Store *engine.Image
 	// Cache, when non-nil, routes every access through a real
 	// set-associative write-back cache instead of the paper's ideal
 	// per-stream line buffers: conflict misses refetch lines and dirty
@@ -117,9 +124,9 @@ func DefaultConfig() Config {
 type Result = engine.Result
 
 // Run simulates kernel k over the device through a natural-order cacheline
-// controller and returns timing plus bandwidth results. The device's
-// functional contents are read and written, so callers can verify the
-// computation afterwards.
+// controller and returns timing plus bandwidth results. Write lines carry
+// cfg.Store's words, so with the golden as Store callers can verify the
+// device's contents afterwards.
 func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 	if err := k.Validate(); err != nil {
 		return Result{}, err
@@ -130,17 +137,11 @@ func Run(dev *rdram.Device, k *stream.Kernel, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	s.lines.ClosedPage = cfg.closedPage()
+	s.lines.Store = cfg.Store
 	// The natural-order processor issues in order: the bus waits on the
 	// previous iteration's operands, not on an absent request stream.
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallDependency)
 
-	// Phase 1: functional execution, recording every store value in an
-	// image (empty on a timing-only device, which stores no data).
-	s.lines.Store = engine.StoreValues(dev, s.lines.Mapper(), k)
-	defer s.lines.Store.Release()
-
-	// Phase 2: timed replay of the cacheline transactions in natural
-	// order.
 	var cc *cache.Cache
 	if cfg.Cache != nil {
 		if cfg.Cache.LineWords != cfg.LineWords {
@@ -178,11 +179,23 @@ type sim struct {
 	ctl *telemetry.ControllerProbe // nil when telemetry is off
 }
 
-// streamState tracks a stream's current cacheline during the timing phase.
+// streamState tracks a stream's current cacheline during the replay.
 type streamState struct {
-	line      int64   // current cacheline index (-1 = none)
+	lo        int64   // first address of the current cacheline (-lw = none)
 	pktStarts []int64 // DataStart of each packet of the current line (reads)
 	dirty     bool    // write-allocate: line has been stored to
+}
+
+// enter moves st to the line holding addr, reporting whether that is a
+// new line. The line start is divided out only when addr leaves the
+// current line, so an element inside it costs a subtraction.
+// rdlint:hotpath
+func (st *streamState) enter(addr, lw int64) bool {
+	if uint64(addr-st.lo) < uint64(lw) {
+		return false
+	}
+	st.lo = addr / lw * lw
+	return true
 }
 
 func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
@@ -191,7 +204,7 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 	states := make([]streamState, len(k.Streams))
 	starts := make([]int64, len(k.Streams)*packets)
 	for i := range states {
-		states[i].line = -1
+		states[i].lo = -s.lw
 		states[i].pktStarts = starts[i*packets : (i+1)*packets]
 	}
 
@@ -210,15 +223,12 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 		for r := 0; r < nr; r++ {
 			st := &states[r]
 			addr := k.Streams[r].Addr(i)
-			line := addr / s.lw
-			if st.line != line {
-				st.line = line
-				if err := s.fetch(line, max(s.cursor, prevDep), st.pktStarts); err != nil {
+			if st.enter(addr, s.lw) {
+				if err := s.fetch(st.lo, max(s.cursor, prevDep), st.pktStarts); err != nil {
 					return err
 				}
 			}
-			pkt := int(addr%s.lw) / rdram.WordsPerPacket
-			if ready := st.pktStarts[pkt]; ready > iterDep {
+			if ready := st.pktStarts[(addr-st.lo)/rdram.WordsPerPacket]; ready > iterDep {
 				iterDep = ready
 			}
 		}
@@ -227,14 +237,12 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 		// evicted one).
 		for w := nr; w < len(k.Streams); w++ {
 			st := &states[w]
-			line := k.Streams[w].Addr(i) / s.lw
-			if st.line == line {
+			prev := st.lo
+			if !st.enter(k.Streams[w].Addr(i), s.lw) {
 				continue
 			}
-			prev := st.line
-			st.line = line
 			if !writeAllocate {
-				if err := s.store(line, max(s.cursor, iterDep)); err != nil {
+				if err := s.store(st.lo, max(s.cursor, iterDep)); err != nil {
 					return err
 				}
 				continue
@@ -244,7 +252,7 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 					return err
 				}
 			}
-			if err := s.fetch(line, max(s.cursor, iterDep), st.pktStarts); err != nil {
+			if err := s.fetch(st.lo, max(s.cursor, iterDep), st.pktStarts); err != nil {
 				return err
 			}
 			st.dirty = true
@@ -253,8 +261,8 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 	}
 	if writeAllocate {
 		for w := nr; w < len(k.Streams); w++ {
-			if st := &states[w]; st.line >= 0 && st.dirty {
-				if err := s.store(st.line, s.cursor); err != nil {
+			if st := &states[w]; st.lo >= 0 && st.dirty {
+				if err := s.store(st.lo, s.cursor); err != nil {
 					return err
 				}
 			}
@@ -263,12 +271,13 @@ func (s *sim) run(k *stream.Kernel, writeAllocate bool) error {
 	return nil
 }
 
-// fetch reads a cacheline, presented at at, writing each packet's
-// DataStart (the linefill-forwarding availability times) into starts.
-// Transient device rejections under fault injection are retried with
-// bounded backoff (engine.Issue); exhausting the retries fails the run.
-func (s *sim) fetch(line, at int64, starts []int64) error {
-	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), false, starts)
+// fetch reads the cacheline whose first word is lo, presented at at,
+// writing each packet's DataStart (the linefill-forwarding availability
+// times) into starts. Transient device rejections under fault injection
+// are retried with bounded backoff (engine.Issue); exhausting the retries
+// fails the run.
+func (s *sim) fetch(lo, at int64, starts []int64) error {
+	first, err := s.lines.Issue(at, s.lines.Loc(lo), false, starts)
 	if err != nil {
 		return err
 	}
@@ -279,11 +288,11 @@ func (s *sim) fetch(line, at int64, starts []int64) error {
 	return nil
 }
 
-// store transmits a full cacheline of store data, presented at at;
-// words the kernel never stores keep their prior memory contents (the
-// issuer's read-merge).
-func (s *sim) store(line, at int64) error {
-	first, err := s.lines.Issue(at, s.lines.Loc(line*s.lw), true, nil)
+// store transmits the full cacheline whose first word is lo, presented
+// at at; words the store image lacks keep their prior memory contents
+// (the issuer's read-merge).
+func (s *sim) store(lo, at int64) error {
+	first, err := s.lines.Issue(at, s.lines.Loc(lo), true, nil)
 	if err != nil {
 		return err
 	}

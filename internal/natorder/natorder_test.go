@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rdramstream/internal/addrmap"
+	"rdramstream/internal/engine"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -21,25 +22,25 @@ func readOnly(base int64, n int, stride int64) *stream.Kernel {
 	}
 }
 
-// seedVectors fills every element of the kernel's streams with a
-// deterministic pattern through the mapper, and returns a shadow copy.
-func seedVectors(dev *rdram.Device, scheme addrmap.Scheme, lineWords int, k *stream.Kernel) map[int64]uint64 {
+// seedVectors gives every element of the kernel's streams a
+// deterministic value through the golden image's walk, then replays the
+// kernel over the image. It returns the golden, which Run takes as its
+// store image, and a map shadow of the seeded words for the independent
+// check (verifyFunctional).
+func seedVectors(dev *rdram.Device, scheme addrmap.Scheme, lineWords int, k *stream.Kernel) (*engine.Image, map[int64]uint64) {
 	m := addrmap.MustNew(scheme, dev.Config().Geometry, lineWords)
+	golden := new(engine.Image)
+	var n float64
+	golden.Seed(dev, &m, k, func() uint64 { n++; return math.Float64bits(n * 0.25) })
 	shadow := make(map[int64]uint64)
-	for si, s := range k.Streams {
-		for i := 0; i < s.Length; i++ {
-			addr := s.Addr(i)
-			v := math.Float64bits(float64(si+1) + float64(i)*0.25)
-			loc := m.Map(addr)
-			dev.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, v)
-			shadow[addr] = v
-		}
-	}
-	return shadow
+	golden.Range(func(addr int64, v uint64) bool { shadow[addr] = v; return true })
+	golden.Replay(k)
+	return golden, shadow
 }
 
-// runKernel builds a device, lays the kernel's vectors out, runs it, and
-// returns the result plus the device and shadow memory for verification.
+// runKernel builds a device, lays the kernel's vectors out, seeds them,
+// runs the kernel with the golden as store image, and returns the result
+// plus the device and shadow memory for verification.
 func runKernel(t *testing.T, factory string, n int, strideW int64, cfg Config, placement stream.Placement) (Result, *rdram.Device, *stream.Kernel, map[int64]uint64) {
 	t.Helper()
 	f, ok := stream.FactoryByName(factory)
@@ -50,7 +51,8 @@ func runKernel(t *testing.T, factory string, n int, strideW int64, cfg Config, p
 	bases := stream.MustLayout(cfg.Scheme, g, cfg.LineWords, f.Footprints(n, strideW), placement)
 	k := f.Make(bases, n, strideW)
 	dev := rdram.NewDevice(rdram.DefaultConfig())
-	shadow := seedVectors(dev, cfg.Scheme, cfg.LineWords, k)
+	golden, shadow := seedVectors(dev, cfg.Scheme, cfg.LineWords, k)
+	cfg.Store = golden
 	res, err := Run(dev, k, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -341,8 +343,8 @@ func TestNaturalOrderSwapFunctional(t *testing.T) {
 		bases := stream.MustLayout(scheme, g, 4, []int64{256, 256}, stream.Staggered)
 		k := stream.Swap(bases[0], bases[1], 256, 1)
 		dev := rdram.NewDevice(rdram.DefaultConfig())
-		shadow := seedVectors(dev, scheme, 4, k)
-		if _, err := Run(dev, k, Config{Scheme: scheme, LineWords: 4}); err != nil {
+		golden, shadow := seedVectors(dev, scheme, 4, k)
+		if _, err := Run(dev, k, Config{Scheme: scheme, LineWords: 4, Store: golden}); err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
 		verifyFunctional(t, dev, scheme, 4, k, shadow)

@@ -20,12 +20,24 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache) error {
 	// DataStart of each of its packets. Evictions drop the entry.
 	ready := make(map[int64][]int64)
 
+	// Each stream's current line, as its first address and its index:
+	// the index is divided out only when the address leaves the line.
+	held := make([]struct{ lo, line int64 }, len(k.Streams))
+	for si := range held {
+		held[si].lo = -s.lw
+	}
+
 	var prevDep int64
 	for i := 0; i < k.Iterations(); i++ {
 		var iterDep int64
 		for si, st := range k.Streams {
 			addr := st.Addr(i)
-			line := addr / s.lw
+			cur := &held[si]
+			if uint64(addr-cur.lo) >= uint64(s.lw) {
+				cur.line = addr / s.lw
+				cur.lo = cur.line * s.lw
+			}
+			line := cur.line
 			write := st.Mode == stream.Write
 			gate := prevDep
 			if write {
@@ -37,7 +49,7 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache) error {
 				if res.Evicted >= 0 {
 					if res.EvictedDirty {
 						// Victim writeback precedes the fill on the bus.
-						if err := s.store(res.Evicted, max(s.cursor, gate)); err != nil {
+						if err := s.store(res.Evicted*s.lw, max(s.cursor, gate)); err != nil {
 							return err
 						}
 					}
@@ -47,15 +59,14 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache) error {
 				if starts == nil {
 					starts = make([]int64, packets)
 				}
-				if err := s.fetch(line, max(s.cursor, gate), starts); err != nil {
+				if err := s.fetch(cur.lo, max(s.cursor, gate), starts); err != nil {
 					return err
 				}
 				ready[line] = starts
 			}
 			if si < nr {
 				if starts, ok := ready[line]; ok {
-					pkt := int(addr%s.lw) / rdram.WordsPerPacket
-					if t := starts[pkt]; t > iterDep {
+					if t := starts[(addr-cur.lo)/rdram.WordsPerPacket]; t > iterDep {
 						iterDep = t
 					}
 				}
@@ -65,7 +76,7 @@ func (s *sim) runThroughCache(k *stream.Kernel, cc *cache.Cache) error {
 	}
 	// Final writeback sweep of everything still dirty.
 	for _, line := range cc.FlushDirty() {
-		if err := s.store(line, s.cursor); err != nil {
+		if err := s.store(line*s.lw, s.cursor); err != nil {
 			return err
 		}
 	}

@@ -390,6 +390,21 @@ func BenchmarkDeviceOpenPageRead(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceOpenPageAttempt measures the SMC's per-packet device
+// call: back-to-back page-hit packet reads through the pointer Attempt,
+// one packet per op, with the request and result reused in place.
+func BenchmarkDeviceOpenPageAttempt(b *testing.B) {
+	d := NewDevice(DefaultConfig())
+	var req Request
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Col = i % 64
+		d.Attempt(0, &req, &res)
+	}
+}
+
 // BenchmarkDeviceClosedPageLine measures the device's line transaction:
 // one 2-packet read line per op under a closed-page policy, so each op
 // activates its row, places both packets and precharges behind them,

@@ -165,12 +165,13 @@ func runNatural(sc Scenario, cfg natorder.Config) (natorder.Result, error) {
 	if err != nil {
 		return natorder.Result{}, err
 	}
-	seed(dev, &mapper, k, sc.Seed, scr.rng(), &scr.image)
+	seedGolden(dev, &mapper, k, sc.Seed, scr.rng(), &scr.image)
+	cfg.Store = &scr.image
 	res, err := natorder.Run(dev, k, cfg)
 	if err != nil {
 		return natorder.Result{}, err
 	}
-	return res, verify(dev, &mapper, k, &scr.image)
+	return res, verify(dev, &mapper, &scr.image)
 }
 
 // lineTransactionPin holds the pinned runs, keyed by path, variant,

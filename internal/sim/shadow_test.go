@@ -47,8 +47,8 @@ func checkVerifyNamesLowest(t *testing.T, sc Scenario) {
 	for rep := 0; rep < 3; rep++ {
 		dev := rdram.NewDevice(sc.Device)
 		m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
-		seed(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
-		if _, err := runController(dev, k, sc); err != nil {
+		seedGolden(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
+		if _, err := runController(dev, k, sc, &scr.image); err != nil {
 			t.Fatal(err)
 		}
 		var want string
@@ -62,7 +62,7 @@ func checkVerifyNamesLowest(t *testing.T, sc Scenario) {
 				want = fmt.Sprintf("sim: functional verification failed: address %d: device %#x, golden %#x", lo, v^1, v)
 			}
 		}
-		err := verify(dev, &m, k, &scr.image)
+		err := verify(dev, &m, &scr.image)
 		if err == nil {
 			t.Fatal("verify passed over a corrupted device")
 		}
@@ -255,7 +255,7 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 
 		got, ref := rdram.NewDevice(cfg), rdram.NewDevice(cfg)
 		rng := scr.rng()
-		seed(got, &m, k, s, rng, &scr.image)
+		seedGolden(got, &m, k, s, rng, &scr.image)
 		shadowRef, rngRef := refSeed(ref, &m, k, s)
 
 		// Same draw count: the generators are at the same position, and
@@ -277,7 +277,7 @@ func TestSeedVerifyMatchesMapReference(t *testing.T) {
 				d.PokeWord(loc.Bank, loc.Row, loc.Col, loc.Word, d.PeekWord(loc.Bank, loc.Row, loc.Col, loc.Word)+1)
 			}
 		}
-		errGot := verify(got, &m, k, &scr.image)
+		errGot := verify(got, &m, &scr.image)
 		errRef := refVerify(ref, &m, k, shadowRef)
 		if fmt.Sprint(errGot) != fmt.Sprint(errRef) {
 			t.Fatalf("case %d: verdict %v, reference %v", c, errGot, errRef)

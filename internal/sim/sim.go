@@ -408,6 +408,12 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 	defer scr.release(dev)
+	return runKernel(dev, scr, k, sc)
+}
+
+// runKernel is RunKernel over a device and scratch newDevice built; the
+// caller releases them.
+func runKernel(dev *rdram.Device, scr *scratch, k *stream.Kernel, sc Scenario) (Outcome, error) {
 	mapper, err := addrmap.New(sc.Scheme, sc.Device.Geometry, sc.LineWords)
 	if err != nil {
 		return Outcome{}, err
@@ -425,23 +431,26 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 	}
 	// Seeding exists for the functional check: data values never influence
 	// the timing model (scheduling is purely address-driven, and the seed
-	// rng is private to seed), so a SkipVerify run skips the seed pass too
-	// and is still cycle-identical to a verified run.
+	// rng is private to seedGolden), so a SkipVerify run skips the seed
+	// pass and the golden replay too, and is still cycle-identical to a
+	// verified run.
+	var golden *engine.Image
 	if sc.SkipVerify {
 		dev.SetTimingOnly(true)
 	} else {
-		seed(dev, &mapper, k, sc.Seed, scr.rng(), &scr.image)
+		seedGolden(dev, &mapper, k, sc.Seed, scr.rng(), &scr.image)
+		golden = &scr.image
 	}
 
-	res, err := runController(dev, k, sc)
+	res, err := runController(dev, k, sc, golden)
 	if err != nil {
 		return Outcome{}, err
 	}
 	out := Outcome{Result: res}
 	finalize(sc.Telemetry, dev, out)
 
-	if !sc.SkipVerify {
-		if err := verify(dev, &mapper, k, &scr.image); err != nil {
+	if golden != nil {
+		if err := verify(dev, &mapper, golden); err != nil {
 			return out, err
 		}
 		out.Verified = true
@@ -450,8 +459,9 @@ func RunKernel(k *stream.Kernel, sc Scenario) (Outcome, error) {
 }
 
 // runController drives kernel k over dev through the scenario's
-// registered controller.
-func runController(dev *rdram.Device, k *stream.Kernel, sc Scenario) (engine.Result, error) {
+// registered controller; golden, when non-nil, is the store image its
+// write lines carry.
+func runController(dev *rdram.Device, k *stream.Kernel, sc Scenario, golden *engine.Image) (engine.Result, error) {
 	name, err := sc.controllerName()
 	if err != nil {
 		return engine.Result{}, err
@@ -464,6 +474,7 @@ func runController(dev *rdram.Device, k *stream.Kernel, sc Scenario) (engine.Res
 		Scheme: sc.Scheme, LineWords: sc.LineWords, FIFODepth: sc.FIFODepth,
 		Policy: int(sc.Policy), SpeculateActivate: sc.SpeculateActivate,
 		WriteAllocate: sc.WriteAllocate, Cache: sc.Cache,
+		Store:         golden,
 		Telemetry:     sc.Telemetry,
 		WatchdogLimit: sc.WatchdogLimit,
 	})
@@ -542,10 +553,10 @@ func finalize(col *telemetry.Collector, dev *rdram.Device, out Outcome) {
 }
 
 // scratch is the per-run allocation set a sweep recycles: the device's
-// page table and page slots, the seed generator, the seed/verify golden
-// image, and a trace run's expanded program with a copy of the program
-// it came from, so that the next run of an equal program expands nothing
-// (see materialize). newDevice checks one out per run and release
+// page table and page slots, the seed generator, the golden image, and a
+// trace run's expanded program with a copy of the program it came from,
+// so that the next run of an equal program expands nothing (see
+// materialize). newDevice checks one out per run and release
 // returns it; sync.Pool keeps reuse per-worker-safe at any sweep width.
 type scratch struct {
 	pages rdram.PagePool

@@ -143,6 +143,6 @@ func runOnDevice(sc Scenario, k *stream.Kernel) (engine.Result, *rdram.Device, e
 			return engine.Result{}, nil, err
 		}
 	}
-	res, err := runController(dev, k, sc)
+	res, err := runController(dev, k, sc, nil)
 	return res, dev, err
 }

@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/cache"
+	"rdramstream/internal/fault"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
 )
@@ -67,7 +69,7 @@ func checkReadMerge(t *testing.T, sc Scenario) {
 	dev := rdram.NewDevice(sc.Device)
 	m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
 	var scr scratch
-	seed(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
+	seedGolden(dev, &m, k, sc.Seed, scr.rng(), &scr.image)
 
 	touched := make(map[int64]bool)
 	for _, st := range k.Streams {
@@ -94,10 +96,10 @@ func checkReadMerge(t *testing.T, sc Scenario) {
 		t.Fatal("no untouched words in the written lines; the case tests nothing")
 	}
 
-	if _, err := runController(dev, k, sc); err != nil {
+	if _, err := runController(dev, k, sc, &scr.image); err != nil {
 		t.Fatal(err)
 	}
-	if err := verify(dev, &m, k, &scr.image); err != nil {
+	if err := verify(dev, &m, &scr.image); err != nil {
 		t.Fatal(err)
 	}
 	for _, addr := range sentinels {
@@ -139,4 +141,122 @@ func TestSkipVerifyMatchesVerified(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSkipVerifyComputesNothing: a timing-only run does no functional
+// work at all. Data never influences timing, so a SkipVerify run seeds
+// nothing, replays no golden and, in the SMC, neither captures loads nor
+// computes stores: its kernel's arithmetic must never run.
+func TestSkipVerifyComputesNothing(t *testing.T) {
+	for _, v := range storeVariants {
+		sc := Scenario{Scheme: addrmap.PI, SkipVerify: true}
+		v.set(&sc)
+		k := stream.Daxpy(3, 0, 4096, 300, 1)
+		k.Compute = func(int, []float64) []float64 { panic("kernel arithmetic ran in a timing-only run") }
+		if _, err := RunKernel(k, sc); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+	}
+}
+
+// smcAccepts reports whether the SMC computes k's golden. The SMC stores
+// values computed from the words its read FIFOs fetched, in the order the
+// MSU chose, so it needs streams that do not alias across elements: no
+// write stream may share a word with a read stream other than its exact
+// twin (daxpy's y, read and stored at the same element), and no two write
+// streams may share a packet, which the MSU writes whole.
+func smcAccepts(k *stream.Kernel) bool {
+	nr := k.ReadStreams()
+	stored := make(map[int64]int) // word -> the write stream storing it
+	packets := make(map[int64]int)
+	for j := nr; j < len(k.Streams); j++ {
+		st := k.Streams[j]
+		for i := 0; i < st.Length; i++ {
+			addr := st.Addr(i)
+			if w, ok := packets[addr/rdram.WordsPerPacket]; ok && w != j {
+				return false
+			}
+			packets[addr/rdram.WordsPerPacket] = j
+			stored[addr] = j
+		}
+	}
+	for _, st := range k.Streams[:nr] {
+		for i := 0; i < st.Length; i++ {
+			if j, ok := stored[st.Addr(i)]; ok {
+				if w := k.Streams[j]; w.Base != st.Base || w.Stride != st.Stride {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestStorePathMatchesMapReference checks every store path against a
+// reference that shares no code with engine.Image: random aliasing
+// kernels through each write variant (the SMC only on kernels it
+// accepts), under CLI and PI, with and without faults, each through
+// runKernel — RunKernel's body — and verified. The device must then equal
+// the map-backed reference (refSeed, replayed on a second device) at
+// every stream address and its neighbours, and refVerify must pass on it.
+func TestStorePathMatchesMapReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	geoms := stripeGeometries()
+	runs := make(map[string]int)
+	// Kernels the SMC accepts are rarer: keep drawing until it has as
+	// many runs as the cacheline variants, which take the first 80
+	// valid kernels.
+	const kernels = 80
+	for c, valid := 0, 0; c < 10000 && runs["smc"] < 4*kernels; c++ {
+		cfg := rdram.DefaultConfig()
+		cfg.Geometry = geoms[c%len(geoms)]
+		k := randomAliasingKernel(r, cfg.Geometry)
+		if k.Validate() != nil {
+			continue // the controllers take positive strides only
+		}
+		valid++
+		for _, v := range storeVariants {
+			if v.name == "smc" && !smcAccepts(k) || v.name != "smc" && valid > kernels {
+				continue
+			}
+			for _, scheme := range []addrmap.Scheme{addrmap.CLI, addrmap.PI} {
+				for severity := 0; severity <= 1; severity++ {
+					sc := Scenario{Scheme: scheme, Device: cfg, FIFODepth: 16, Seed: int64(c)}
+					v.set(&sc)
+					if f := fault.Scaled(int64(c), severity); f.Active() {
+						sc.Fault = &f
+					}
+					name := fmt.Sprintf("case %d %s %v severity %d", c, v.name, scheme, severity)
+					checkStorePath(t, name, c, k, sc.withDefaults())
+					runs[v.name]++
+				}
+			}
+		}
+	}
+	for _, v := range storeVariants {
+		if runs[v.name] != 4*kernels {
+			t.Errorf("%s ran %d cases, want %d", v.name, runs[v.name], 4*kernels)
+		}
+	}
+}
+
+func checkStorePath(t *testing.T, name string, c int, k *stream.Kernel, sc Scenario) {
+	t.Helper()
+	dev, scr, err := newDevice(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scr.release(dev)
+	out, err := runKernel(dev, scr, k, sc)
+	if err != nil || !out.Verified {
+		t.Fatalf("%s: verified=%v err=%v", name, out.Verified, err)
+	}
+	m := addrmap.MustNew(sc.Scheme, sc.Device.Geometry, sc.LineWords)
+	ref := rdram.NewDevice(sc.Device)
+	shadow, _ := refSeed(ref, &m, k, sc.Seed)
+	if err := refVerify(dev, &m, k, shadow); err != nil {
+		t.Fatalf("%s: reference verify: %v", name, err)
+	}
+	replayOnDevice(ref, &m, k)
+	assertSameImage(t, c, dev, ref, &m, k)
 }

@@ -1,9 +1,6 @@
 package smc
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // frontEnd is the paper's processor model (§4.1): it performs the
 // kernel's element accesses in natural order — iteration by iteration,
@@ -11,8 +8,9 @@ import (
 // per xfer cycles, blocking whenever the MSU has not fetched the next read
 // element or freed the next write slot. Computation is infinitely fast, so
 // the processor's timing never depends on data values: the front end
-// moves FIFO heads and clocks, and the kernel's arithmetic runs when a
-// write packet drains (sim.computeThrough).
+// moves FIFO heads and clocks, captures each read value it pops, and runs
+// the kernel's arithmetic when it pushes an iteration's first store. The
+// reads come first in an iteration, so its inputs are always present.
 type frontEnd struct {
 	xfer  int64 // cycles per element access, t_PACK / WordsPerPacket
 	iter  int   // iteration of the next access
@@ -54,15 +52,26 @@ func (s *sim) feAdvance(limit int64) {
 		fe.time = done
 		if fe.pos < s.nr {
 			f := s.reads[fe.pos]
+			if s.data {
+				s.in[fe.pos] = math.Float64frombits(f.values[f.popped&f.mask])
+			}
 			f.popped++
 			if s.fprobes != nil {
 				s.fprobes[fe.pos].OnDepth(done, f.issued-f.popped)
 			}
 		} else {
-			f := s.writes[fe.pos-s.nr]
-			f.pushedAt = append(f.pushedAt, done)
+			j := fe.pos - s.nr
+			f := s.writes[j]
+			if s.data {
+				if j == 0 {
+					s.out = s.k.Compute(fe.iter, s.in)
+				}
+				f.values[f.pushed&f.mask] = math.Float64bits(s.out[j])
+			}
+			f.pushedAt[f.pushed&f.mask] = done
+			f.pushed++
 			if s.fprobes != nil {
-				s.fprobes[fe.pos].OnDepth(done, len(f.pushedAt)-len(f.drainAt))
+				s.fprobes[fe.pos].OnDepth(done, f.pushed-f.drained)
 			}
 		}
 		if fe.pos++; fe.pos == s.nstreams {
@@ -84,28 +93,4 @@ func (s *sim) feNextEvent() int64 {
 		return unscheduled
 	}
 	return max(s.fe.time, wait) + s.fe.xfer
-}
-
-// computeThrough runs the kernel's arithmetic for every iteration before
-// ehi not yet computed, appending each write stream's value to its FIFO.
-// It reads the values the read FIFOs fetched from the device, so a store
-// sees exactly the loads the processor performed. A store drains only
-// after the processor pushed it, and the processor pushes an iteration's
-// stores only after popping its loads, so every read must have been
-// fetched; computeThrough panics otherwise, since that is an MSU bug.
-// rdlint:hotpath
-func (s *sim) computeThrough(ehi int) {
-	for ; s.computed < ehi; s.computed++ {
-		i := s.computed
-		for r, f := range s.reads {
-			if i >= len(f.values) {
-				panic(fmt.Sprintf("smc: kernel %q iteration %d: store drained before read stream %d was fetched", s.k.Name, i, r))
-			}
-			s.in[r] = math.Float64frombits(f.values[i])
-		}
-		for j, v := range s.k.Compute(i, s.in) {
-			f := s.writes[j]
-			f.values = append(f.values, math.Float64bits(v))
-		}
-	}
 }

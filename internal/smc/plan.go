@@ -10,11 +10,17 @@
 // possible for the current FIFO before moving on (the paper's round-robin
 // policy), or using one of the extension policies the paper's §6 sketches.
 // The processor's timing never depends on data values, so its model
-// (frontEnd) only moves FIFO heads and a clock; the kernel's arithmetic
-// runs once per iteration, when a write packet carrying it drains.
+// (frontEnd) moves FIFO heads and a clock, capturing each read value it
+// pops; the kernel's arithmetic runs once per iteration, when the
+// processor pushes the iteration's first store. Each FIFO keeps its
+// per-element state in rings of at least its depth, as the SBU's hardware
+// FIFOs hold at most f elements, so a run's FIFO state does not grow
+// with the stream's length.
 package smc
 
 import (
+	"math/bits"
+
 	"rdramstream/internal/addrmap"
 	"rdramstream/internal/rdram"
 	"rdramstream/internal/stream"
@@ -125,13 +131,21 @@ func (p *planner) mapUnit(pkt int64) {
 
 const unscheduled = int64(-1)
 
-// readFIFO is the SBU buffer for one read stream. The MSU appends arriving
-// elements; the CPU pops them in order from the memory-mapped head.
+// ringSize is the length of a FIFO's rings: the power of two at or above
+// depth, so that element e's slot is e&(ringSize-1).
+func ringSize(depth int) int { return 1 << bits.Len(uint(depth-1)) }
+
+// readFIFO is the SBU buffer for one read stream. The MSU fills the slots
+// of arriving elements; the CPU pops them in order from the
+// memory-mapped head. At most depth elements sit between fetch and pop,
+// so element e's state lives in slot e&mask of rings of at least depth
+// slots.
 type readFIFO struct {
 	plan planner // the packets the MSU fetches
 
-	avail  []int64  // arrival time (DataEnd) per issued element, in order
-	values []uint64 // element values, aligned with avail
+	avail  []int64  // ring: arrival time (DataEnd) of each fetched element
+	values []uint64 // ring: each fetched element's value
+	mask   int      // ring length - 1
 	popped int      // elements the CPU has consumed
 
 	issued int // elements fetched or in flight
@@ -148,24 +162,30 @@ func (f *readFIFO) canFetch() bool {
 
 // headAvail returns when the CPU's next element is (or will be) available,
 // or unscheduled if the MSU has not fetched it yet.
+// rdlint:hotpath
 func (f *readFIFO) headAvail() int64 {
-	if f.popped >= len(f.avail) {
+	if f.popped >= f.issued {
 		return unscheduled
 	}
-	return f.avail[f.popped]
+	return f.avail[f.popped&f.mask]
 }
 
 // writeFIFO is the SBU buffer for one write stream. The CPU pushes
-// stores in order; the MSU drains whole packets to memory, computing
-// their values as they drain (sim.computeThrough).
+// stores in order, each with its computed value; the MSU drains whole
+// packets to memory. At most depth elements sit between push and drain,
+// so element e's state lives in slot e&mask of rings of at least depth
+// slots.
 type writeFIFO struct {
 	plan planner // the packets the MSU drains
 
-	pushedAt []int64  // push completion time per element, in order
-	values   []uint64 // store value per computed element, in order
-	drainAt  []int64  // DataEnd per drained element, in order
+	pushedAt []int64  // ring: push completion time of each pushed element
+	values   []uint64 // ring: each pushed element's store value
+	drainAt  []int64  // ring: DataEnd of each drained element
+	mask     int      // ring length - 1
 
-	depth int
+	pushed  int // elements the CPU has stored
+	drained int // elements drained or in flight
+	depth   int
 
 	retry retryState
 }
@@ -198,25 +218,25 @@ func (r *retryState) onAccept() { r.at, r.rejects = 0, 0 }
 
 // canDrain reports whether the next packet's elements have all been pushed.
 func (f *writeFIFO) canDrain() bool {
-	return f.plan.more() && len(f.pushedAt) >= f.plan.cur.ehi
+	return f.plan.more() && f.pushed >= f.plan.cur.ehi
 }
 
 // drainReady is the earliest time the next packet's data is in the FIFO.
+// rdlint:hotpath
 func (f *writeFIFO) drainReady() int64 {
-	return f.pushedAt[f.plan.cur.ehi-1]
+	return f.pushedAt[(f.plan.cur.ehi-1)&f.mask]
 }
 
 // slotFreeAt returns the earliest time the CPU can push its next element:
 // immediately if the FIFO has room, otherwise when the MSU drains the
 // oldest occupant.
+// rdlint:hotpath
 func (f *writeFIFO) slotFreeAt() int64 {
-	pushed := len(f.pushedAt)
-	if pushed < f.depth {
+	if f.pushed < f.depth {
 		return 0
 	}
-	idx := pushed - f.depth
-	if idx < len(f.drainAt) {
-		return f.drainAt[idx]
+	if idx := f.pushed - f.depth; idx < f.drained {
+		return f.drainAt[idx&f.mask]
 	}
 	return unscheduled // FIFO full and the freeing drain not yet issued
 }

@@ -170,6 +170,7 @@ func newSim(dev *rdram.Device, k *stream.Kernel, cfg Config, scr *runScratch) (*
 		wd:       engine.NewWatchdog(cfg.WatchdogLimit),
 		tPack:    int64(dev.Config().Timing.TPack),
 		tRAC:     int64(dev.Config().Timing.TRAC()),
+		data:     !dev.TimingOnly(),
 	}
 	s.ctl = engine.Attach(dev, cfg.Telemetry, telemetry.StallNoRequest)
 	if col := cfg.Telemetry; col != nil {
@@ -182,27 +183,22 @@ func newSim(dev *rdram.Device, k *stream.Kernel, cfg Config, scr *runScratch) (*
 			s.fprobes[i] = col.FIFO(i, fmt.Sprintf("fifo %d %s %s", i, dir, st.Name))
 		}
 	}
-	// The FIFOs and their bookkeeping arrays are the run's dominant
-	// allocations and every one of them is rebuilt from scratch each run,
-	// so a sweep recycles them through a free list. Slices are reused at
-	// length zero and only ever appended to, so no zeroing is needed;
-	// every element passes through its FIFO exactly once, so first use
-	// sizes the backing exactly.
+	// The FIFOs and their rings are recycled through a free list. A ring
+	// holds at least depth slots, so its size depends on the depth alone,
+	// never on the stream's length. Every slot is written before it is
+	// read, so reuse needs no clearing.
 	if cap(scr.in) < s.nr {
 		scr.in = make([]float64, s.nr)
 	}
 	s.in = scr.in[:s.nr]
+	size := ringSize(cfg.FIFODepth)
 	for i, st := range k.Streams {
 		if i < s.nr {
 			if i >= len(scr.reads) {
 				scr.reads = append(scr.reads, new(readFIFO))
 			}
 			f := scr.reads[i]
-			*f = readFIFO{depth: cfg.FIFODepth, avail: f.avail[:0], values: f.values[:0]}
-			if cap(f.avail) < st.Length {
-				f.avail = make([]int64, 0, st.Length)
-				f.values = make([]uint64, 0, st.Length)
-			}
+			*f = readFIFO{depth: cfg.FIFODepth, mask: size - 1, avail: ring(f.avail, size), values: ring(f.values, size)}
 			f.plan.reset(st, &s.mapper)
 		} else {
 			j := i - s.nr
@@ -210,12 +206,7 @@ func newSim(dev *rdram.Device, k *stream.Kernel, cfg Config, scr *runScratch) (*
 				scr.writes = append(scr.writes, new(writeFIFO))
 			}
 			f := scr.writes[j]
-			*f = writeFIFO{depth: cfg.FIFODepth, pushedAt: f.pushedAt[:0], values: f.values[:0], drainAt: f.drainAt[:0]}
-			if cap(f.pushedAt) < st.Length {
-				f.pushedAt = make([]int64, 0, st.Length)
-				f.values = make([]uint64, 0, st.Length)
-				f.drainAt = make([]int64, 0, st.Length)
-			}
+			*f = writeFIFO{depth: cfg.FIFODepth, mask: size - 1, pushedAt: ring(f.pushedAt, size), values: ring(f.values, size), drainAt: ring(f.drainAt, size)}
 			f.plan.reset(st, &s.mapper)
 		}
 	}
@@ -223,10 +214,19 @@ func newSim(dev *rdram.Device, k *stream.Kernel, cfg Config, scr *runScratch) (*
 	return s, nil
 }
 
+// ring returns r resized to size slots, reusing its backing when it is
+// large enough.
+func ring[T int64 | uint64](r []T, size int) []T {
+	if cap(r) < size {
+		return make([]T, size)
+	}
+	return r[:size]
+}
+
 // runScratch is the recyclable per-run state: the FIFO structs with their
-// grown bookkeeping arrays, and the kernel's input buffer. A sweep's
-// scenarios check one out per run via getScratch; everything is reset by
-// slicing to length zero, never by clearing, so reuse costs nothing.
+// rings, and the kernel's input buffer. A sweep's scenarios check one out
+// per run via getScratch; everything is reset by reslicing, never by
+// clearing, so reuse costs nothing.
 type runScratch struct {
 	reads  []*readFIFO
 	writes []*writeFIFO
@@ -237,8 +237,7 @@ type runScratch struct {
 // plain free list rather than a sync.Pool because a pool drops whatever
 // it holds across two garbage collections, and a sweep that interleaves
 // SMC scenarios with other controllers idles the SMC's scratch long
-// enough for that to happen: every miss re-allocated multi-megabyte FIFO
-// arrays. The list keeps at most GOMAXPROCS sets, one per run that can be
+// enough for that to happen: every miss re-allocated the FIFO rings. The list keeps at most GOMAXPROCS sets, one per run that can be
 // in flight at once.
 var idleScratch struct {
 	mu   sync.Mutex
@@ -279,10 +278,13 @@ type sim struct {
 
 	fe frontEnd // the matched-bandwidth processor model
 
-	// computed counts the iterations whose kernel arithmetic has run,
-	// and in holds one iteration's loaded values (see computeThrough).
-	computed int
-	in       []float64
+	// in holds the current iteration's loaded values and out its
+	// computed store values (see feAdvance). data is false on a
+	// timing-only device, which stores no data: the front end then
+	// neither captures loads nor computes.
+	in   []float64
+	out  []float64
+	data bool
 
 	msuTime int64
 	current int // round-robin cursor over all FIFOs (reads then writes)
@@ -379,7 +381,7 @@ func (s *sim) dumpState() string {
 	}
 	for j, f := range s.writes {
 		fmt.Fprintf(&b, "  write fifo %d: element %d/%d pushed=%d drained=%d retryAt=%d rejects=%d\n",
-			s.nr+j, f.plan.cur.elo, f.plan.st.Length, len(f.pushedAt), len(f.drainAt), f.retry.at, f.retry.rejects)
+			s.nr+j, f.plan.cur.elo, f.plan.st.Length, f.pushed, f.drained, f.retry.at, f.retry.rejects)
 	}
 	fmt.Fprintf(&b, "  cpu: nextEvent=%d wakeup=%d\n", s.feNextEvent(), s.nextWakeup())
 	fmt.Fprintf(&b, "  device: nextEvent=%d %v", s.dev.NextEventAt(s.msuTime), s.dev.Stats())
@@ -572,8 +574,7 @@ func (s *sim) issue(i int) bool {
 		f := s.writes[i-s.nr]
 		req.Write = true
 		at = max(at, f.drainReady())
-		s.computeThrough(g.ehi)
-		// Assemble the packet: computed values where the stream stores,
+		// Assemble the packet: pushed values where the stream stores,
 		// current memory contents elsewhere (partial packets at stream
 		// edges or non-unit strides), read from the packet's own page. A
 		// fully covered packet — the common unit-stride case — needs no
@@ -585,7 +586,7 @@ func (s *sim) issue(i int) bool {
 			}
 		}
 		for j, w := range g.words[:g.n()] {
-			req.Data[w] = f.values[g.elo+j]
+			req.Data[w] = f.values[(g.elo+j)&f.mask]
 		}
 	}
 
@@ -623,14 +624,15 @@ func (s *sim) issue(i int) bool {
 	if i < s.nr {
 		f := s.reads[i]
 		for _, w := range g.words[:g.n()] {
-			f.values = append(f.values, res.Data[w])
-			f.avail = append(f.avail, res.DataEnd)
+			f.values[f.issued&f.mask] = res.Data[w]
+			f.avail[f.issued&f.mask] = res.DataEnd
+			f.issued++
 		}
-		f.issued += g.n()
 	} else {
 		f := s.writes[i-s.nr]
 		for range g.n() {
-			f.drainAt = append(f.drainAt, res.DataEnd)
+			f.drainAt[f.drained&f.mask] = res.DataEnd
+			f.drained++
 		}
 	}
 	if s.fprobes != nil {
@@ -641,7 +643,7 @@ func (s *sim) issue(i int) bool {
 			fp.OnDepth(res.DataEnd, f.issued-f.popped)
 		} else {
 			f := s.writes[i-s.nr]
-			fp.OnDepth(res.DataEnd, len(f.pushedAt)-len(f.drainAt))
+			fp.OnDepth(res.DataEnd, f.pushed-f.drained)
 		}
 	}
 	s.dev.SetIdleCause(telemetry.StallNoRequest)

@@ -30,28 +30,27 @@ func (conventional) Run(dev *rdram.Device, k *stream.Kernel, opt engine.Options)
 	}
 	engine.Attach(dev, opt.Telemetry, telemetry.StallNoRequest)
 
-	// Phase 1: functional execution, recording every store value so the
-	// device image is exact and callers can verify the computation.
-	lines.Store = engine.StoreValues(dev, lines.Mapper(), k)
-	defer lines.Store.Release()
+	// Write lines carry the run's golden image (nil: no computed data).
+	lines.Store = opt.Store
 
-	// Phase 2: timed replay at line granularity in program order, each
-	// stream filtered through its own one-line buffer, transactions
-	// admitted as fast as the pipeline window allows.
+	// Cacheline transactions in program order, each stream filtered
+	// through its own one-line buffer, admitted as fast as the pipeline
+	// window allows. A stream's line start is divided out only when its
+	// address leaves the current line.
 	lw := int64(opt.LineWords)
-	current := make([]int64, len(k.Streams))
+	current := make([]int64, len(k.Streams)) // each stream's line start
 	for i := range current {
-		current[i] = -1
+		current[i] = -lw
 	}
 	nr := k.ReadStreams()
 	for i := 0; i < k.Iterations(); i++ {
 		for s := range k.Streams {
-			line := k.Streams[s].Addr(i) / lw
-			if current[s] == line {
+			addr := k.Streams[s].Addr(i)
+			if uint64(addr-current[s]) < uint64(lw) {
 				continue
 			}
-			current[s] = line
-			if _, err := lines.Issue(0, lines.Loc(line*lw), s >= nr, nil); err != nil {
+			current[s] = addr / lw * lw
+			if _, err := lines.Issue(0, lines.Loc(current[s]), s >= nr, nil); err != nil {
 				return engine.Result{}, err
 			}
 		}
